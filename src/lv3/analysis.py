@@ -12,9 +12,6 @@ transients.  Inconclusive is a first-class outcome, never silently coerced.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .params import (
@@ -33,7 +30,6 @@ from .equilibria import (
     OutOfRange,
     Segment,
     SimplexPoint,
-    SimplexViolation,
     _coords,
     edge_py,
     edge_xz,
@@ -50,9 +46,9 @@ from .flow import (
     DormandPrince45,
     SectionSpec,
     StepSizeUnderflow,
+    _ReturnMap,
     _field3,
     _negated,
-    _refine_crossing,
     _violation3,
     integrate,
 )
@@ -130,10 +126,6 @@ def boundary_margin(y) -> float:
     return min(x, yy, z, (1.0 - x - yy - z) / _SQRT3)
 
 
-def _dist(a, b) -> float:
-    return math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
-
-
 def sample_interior(k: ParamVector, n: int, rng: SplitMix64,
                     r_tube: float = R_TUBE,
                     margin: float = BOUNDARY_SAMPLING_MARGIN) -> list:
@@ -156,22 +148,6 @@ def sample_interior(k: ParamVector, n: int, rng: SplitMix64,
     return points
 
 
-def _run_jobs(fn, items):
-    """Map fn over items, optionally on threads; order always preserved.
-
-    LV3_THREADS caps the worker count (default sequential).  Jobs must be
-    independent; results are reduced in input order either way.
-    """
-    try:
-        workers = int(os.environ.get("LV3_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class LimitSetReport:
     """Classification of an omega- or alpha-limit probe.
@@ -190,10 +166,6 @@ class LimitSetReport:
     terminal_speed: float | None = None
     closure_error: float | None = None
     period: float | None = None
-
-
-def _gdot(section, fun, y) -> float:
-    return sum(n * f for n, f in zip(section.normal, fun(y)))
 
 
 def _classify_point(k, y, speed, label, tau, seg_tol) -> LimitSetReport:
@@ -223,50 +195,26 @@ def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs, speed_tol, seg_tol,
     except ValueError:
         section = None
     stepper = DormandPrince45(fun, start.coords, horizon, tol_rel, tol_abs)
-    window = deque(maxlen=3)
-    locked = 0
-    g_prev = None
-    if section is not None:
-        g_prev = section.value(stepper.y)
-        if g_prev == 0.0:
-            d = _gdot(section, fun, stepper.y)
-            if d != 0.0:
-                locked = 1 if d > 0.0 else -1
-                window.append((0.0, stepper.y))
-    max_violation = 0.0
-    try:
-        while not stepper.finished and stepper.n_accepted < max_steps:
+    returns = None if section is None else _ReturnMap(section, fun, stepper.y)
+    while not stepper.finished and stepper.n_accepted < max_steps:
+        try:
             segment = stepper.step()
-            y = stepper.y
-            max_violation = max(max_violation, _violation3(y))
-            if max_violation > VIOLATION_LIMIT:
-                break
-            if stepper.speed <= speed_tol:
-                return _classify_point(k, y, stepper.speed, label, stepper.t, seg_tol)
-            if section is not None:
-                g = section.value(y)
-                if g_prev * g < 0.0:
-                    theta, _ = _refine_crossing(segment, section.value, 0.0, 1.0)
-                    state = segment.eval_theta(theta)
-                    d = _gdot(section, fun, state)
-                    direction = 1 if d > 0.0 else (-1 if d < 0.0 else 0)
-                    if direction != 0:
-                        if locked == 0:
-                            locked = direction
-                        if direction == locked:
-                            window.append((segment.t0 + theta * segment.h, state))
-                            if len(window) == 3:
-                                (ta, ca), (tb, cb), (tc, cc) = window
-                                gap1, gap2 = _dist(ca, cb), _dist(cb, cc)
-                                if gap1 <= CLOSURE_TOL and gap2 <= CLOSURE_TOL:
-                                    return LimitSetReport(
-                                        kind="periodic", direction=label, witness=cb,
-                                        closure_error=max(gap1, gap2), period=tb - ta,
-                                        terminal_speed=stepper.speed, horizon_used=stepper.t,
-                                    )
-                g_prev = g
-    except (StepSizeUnderflow, SimplexViolation):
-        pass
+        except StepSizeUnderflow:
+            break
+        y = stepper.y
+        if _violation3(y) > VIOLATION_LIMIT:
+            break
+        if stepper.speed <= speed_tol:
+            return _classify_point(k, y, stepper.speed, label, stepper.t, seg_tol)
+        if returns is not None and returns.advance(segment, y):
+            closed = returns.closure(CLOSURE_TOL)
+            if closed is not None:
+                period, closure_error, witness = closed
+                return LimitSetReport(
+                    kind="periodic", direction=label, witness=witness,
+                    closure_error=closure_error, period=period,
+                    terminal_speed=stepper.speed, horizon_used=stepper.t,
+                )
     return LimitSetReport(kind="inconclusive", direction=label, witness=stepper.y,
                           terminal_speed=stepper.speed, horizon_used=stepper.t)
 
@@ -327,52 +275,27 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
             return None
     fun = _field3(k)
     stepper = DormandPrince45(fun, start.coords, horizon, tol_rel, tol_abs)
-    hits = []
-    window = deque(maxlen=3)
-    locked = 0
+    returns = _ReturnMap(section, fun, stepper.y)
     budget = horizon
-    g_prev = section.value(stepper.y)
-    if g_prev == 0.0:
-        d = _gdot(section, fun, stepper.y)
-        if d != 0.0:
-            locked = 1 if d > 0.0 else -1
-            hits.append((0.0, stepper.y))
-            window.append((0.0, stepper.y))
-    try:
-        while not stepper.finished and stepper.t <= budget and stepper.n_accepted < max_steps:
+    while not stepper.finished and stepper.t <= budget and stepper.n_accepted < max_steps:
+        try:
             segment = stepper.step()
-            y = stepper.y
-            if _violation3(y) > VIOLATION_LIMIT:
-                return None
-            if stepper.speed <= speed_tol:
-                return None
-            g = section.value(y)
-            if g_prev * g < 0.0:
-                theta, _ = _refine_crossing(segment, section.value, 0.0, 1.0)
-                state = segment.eval_theta(theta)
-                d = _gdot(section, fun, state)
-                direction = 1 if d > 0.0 else (-1 if d < 0.0 else 0)
-                if direction != 0:
-                    if locked == 0:
-                        locked = direction
-                    if direction == locked:
-                        tau = segment.t0 + theta * segment.h
-                        hits.append((tau, state))
-                        window.append((tau, state))
-                        if len(hits) == 2:
-                            budget = min(budget, hits[0][0] + 10.0 * (hits[1][0] - hits[0][0]))
-                        if len(window) == 3:
-                            (ta, ca), (tb, cb), (tc, cc) = window
-                            gap1, gap2 = _dist(ca, cb), _dist(cb, cc)
-                            if gap1 <= closure_tol and gap2 <= closure_tol:
-                                return PeriodicOrbit(
-                                    period=tb - ta,
-                                    closure_error=max(gap1, gap2),
-                                    crossings=tuple(hits),
-                                )
-            g_prev = g
-    except (StepSizeUnderflow, SimplexViolation):
-        return None
+        except StepSizeUnderflow:
+            return None
+        y = stepper.y
+        if _violation3(y) > VIOLATION_LIMIT:
+            return None
+        if stepper.speed <= speed_tol:
+            return None
+        if returns.advance(segment, y):
+            hits = returns.hits
+            if len(hits) == 2:
+                budget = min(budget, hits[0][0] + 10.0 * (hits[1][0] - hits[0][0]))
+            closed = returns.closure(closure_tol)
+            if closed is not None:
+                period, closure_error, _ = closed
+                return PeriodicOrbit(period=period, closure_error=closure_error,
+                                     crossings=tuple(hits))
     return None
 
 
@@ -682,7 +605,7 @@ def verify_theorem_a(k: ParamVector, n_samples: int, seed: int = 42,
                 "drift": max(drift.values()) if drift else 0.0,
             }
 
-        results = _run_jobs(job, starts)
+        results = [job(p) for p in starts]
         periodic_results = [r for r in results if r["status"] == "periodic"]
         report["n_periodic"] = len(periodic_results)
         report["n_inconclusive"] = n_samples - len(periodic_results)
@@ -715,7 +638,7 @@ def verify_theorem_a(k: ParamVector, n_samples: int, seed: int = 42,
             }
         return entry
 
-    results = _run_jobs(job, starts)
+    results = [job(p) for p in starts]
     n_periodic = sum(
         1 for r in results for side in ("omega", "alpha") if r[side]["kind"] == "periodic"
     )
@@ -783,20 +706,17 @@ def verify_theorem_b(k: ParamVector, n_samples: int, seed: int = 42,
     rng = SplitMix64(seed)
     starts = sample_interior(k, n_samples, rng)
 
-    def job(p):
-        om = omega_limit(k, p, horizon, tol_rel, tol_abs, seg_tol=seg_tol)
-        al = alpha_limit(k, p, horizon, tol_rel, tol_abs, seg_tol=seg_tol)
-        entry = {"omega": om, "alpha": al}
-        return entry
-
-    results = _run_jobs(job, starts)
+    results = [
+        (omega_limit(k, p, horizon, tol_rel, tol_abs, seg_tol=seg_tol),
+         alpha_limit(k, p, horizon, tol_rel, tol_abs, seg_tol=seg_tol))
+        for p in starts
+    ]
     n_inconclusive = 0
     n_pass = 0
     n_fail = 0
     worst_distance = 0.0
     min_complement = math.inf
-    for entry in results:
-        om, al = entry["omega"], entry["alpha"]
+    for om, al in results:
         if om.kind == "inconclusive" or al.kind == "inconclusive":
             n_inconclusive += 1
             continue

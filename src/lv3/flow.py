@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords
@@ -352,38 +352,30 @@ def _log_or_nan(spec, y):
         return float("nan")
 
 
-def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
-              tol_abs: float = DEFAULT_TOL_ABS, monitor=None, keep_dense: bool = True,
-              max_steps: int = 10_000_000) -> Trajectory:
-    """Integrate the 3-D simplex flow from p0 for time t_end.
+def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_dense,
+           max_steps) -> Trajectory:
+    """The stepping loop behind integrate and integrate4.
 
-    Negative t_end integrates backward (the field is negated; steps stay
-    positive internally).  Monitored first integrals are recorded in log
-    form at every accepted sample.  A simplex violation beyond 1e-9 raises
-    SimplexViolation; smaller ones are only recorded.
+    Negative t_end negates the physical field fun.  violation(y) is tracked
+    at every sample; its running maximum beyond VIOLATION_LIMIT raises
+    SimplexViolation, labelled by what.  specs are resolved monitor pairs.
     """
-    if t_end == 0.0:
-        raise ValueError("t_end must be nonzero")
-    start = SimplexPoint(*_coords(p0))
     sign = 1 if t_end > 0.0 else -1
-    phys = _field3(k)
-    fun = phys if sign > 0 else _negated(phys)
-    specs = _resolve_monitor(k, monitor)
-    stepper = DormandPrince45(fun, start.coords, abs(t_end), tol_rel, tol_abs)
+    stepper = DormandPrince45(fun if sign > 0 else _negated(fun), y0, abs(t_end), tol_rel, tol_abs)
     times = [0.0]
     states = [stepper.y]
     dense = [] if keep_dense else None
     drift = {name: [_log_or_nan(spec, stepper.y)] for name, spec in specs} or None
-    max_violation = _violation3(stepper.y)
+    max_violation = violation(stepper.y)
     while not stepper.finished:
         if stepper.n_accepted >= max_steps:
             raise RuntimeError(f"accepted-step budget {max_steps} exhausted")
         segment = stepper.step()
         y = stepper.y
-        max_violation = max(max_violation, _violation3(y))
+        max_violation = max(max_violation, violation(y))
         if max_violation > VIOLATION_LIMIT:
             raise SimplexViolation(
-                f"simplex violation {max_violation:.3e} beyond {VIOLATION_LIMIT} at t={stepper.t:.6g}"
+                f"{what} violation {max_violation:.3e} beyond {VIOLATION_LIMIT} at t={stepper.t:.6g}"
             )
         times.append(sign * stepper.t)
         states.append(y)
@@ -401,6 +393,24 @@ def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL
         dense=tuple(dense) if keep_dense else None,
         drift=drift,
     )
+
+
+def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
+              tol_abs: float = DEFAULT_TOL_ABS, monitor=None, keep_dense: bool = True,
+              max_steps: int = 10_000_000) -> Trajectory:
+    """Integrate the 3-D simplex flow from p0 for time t_end.
+
+    Negative t_end integrates backward (the field is negated; steps stay
+    positive internally).  Monitored first integrals are recorded in log
+    form at every accepted sample.  A simplex violation beyond 1e-9 raises
+    SimplexViolation; smaller ones are only recorded.
+    """
+    if t_end == 0.0:
+        raise ValueError("t_end must be nonzero")
+    start = SimplexPoint(*_coords(p0))
+    specs = _resolve_monitor(k, monitor)
+    return _drive(k, _field3(k), start.coords, t_end, tol_rel, tol_abs, _violation3,
+                  "simplex", specs, keep_dense, max_steps)
 
 
 def field4(k: ParamVector, q) -> tuple:
@@ -453,40 +463,13 @@ def integrate4(k: ParamVector, q0, t_end: float, tol_rel: float = DEFAULT_TOL_RE
         raise ValueError("q0 must have four components")
     if abs(sum(q0) - 1.0) > VIOLATION_LIMIT or min(q0) < -VIOLATION_LIMIT:
         raise SimplexViolation(f"q0={q0} is not a stochastic state")
-    sign = 1 if t_end > 0.0 else -1
 
     def phys(q):
         return field4(k, q)
 
-    fun = phys if sign > 0 else _negated(phys)
-    stepper = DormandPrince45(fun, q0, abs(t_end), tol_rel, tol_abs)
-    times = [0.0]
-    states = [stepper.y]
-    dense = [] if keep_dense else None
-    max_violation = _violation4(stepper.y)
-    while not stepper.finished:
-        if stepper.n_accepted >= max_steps:
-            raise RuntimeError(f"accepted-step budget {max_steps} exhausted")
-        segment = stepper.step()
-        max_violation = max(max_violation, _violation4(stepper.y))
-        if max_violation > VIOLATION_LIMIT:
-            raise SimplexViolation(
-                f"mass-conservation violation {max_violation:.3e} at t={stepper.t:.6g}"
-            )
-        times.append(sign * stepper.t)
-        states.append(stepper.y)
-        if keep_dense:
-            dense.append(segment)
-    return Trajectory(
-        k=k,
-        t=tuple(times),
-        states=tuple(states),
-        sign=sign,
-        step_stats=StepStats(stepper.n_accepted, stepper.n_rejected),
-        max_violation=max_violation,
-        dense=tuple(dense) if keep_dense else None,
-        mass_error=max_violation,
-    )
+    traj = _drive(k, phys, q0, t_end, tol_rel, tol_abs, _violation4, "mass-conservation",
+                  (), keep_dense, max_steps)
+    return replace(traj, mass_error=traj.max_violation)
 
 
 @dataclass(frozen=True)
@@ -549,6 +532,79 @@ def _refine_crossing(segment, gfun, theta_lo, theta_hi, tol=REFINE_TOL):
     return best_theta, best_g
 
 
+def _normal_velocity(section, fun, y) -> float:
+    return sum(n * f for n, f in zip(section.normal, fun(y)))
+
+
+def _locate_crossing(segment, section, g_start, g_end, tol=REFINE_TOL):
+    """(theta, miss) of the section crossing inside segment, or None.
+
+    g_start and g_end are the section values at the segment's ends.  A
+    strict sign change is refined on the dense output; an end landing
+    exactly on the plane from off it is the crossing itself.
+    """
+    if (g_start < 0.0 and g_end > 0.0) or (g_start > 0.0 and g_end < 0.0):
+        return _refine_crossing(segment, section.value, 0.0, 1.0, tol)
+    if g_end == 0.0 and g_start != 0.0:
+        return 1.0, 0.0
+    return None
+
+
+def _dist(a, b) -> float:
+    return math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
+
+
+class _ReturnMap:
+    """Streaming return map of one stepped orbit on a section.
+
+    Fed each accepted step, it keeps the crossings (internal time, state)
+    whose direction, the sign of the stepping field's normal velocity,
+    matches the first transversal crossing; a start on the plane counts
+    as a crossing at time 0.  Tangential crossings are never kept.
+    """
+
+    def __init__(self, section, fun, y0):
+        self.section = section
+        self.fun = fun
+        self.locked = 0
+        self.hits = []
+        self._g = section.value(y0)
+        if self._g == 0.0:
+            self._keep(0.0, y0)
+
+    def _keep(self, tau, state) -> bool:
+        d = _normal_velocity(self.section, self.fun, state)
+        direction = 1 if d > 0.0 else (-1 if d < 0.0 else 0)
+        if direction == 0:
+            return False
+        if self.locked == 0:
+            self.locked = direction
+        if direction != self.locked:
+            return False
+        self.hits.append((tau, state))
+        return True
+
+    def advance(self, segment, y) -> bool:
+        """Take the step that built segment and ended at y; True on a new hit."""
+        g_start, self._g = self._g, self.section.value(y)
+        found = _locate_crossing(segment, self.section, g_start, self._g)
+        if found is None:
+            return False
+        theta = found[0]
+        return self._keep(segment.t0 + theta * segment.h, segment.eval_theta(theta))
+
+    def closure(self, tol):
+        """(period, closure_error, witness) once the last three hits agree
+        consecutively within tol; None before that."""
+        if len(self.hits) < 3:
+            return None
+        (ta, ca), (tb, cb), (_, cc) = self.hits[-3:]
+        gap1, gap2 = _dist(ca, cb), _dist(cb, cc)
+        if gap1 <= tol and gap2 <= tol:
+            return tb - ta, max(gap1, gap2), cb
+        return None
+
+
 def _section_slope(section, segment, theta):
     return sum(n * d for n, d in zip(section.normal, segment.derivative_theta(theta)))
 
@@ -588,7 +644,7 @@ def find_crossings(traj: Trajectory, section: SectionSpec, field=None,
     def emit(tau, state, miss):
         # crossing direction is measured in physical time (field as given),
         # independent of the trajectory's traversal direction
-        gdot = sum(n * f for n, f in zip(section.normal, field(state)))
+        gdot = _normal_velocity(section, field, state)
         grazing = abs(gdot) <= graze_tol
         direction = 0 if grazing else (1 if gdot > 0.0 else -1)
         if not grazing:
@@ -608,13 +664,13 @@ def find_crossings(traj: Trajectory, section: SectionSpec, field=None,
         emit(traj.dense[0].t0, traj.dense[0].y0, 0.0)
     for index, segment in enumerate(traj.dense):
         g_end = g_values[index + 1]
-        if (g_prev < 0.0 and g_end > 0.0) or (g_prev > 0.0 and g_end < 0.0):
-            theta, miss = _refine_crossing(segment, section.value, 0.0, 1.0, refine_tol)
-            emit(segment.t0 + theta * segment.h, segment.eval_theta(theta), miss)
-        elif g_end == 0.0:
-            if abs(g_prev) > graze_tol:
-                emit(segment.t1, segment.eval_theta(1.0), 0.0)
-        elif g_prev != 0.0:
+        found = _locate_crossing(segment, section, g_prev, g_end, refine_tol)
+        if found is not None:
+            # landing on the plane from within graze_tol of it is no crossing
+            if g_end != 0.0 or abs(g_prev) > graze_tol:
+                theta, miss = found
+                emit(segment.t0 + theta * segment.h, segment.eval_theta(theta), miss)
+        elif g_end != 0.0 and g_prev != 0.0:
             # same-sign endpoints: an interior slope reversal may hide a tangency
             d0 = _section_slope(section, segment, 0.0)
             d1 = _section_slope(section, segment, 1.0)

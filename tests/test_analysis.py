@@ -1,5 +1,4 @@
 import math
-import os
 
 import pytest
 
@@ -7,7 +6,6 @@ from lv3.analysis import (
     DegenerateLeaf,
     LevelOutOfRange,
     OnEquilibrium,
-    _run_jobs,
     alpha_limit,
     bifurcation_scan,
     boundary_margin,
@@ -29,7 +27,7 @@ from lv3.analysis import (
 )
 from lv3.darboux import SignError
 from lv3.equilibria import interior_segment_R, limit_segments
-from lv3.flow import DormandPrince45
+from lv3.flow import DormandPrince45, SectionSpec, _field3, find_crossings, integrate
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
 from conftest import rand_params
@@ -46,6 +44,24 @@ def test_detect_periodic_on_manifold():
     assert orbit.closure_error <= 1e-6
     assert orbit.period == pytest.approx(PERIOD_2332, rel=1e-6)
     assert len(orbit.crossings) >= 3
+
+
+def test_detect_periodic_keeps_step_end_on_section():
+    # a section through the end of the fifth step: that step lands exactly
+    # on the plane, and the crossing there must lock the return direction
+    k = ParamVector(2, 3, 3, 2)
+    p0 = (0.2, 0.2, 0.2)
+    stepper = DormandPrince45(_field3(k), p0, 1e4)
+    for _ in range(5):
+        stepper.step()
+    section = SectionSpec((1.0, 0.0, 0.0), stepper.y[0], "both")
+    assert section.value(stepper.y) == 0.0
+    first = find_crossings(integrate(k, p0, 20.0), section)[0]
+    assert (first.t, first.direction) == (stepper.t, -1)
+    orbit = detect_periodic(k, p0, section=section)
+    assert orbit.crossings[0][0] == stepper.t
+    velocity = _field3(k)(orbit.crossings[0][1])
+    assert sum(n * v for n, v in zip(section.normal, velocity)) < 0.0
 
 
 def test_detect_periodic_off_manifold_returns_none():
@@ -87,10 +103,18 @@ def test_limit_roles_swap_under_negation():
 
 
 def test_omega_limit_detects_periodicity_on_manifold():
-    rep = omega_limit(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2))
+    k = ParamVector(2, 3, 3, 2)
+    rep = omega_limit(k, (0.2, 0.2, 0.2))
     assert rep.kind == "periodic"
     assert rep.closure_error <= 1e-6
     assert rep.period == pytest.approx(PERIOD_2332, rel=1e-6)
+    # the probe and the detector share one return map: identical verdicts
+    for p0 in ((0.2, 0.2, 0.2), (0.1, 0.3, 0.2), (0.05, 0.1, 0.6)):
+        rep = omega_limit(k, p0)
+        orbit = detect_periodic(k, p0)
+        assert rep.period == orbit.period
+        assert rep.closure_error == orbit.closure_error
+        assert rep.witness == orbit.crossings[-2][1]
 
 
 def test_non_ps_limits_live_on_boundary():
@@ -367,17 +391,6 @@ def test_default_section_contains_interior_segment():
     segment = interior_segment_R(k)
     for p in segment.sample(10):
         assert abs(section.value(p.coords)) <= 1e-12
-
-
-def test_run_jobs_threaded_matches_sequential(monkeypatch):
-    items = list(range(30))
-
-    def job(i):
-        return i * i
-
-    sequential = _run_jobs(job, items)
-    monkeypatch.setenv("LV3_THREADS", "4")
-    assert _run_jobs(job, items) == sequential
 
 
 def test_certified_names_prefer_primary_pair():

@@ -264,6 +264,17 @@ def test_vanishing_fourth_component_is_invariant():
     assert all(state[3] == 0.0 for state in traj.states)
 
 
+def test_integrate4_backward_retraces_forward_run():
+    k = ParamVector(2, 3, 3, 2)
+    q0 = (0.2, 0.2, 0.2, 0.4)
+    forward = integrate4(k, q0, 5.0, keep_dense=False)
+    backward = integrate4(k, forward.terminal_state, -5.0, keep_dense=False)
+    assert all(b < a for a, b in zip(backward.t, backward.t[1:]))
+    assert backward.t[-1] == -5.0
+    assert backward.mass_error <= 1e-9
+    assert math.dist(backward.terminal_state, q0) <= 1e-7
+
+
 def test_integrate4_validates_mass():
     k = ParamVector(1, 1, 1, 1)
     with pytest.raises(SimplexViolation):

@@ -255,9 +255,11 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
                     max_steps: int = MAX_ACCEPTED_STEPS) -> PeriodicOrbit | None:
     """Detect a periodic orbit through the interior point p0.
 
-    Uses the default return-map section; the crossing direction is locked by
-    the first crossing.  Periodicity requires two consecutive same-direction
-    returns within closure_tol of each other and of their predecessor.
+    Uses the default return-map section unless one is given.  Crossings are
+    kept in the section's direction (physical time); for 'both', the
+    default, the direction is locked by the first crossing.  Periodicity
+    requires two consecutive same-direction returns within closure_tol of
+    each other and of their predecessor.
     Returns None when the flow speed collapses (orbit heads to an
     equilibrium), or when ten first-return estimates or the absolute horizon
     pass without confirmation.

@@ -2,9 +2,11 @@
 plane-crossing detection.
 
 The integrator is an explicit Dormand-Prince 5(4) embedded pair (Dormand &
-Prince 1980) with PI stepsize control and a quartic interpolant on every
-accepted step.  It operates on plain float tuples: state dimensions here
-are 2 to 4, where numpy array overhead would dominate the runtime.
+Prince 1980) with PI stepsize control.  Every accepted step keeps its stage
+derivatives; the quartic interpolant over the step is built from them on
+first use, since most steps are never interpolated.  It operates on plain
+float tuples: state dimensions here are 2 to 4, where numpy array overhead
+would dominate the runtime.
 Backward time is realised by negating the field, never by negative steps,
 so there is a single stepping code path.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords
@@ -84,12 +87,20 @@ class StepSizeUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class DenseSegment:
-    """Quartic interpolant over one accepted step (internal clock)."""
+    """Quartic interpolant over one accepted step (internal clock).
+
+    K holds the step's seven stage derivatives; the interpolant's
+    coefficients q are built from them on first use.
+    """
 
     t0: float
     h: float
     y0: tuple
-    q: tuple
+    K: tuple
+
+    @cached_property
+    def q(self) -> tuple:
+        return _dense_q(self.K, len(self.y0))
 
     @property
     def t1(self) -> float:
@@ -116,17 +127,33 @@ class DenseSegment:
 
 
 def _rk_step(fun, y, f0, h):
-    """One Dormand-Prince step from y with derivative f0; returns (y1, f1, err, K)."""
-    n = len(y)
-    K = [f0]
-    ys = y
-    for s in range(1, 7):
-        a = _A[s]
-        ys = tuple(y[i] + h * sum(a[j] * K[j][i] for j in range(s)) for i in range(n))
-        K.append(fun(ys))
+    """One Dormand-Prince step from y with derivative f0; returns (y1, f1, err, K).
+
+    The stages are unrolled over the tableau, in any dimension.  Each stage
+    sum starts from the int 0, keeps the zero tableau entries and scales by
+    h last (h * (a * k), never (h * a) * k), so the float operations are
+    exactly those of sum(a[j] * K[j][i] for j ...): results are
+    bit-identical to the plain loop over stages.
+    """
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
+    e0, e1, e2, e3, e4, e5, e6 = _E
+    k0 = f0
+    k1 = fun(tuple(yi + h * (0 + a10 * c0) for yi, c0 in zip(y, k0)))
+    k2 = fun(tuple(yi + h * (0 + a20 * c0 + a21 * c1) for yi, c0, c1 in zip(y, k0, k1)))
+    k3 = fun(tuple(yi + h * (0 + a30 * c0 + a31 * c1 + a32 * c2)
+                   for yi, c0, c1, c2 in zip(y, k0, k1, k2)))
+    k4 = fun(tuple(yi + h * (0 + a40 * c0 + a41 * c1 + a42 * c2 + a43 * c3)
+                   for yi, c0, c1, c2, c3 in zip(y, k0, k1, k2, k3)))
+    k5 = fun(tuple(yi + h * (0 + a50 * c0 + a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
+                   for yi, c0, c1, c2, c3, c4 in zip(y, k0, k1, k2, k3, k4)))
     # stage 7 state is the 5th-order solution, its derivative seeds the next step
-    err = tuple(h * sum(_E[j] * K[j][i] for j in range(7)) for i in range(n))
-    return ys, K[6], err, K
+    y1 = tuple(yi + h * (0 + a60 * c0 + a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
+               for yi, c0, c1, c2, c3, c4, c5 in zip(y, k0, k1, k2, k3, k4, k5))
+    k6 = fun(y1)
+    err = tuple(h * (0 + e0 * c0 + e1 * c1 + e2 * c2 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6)
+                for c0, c1, c2, c3, c4, c5, c6 in zip(k0, k1, k2, k3, k4, k5, k6))
+    return y1, k6, err, (k0, k1, k2, k3, k4, k5, k6)
 
 
 def _dense_q(K, n):
@@ -235,7 +262,7 @@ class DormandPrince45:
             next_h = max(next_h, self.h)
         self.h = min(next_h, self.max_step)
         self._err_prev = max(err_norm, 1e-4)
-        segment = DenseSegment(t0=t, h=h, y0=y, q=_dense_q(K, len(y)))
+        segment = DenseSegment(t0=t, h=h, y0=y, K=K)
         self.t = self.t_span if clipped else t + h
         self.y = y1
         self.f = f1
@@ -558,15 +585,18 @@ class _ReturnMap:
     """Streaming return map of one stepped orbit on a section.
 
     Fed each accepted step, it keeps the crossings (internal time, state)
-    whose direction, the sign of the stepping field's normal velocity,
-    matches the first transversal crossing; a start on the plane counts
-    as a crossing at time 0.  Tangential crossings are never kept.
+    whose direction, the sign of the normal velocity of the field fun,
+    matches the section's direction; for 'both' it matches the first
+    transversal crossing.  A start on the plane counts as a crossing at
+    time 0.  Tangential crossings are never kept.
     """
+
+    _LOCKS = {"positive": 1, "negative": -1, "both": 0}
 
     def __init__(self, section, fun, y0):
         self.section = section
         self.fun = fun
-        self.locked = 0
+        self.locked = self._LOCKS[section.direction]
         self.hits = []
         self._g = section.value(y0)
         if self._g == 0.0:
@@ -591,7 +621,8 @@ class _ReturnMap:
         if found is None:
             return False
         theta = found[0]
-        return self._keep(segment.t0 + theta * segment.h, segment.eval_theta(theta))
+        state = y if theta == 1.0 else segment.eval_theta(theta)
+        return self._keep(segment.t0 + theta * segment.h, state)
 
     def closure(self, tol):
         """(period, closure_error, witness) once the last three hits agree
@@ -655,8 +686,7 @@ def find_crossings(traj: Trajectory, section: SectionSpec, field=None,
         out.append(Crossing(t=traj.sign * tau, state=state, direction=direction,
                             grazing=grazing, miss=abs(miss)))
 
-    g_values = [section.value(traj.dense[0].y0)]
-    g_values.extend(section.value(seg.eval_theta(1.0)) for seg in traj.dense)
+    g_values = [section.value(state) for state in traj.states]
     if all(abs(g) <= graze_tol for g in g_values):
         return []  # trajectory lies in the plane: nothing transversal to report
     g_prev = g_values[0]
@@ -669,7 +699,10 @@ def find_crossings(traj: Trajectory, section: SectionSpec, field=None,
             # landing on the plane from within graze_tol of it is no crossing
             if g_end != 0.0 or abs(g_prev) > graze_tol:
                 theta, miss = found
-                emit(segment.t0 + theta * segment.h, segment.eval_theta(theta), miss)
+                if theta == 1.0:  # the step end itself: report the stored sample
+                    emit(traj.sign * traj.t[index + 1], traj.states[index + 1], miss)
+                else:
+                    emit(segment.t0 + theta * segment.h, segment.eval_theta(theta), miss)
         elif g_end != 0.0 and g_prev != 0.0:
             # same-sign endpoints: an interior slope reversal may hide a tangency
             d0 = _section_slope(section, segment, 0.0)

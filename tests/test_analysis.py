@@ -64,6 +64,18 @@ def test_detect_periodic_keeps_step_end_on_section():
     assert sum(n * v for n, v in zip(section.normal, velocity)) < 0.0
 
 
+@pytest.mark.parametrize("direction, sign", [("negative", -1), ("positive", 1)])
+def test_detect_periodic_keeps_the_section_direction(direction, sign):
+    k = ParamVector(2, 3, 3, 2)
+    section = SectionSpec((2.0, 0.0, -3.0), 0.0, direction)
+    orbit = detect_periodic(k, (0.2, 0.2, 0.2), section=section)
+    assert orbit is not None
+    assert orbit.period == pytest.approx(PERIOD_2332, rel=1e-6)
+    for _, state in orbit.crossings:
+        velocity = _field3(k)(state)
+        assert sign * sum(n * v for n, v in zip(section.normal, velocity)) > 0.0
+
+
 def test_detect_periodic_off_manifold_returns_none():
     assert detect_periodic(ParamVector(2, 1, 2, 1), (0.2, 0.2, 0.2)) is None
 

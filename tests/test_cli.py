@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+import platform
+import sys
 
 import pytest
 
@@ -234,3 +237,49 @@ def test_emit_empty_report_is_header_only():
     buffer = io.StringIO()
     emit_csv(["a", "b"], [], buffer)
     assert buffer.getvalue() == "a,b\n"
+
+
+# sha256 of stdout and the exit code, pinned for fast invocations.  The
+# digests hold on CPython 3.11 only: from 3.12 on, sum() of floats is
+# compensated, which moves low-order bits of every stage sum.
+GOLDEN_STDOUT = {
+    "integrate-forward": (
+        "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 3 --monitor H,V", EXIT_OK,
+        "a026752b257d9a1e9280c067b757dc1e641e301b135c3fd824c60ed98050c7fa"),
+    "integrate-backward": (
+        "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 5 --backward --monitor H,V", EXIT_OK,
+        "41c93040fe15533b5fb67a87519c4d7508d002cce72405d8c6a1dc9934998e30"),
+    "limit-set-alpha": (
+        "limit-set --k 2,1,2,1 --p0 0.2,0.2,0.2 --alpha", EXIT_OK,
+        "3db7fbfa3b93b2005fd1ca761327b0ce0eb7af432d8d12be80b9a3217b89dd1f"),
+    "limit-set-omega": (
+        "limit-set --k 2,3,3,2 --p0 0.2,0.2,0.2", EXIT_OK,
+        "c18edf5c85a566c9c333f4d3f573bf7f282e1aeaad8b6dfa3b47dde06825ace7"),
+    "scan": (
+        "scan --slice 2,t,2,t --range 1.5,2.5 --steps 5", EXIT_OK,
+        "58788286cdf55e27dae57c6070130153921252ecaf7b1c8e0086b1342815fd4e"),
+    "period-profile": (
+        "period-profile --k 2,3,3,2 --n 5", EXIT_OK,
+        "b14ddb3a7ee0c9ec9486406fcc4b978c9eb2aeabb4759904c6ae949f1b9854d4"),
+    "portrait": (
+        "portrait --k 1,1,1,1 --n 5 --t 20", EXIT_OK,
+        "7f12f5547dcdd93c8d6e7184f49b602c4a0daee84ed84bd91f4a83220c832207"),
+    "verify-a": (
+        "verify-a --k 2,3,3,2 --samples 8 --seed 5", EXIT_OK,
+        "093dcf87fba7239ef379e810e335855cf09dcccf410fb946784640a2c7228708"),
+    "verify-b": (
+        "verify-b --k 2,1,2,1 --samples 4 --seed 9", EXIT_OK,
+        "f4869f94d9e171caad8377b10660a8ac4454d7b6de48ec9e413e4d2166d3acc2"),
+}
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
+    reason="golden digests are for CPython 3.11 float summation",
+)
+@pytest.mark.parametrize("name", list(GOLDEN_STDOUT))
+def test_cli_stdout_is_byte_identical_to_golden(capsys, name):
+    argv, exit_code, digest = GOLDEN_STDOUT[name]
+    code, out = run_cli(capsys, *argv.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

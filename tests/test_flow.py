@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from lv3.analysis import face_field
 from lv3.flow import (
+    DenseSegment,
     DormandPrince45,
     SectionSpec,
     StepSizeUnderflow,
@@ -11,6 +13,7 @@ from lv3.flow import (
     _E,
     _P,
     _dense_q,
+    _field3,
     _rk_step,
     field4,
     field4_terms,
@@ -20,6 +23,7 @@ from lv3.flow import (
 )
 from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector
+from lv3.rng import SplitMix64
 from conftest import rand_interior_point, rand_params, norm3
 
 
@@ -35,6 +39,54 @@ def test_tableau_consistency():
     # dense-output rows resum to the propagation weights: interpolant hits y1
     for row, b in zip(_P, _B):
         assert math.fsum(row) == pytest.approx(b, abs=1e-13)
+
+
+def _rk_step_reference(fun, y, f0, h):
+    """The plain loop over stages that _rk_step unrolls."""
+    n = len(y)
+    K = [f0]
+    ys = y
+    for s in range(1, 7):
+        a = _A[s]
+        ys = tuple(y[i] + h * sum(a[j] * K[j][i] for j in range(s)) for i in range(n))
+        K.append(fun(ys))
+    err = tuple(h * sum(_E[j] * K[j][i] for j in range(7)) for i in range(n))
+    return ys, K[6], err, K
+
+
+def _bits(value):
+    """Exact bit pattern of nested float tuples (signed zeros and nan included)."""
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(_bits(v) for v in value)
+
+
+def _kernel_cases(n):
+    k = ParamVector(2, 3, 3, 2)
+    fun = {2: face_field("Y", k), 3: _field3(k), 4: lambda q: field4(k, q)}[n]
+    rng = SplitMix64(1000 + n)
+    for case in range(200):
+        y = [rng.uniform(0.0, 0.5) for _ in range(n)]
+        if case % 2:
+            y[rng.next_u64() % n] = 0.0  # a state on a face
+        if case % 5 == 0:
+            y[rng.next_u64() % n] = -0.0
+        h = rng.choice((1e-9, 1e-4, 0.01)) * rng.uniform(0.5, 2.0)
+        yield fun, tuple(y), h
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unrolled_step_is_bitwise_the_stage_loop(n):
+    for fun, y, h in _kernel_cases(n):
+        f0 = fun(y)
+        y1, f1, err, K = _rk_step(fun, y, f0, h)
+        ref = _rk_step_reference(fun, y, f0, h)
+        assert _bits((y1, f1, err)) == _bits(ref[:3])
+        assert _bits(K) == _bits(tuple(ref[3]))
+        segment = DenseSegment(t0=0.0, h=h, y0=y, K=K)
+        assert "q" not in vars(segment)  # built on first use only
+        assert segment.eval_theta(0.0) == y
+        assert _bits(segment.q) == _bits(_dense_q(K, n))
 
 
 def _fixed_step_run(fun, y0, t_end, n_steps):
@@ -316,6 +368,21 @@ def test_on_section_start_is_anchored():
     crossings = find_crossings(traj, SectionSpec((1.0, 0.0, -1.0), 0.0, "both"))
     assert crossings and crossings[0].t == 0.0
     assert not crossings[0].grazing
+
+
+def test_step_end_on_section_is_the_stored_sample():
+    # a plane through a stored step end that the interpolant misses by an
+    # ulp: the crossing is that sample, at exactly its time
+    k = ParamVector(2, 3, 3, 2)
+    traj = integrate(k, (0.2, 0.2, 0.2), 20.0)
+    j = next(j for j, seg in enumerate(traj.dense, 1)
+             if seg.eval_theta(1.0)[0] != traj.states[j][0])
+    section = SectionSpec((1.0, 0.0, 0.0), traj.states[j][0], "both")
+    assert section.value(traj.states[j]) == 0.0
+    hits = [c for c in find_crossings(traj, section) if c.t == traj.t[j]]
+    assert len(hits) == 1
+    assert hits[0].state == traj.states[j]
+    assert not hits[0].grazing
 
 
 def test_grazing_touch_is_flagged_not_dropped():

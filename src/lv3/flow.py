@@ -6,7 +6,11 @@ Prince 1980) with PI stepsize control.  Every accepted step keeps its stage
 derivatives; the quartic interpolant over the step is built from them on
 first use, since most steps are never interpolated.  It operates on plain
 float tuples: state dimensions here are 2 to 4, where numpy array overhead
-would dominate the runtime.
+would dominate the runtime.  The stepper picks its kernel once, from the
+state's length: three-component states (the simplex flow, so every orbit
+of integrate, the probes and the harnesses) take a step written over named
+scalars; the 2-D face flows and the 4-D flow take the generic one.  Both
+give the same bits.
 Backward time is realised by negating the field, never by negative steps,
 so there is a single stepping code path.
 
@@ -129,11 +133,12 @@ class DenseSegment:
 def _rk_step(fun, y, f0, h):
     """One Dormand-Prince step from y with derivative f0; returns (y1, f1, err, K).
 
-    The stages are unrolled over the tableau, in any dimension.  Each stage
-    sum starts from the int 0, keeps the zero tableau entries and scales by
-    h last (h * (a * k), never (h * a) * k), so the float operations are
-    exactly those of sum(a[j] * K[j][i] for j ...): results are
-    bit-identical to the plain loop over stages.
+    The stages are unrolled over the tableau, in any dimension; the stepper
+    uses this for states that are not three-component (see _rk_step3).
+    Each stage sum starts from the int 0, keeps the zero tableau entries and
+    scales by h last (h * (a * k), never (h * a) * k), so the float
+    operations are exactly those of sum(a[j] * K[j][i] for j ...): results
+    are bit-identical to the plain loop over stages.
     """
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
@@ -156,6 +161,46 @@ def _rk_step(fun, y, f0, h):
     return y1, k6, err, (k0, k1, k2, k3, k4, k5, k6)
 
 
+def _rk_step3(fun, y, f0, h):
+    """_rk_step for a three-component state, over named scalars.
+
+    Same stages and, component by component, the same float operations as
+    _rk_step (int 0 start, zero tableau entries kept, h scaling last), so
+    every output bit agrees; only the generators and zips are gone.
+    """
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
+    e0, e1, e2, e3, e4, e5, e6 = _E
+    y0, y1, y2 = y
+    c00, c01, c02 = k0 = f0
+    c10, c11, c12 = k1 = fun((y0 + h * (0 + a10 * c00),
+                              y1 + h * (0 + a10 * c01),
+                              y2 + h * (0 + a10 * c02)))
+    c20, c21, c22 = k2 = fun((y0 + h * (0 + a20 * c00 + a21 * c10),
+                              y1 + h * (0 + a20 * c01 + a21 * c11),
+                              y2 + h * (0 + a20 * c02 + a21 * c12)))
+    c30, c31, c32 = k3 = fun((y0 + h * (0 + a30 * c00 + a31 * c10 + a32 * c20),
+                              y1 + h * (0 + a30 * c01 + a31 * c11 + a32 * c21),
+                              y2 + h * (0 + a30 * c02 + a31 * c12 + a32 * c22)))
+    c40, c41, c42 = k4 = fun((y0 + h * (0 + a40 * c00 + a41 * c10 + a42 * c20 + a43 * c30),
+                              y1 + h * (0 + a40 * c01 + a41 * c11 + a42 * c21 + a43 * c31),
+                              y2 + h * (0 + a40 * c02 + a41 * c12 + a42 * c22 + a43 * c32)))
+    c50, c51, c52 = k5 = fun((
+        y0 + h * (0 + a50 * c00 + a51 * c10 + a52 * c20 + a53 * c30 + a54 * c40),
+        y1 + h * (0 + a50 * c01 + a51 * c11 + a52 * c21 + a53 * c31 + a54 * c41),
+        y2 + h * (0 + a50 * c02 + a51 * c12 + a52 * c22 + a53 * c32 + a54 * c42)))
+    y_new = (
+        y0 + h * (0 + a60 * c00 + a61 * c10 + a62 * c20 + a63 * c30 + a64 * c40 + a65 * c50),
+        y1 + h * (0 + a60 * c01 + a61 * c11 + a62 * c21 + a63 * c31 + a64 * c41 + a65 * c51),
+        y2 + h * (0 + a60 * c02 + a61 * c12 + a62 * c22 + a63 * c32 + a64 * c42 + a65 * c52))
+    c60, c61, c62 = k6 = fun(y_new)
+    err = (
+        h * (0 + e0 * c00 + e1 * c10 + e2 * c20 + e3 * c30 + e4 * c40 + e5 * c50 + e6 * c60),
+        h * (0 + e0 * c01 + e1 * c11 + e2 * c21 + e3 * c31 + e4 * c41 + e5 * c51 + e6 * c61),
+        h * (0 + e0 * c02 + e1 * c12 + e2 * c22 + e3 * c32 + e4 * c42 + e5 * c52 + e6 * c62))
+    return y_new, k6, err, (k0, k1, k2, k3, k4, k5, k6)
+
+
 def _dense_q(K, n):
     return tuple(
         tuple(sum(K[s][i] * _P[s][j] for s in range(7)) for j in range(4)) for i in range(n)
@@ -169,6 +214,15 @@ def _error_norm(err, y, y1, rtol, atol):
         r = err[i] / scale
         total += r * r
     return math.sqrt(total / len(y))
+
+
+def _error_norm3(err, y, y1, rtol, atol):
+    """_error_norm for a three-component state, unrolled; bit-identical."""
+    e0, e1, e2 = err
+    r0 = e0 / (atol + rtol * max(abs(y[0]), abs(y1[0])))
+    r1 = e1 / (atol + rtol * max(abs(y[1]), abs(y1[1])))
+    r2 = e2 / (atol + rtol * max(abs(y[2]), abs(y1[2])))
+    return math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
 
 
 def _initial_step(fun, y0, f0, rtol, atol, t_span):
@@ -211,6 +265,10 @@ class DormandPrince45:
         self.rtol = float(rtol)
         self.atol = float(atol)
         self.f = fun(self.y)
+        if len(self.y) == 3:
+            self._kernel, self._norm = _rk_step3, _error_norm3
+        else:
+            self._kernel, self._norm = _rk_step, _error_norm
         self.min_step = MIN_STEP_FRACTION * self.t_span
         self.max_step = max_step
         h = first_step if first_step is not None else _initial_step(
@@ -241,8 +299,8 @@ class DormandPrince45:
                 h = self.t_span - t
             elif h < self.min_step:
                 raise StepSizeUnderflow(f"step {h:.3e} below floor at t={t:.6g}")
-            y1, f1, err, K = _rk_step(self.fun, y, f0, h)
-            err_norm = _error_norm(err, y, y1, self.rtol, self.atol)
+            y1, f1, err, K = self._kernel(self.fun, y, f0, h)
+            err_norm = self._norm(err, y, y1, self.rtol, self.atol)
             if err_norm <= 1.0:
                 break
             self.n_rejected += 1
@@ -559,8 +617,12 @@ def _refine_crossing(segment, gfun, theta_lo, theta_hi, tol=REFINE_TOL):
     return best_theta, best_g
 
 
+def _normal_component(section, v) -> float:
+    return sum(n * c for n, c in zip(section.normal, v))
+
+
 def _normal_velocity(section, fun, y) -> float:
-    return sum(n * f for n, f in zip(section.normal, fun(y)))
+    return _normal_component(section, fun(y))
 
 
 def _locate_crossing(segment, section, g_start, g_end, tol=REFINE_TOL):
@@ -637,7 +699,7 @@ class _ReturnMap:
 
 
 def _section_slope(section, segment, theta):
-    return sum(n * d for n, d in zip(section.normal, segment.derivative_theta(theta)))
+    return _normal_component(section, segment.derivative_theta(theta))
 
 
 def _extremum_theta(segment, section, d_lo):
@@ -704,9 +766,12 @@ def find_crossings(traj: Trajectory, section: SectionSpec, field=None,
                 else:
                     emit(segment.t0 + theta * segment.h, segment.eval_theta(theta), miss)
         elif g_end != 0.0 and g_prev != 0.0:
-            # same-sign endpoints: an interior slope reversal may hide a tangency
-            d0 = _section_slope(section, segment, 0.0)
-            d1 = _section_slope(section, segment, 1.0)
+            # same-sign endpoints: an interior slope reversal may hide a tangency.
+            # In exact arithmetic the interpolant's slope is h*K[0] at theta 0
+            # and h*K[6] at theta 1 (the dense-output weights give every other
+            # stage zero weight there), so the sign test needs no coefficients.
+            d0 = _normal_component(section, segment.K[0])
+            d1 = _normal_component(section, segment.K[6])
             if d0 * d1 < 0.0:
                 theta = _extremum_theta(segment, section, d0)
                 state = segment.eval_theta(theta)

@@ -1,9 +1,19 @@
 import math
+import platform
+import sys
 
 import pytest
 
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
+
+
+# Pinned output digests are for CPython 3.11 float summation (see the
+# GOLDEN_STDOUT comment in test_cli.py).
+cpython311_only = pytest.mark.skipif(
+    platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
+    reason="golden digests are for CPython 3.11 float summation",
+)
 
 
 @pytest.fixture

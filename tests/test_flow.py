@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
-from lv3.analysis import face_field
+from lv3.analysis import face_connection_abscissae, face_field
 from lv3.flow import (
     DenseSegment,
     DormandPrince45,
@@ -13,8 +14,11 @@ from lv3.flow import (
     _E,
     _P,
     _dense_q,
+    _error_norm,
+    _error_norm3,
     _field3,
     _rk_step,
+    _rk_step3,
     field4,
     field4_terms,
     find_crossings,
@@ -24,7 +28,7 @@ from lv3.flow import (
 from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
-from conftest import rand_interior_point, rand_params, norm3
+from conftest import cpython311_only, rand_interior_point, rand_params, norm3
 
 
 # --- tableau sanity ----------------------------------------------------------
@@ -71,22 +75,64 @@ def _kernel_cases(n):
             y[rng.next_u64() % n] = 0.0  # a state on a face
         if case % 5 == 0:
             y[rng.next_u64() % n] = -0.0
-        h = rng.choice((1e-9, 1e-4, 0.01)) * rng.uniform(0.5, 2.0)
+        # the longest steps make the increment comparable to the state, so a
+        # one-ulp change in any single stage sum survives into the output
+        h = rng.choice((1e-9, 1e-4, 0.01, 0.2)) * rng.uniform(0.5, 2.0)
         yield fun, tuple(y), h
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_unrolled_step_is_bitwise_the_stage_loop(n):
+    # the three-component kernel and error norm must match bit for bit too
+    kernels = (_rk_step, _rk_step3) if n == 3 else (_rk_step,)
     for fun, y, h in _kernel_cases(n):
         f0 = fun(y)
-        y1, f1, err, K = _rk_step(fun, y, f0, h)
         ref = _rk_step_reference(fun, y, f0, h)
-        assert _bits((y1, f1, err)) == _bits(ref[:3])
-        assert _bits(K) == _bits(tuple(ref[3]))
+        for kernel in kernels:
+            y1, f1, err, K = kernel(fun, y, f0, h)
+            assert _bits((y1, f1, err)) == _bits(ref[:3])
+            assert _bits(K) == _bits(tuple(ref[3]))
+        if n == 3:
+            for e in (err, (0.0, 0.0, 0.0)):
+                for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-9)):
+                    assert (_error_norm3(e, y, y1, rtol, atol).hex()
+                            == _error_norm(e, y, y1, rtol, atol).hex())
         segment = DenseSegment(t0=0.0, h=h, y0=y, K=K)
         assert "q" not in vars(segment)  # built on first use only
         assert segment.eval_theta(0.0) == y
         assert _bits(segment.q) == _bits(_dense_q(K, n))
+
+
+def test_stepper_takes_the_three_component_kernel_for_3d_states():
+    k = ParamVector(2, 3, 3, 2)
+    assert DormandPrince45(_field3(k), (0.2, 0.2, 0.2), 1.0)._kernel is _rk_step3
+    assert DormandPrince45(face_field("Y", k), (0.2, 0.2), 1.0)._kernel is _rk_step
+    assert DormandPrince45(lambda q: field4(k, q), (0.2, 0.2, 0.2, 0.4), 1.0)._kernel is _rk_step
+
+
+# sha256 of repr() of outputs that only the generic kernel produces (the 4-D
+# flow and the 2-D face flows), measured before the 3-D kernel was split off.
+GOLDEN_GENERIC = {
+    "integrate4": "f1aefa96938692b5f24629ff63b69ad637aba2a3bb258947fa81ac05fc2fdde0",
+    "face-Y": "5db0df863f0f95359d951280db5762fc5ace17c987f29a7359f0da11b5eb339a",
+    "face-Sigma": "ca08694ffe19913be09dc95a8ce5ded304d33905cd0055d98bd91f01bd855515",
+}
+
+
+def _generic_kernel_output(name):
+    if name == "integrate4":
+        k = ParamVector(2, 3, 3, 2)
+        fw = integrate4(k, (0.2, 0.2, 0.2, 0.4), 7.0)
+        bw = integrate4(k, (0.1, 0.3, 0.2, 0.4), -7.0)
+        return fw.t, fw.states, bw.t, bw.states
+    return face_connection_abscissae(ParamVector(2, 1, 2, 1), name[len("face-"):], 0.3)
+
+
+@cpython311_only
+@pytest.mark.parametrize("name", list(GOLDEN_GENERIC))
+def test_generic_kernel_output_is_byte_identical_to_golden(name):
+    out = repr(_generic_kernel_output(name))
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GENERIC[name]
 
 
 def _fixed_step_run(fun, y0, t_end, n_steps):
@@ -383,6 +429,23 @@ def test_step_end_on_section_is_the_stored_sample():
     assert len(hits) == 1
     assert hits[0].state == traj.states[j]
     assert not hits[0].grazing
+
+
+def test_crossing_scan_builds_coefficients_only_where_it_interpolates():
+    # the tangency scan reads end slopes from the stage derivatives; only
+    # refined crossings and extremum searches need the quartic
+    k = ParamVector(2, 3, 3, 2)
+    traj = integrate(k, (0.2, 0.2, 0.2), 20.0)
+    section = SectionSpec((k.k4, 0.0, -k.k3), 0.0, "both")
+    crossings = find_crossings(traj, section)
+    fun = _field3(k)
+    g = [section.value(y) for y in traj.states]
+    slope = [sum(n * f for n, f in zip(section.normal, fun(y))) for y in traj.states]
+    searches = sum(1 for j in range(len(traj.dense))
+                   if g[j] * g[j + 1] > 0.0 and slope[j] * slope[j + 1] < 0.0)
+    built = sum(1 for segment in traj.dense if "q" in vars(segment))
+    assert len(crossings) == 7
+    assert built <= len(crossings) + searches < len(traj.dense)
 
 
 def test_grazing_touch_is_flagged_not_dropped():

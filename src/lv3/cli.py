@@ -220,7 +220,7 @@ def emit_csv(header, rows, stream):
     stream.write(",".join(header))
     stream.write("\n")
     for row in rows:
-        stream.write(",".join(_fmt(cell) for cell in row))
+        stream.write(",".join(map(_fmt, row)))
         stream.write("\n")
 
 
@@ -342,22 +342,17 @@ def _cmd_darboux(cfg, stream):
 def _cmd_integrate(cfg, stream):
     traj = flow.integrate(cfg.k, cfg.p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs,
                           monitor=list(cfg.monitor), keep_dense=False)
-    names = list(cfg.monitor)
+    columns = [f"log{n}" for n in cfg.monitor]
+    series = [traj.drift[n] for n in cfg.monitor]
+    samples = zip(traj.t, traj.states, *series)
     if cfg.fmt == "csv":
-        header = ["t", "x", "y", "z"] + [f"log{n}" for n in names]
-        rows = []
-        for i, t in enumerate(traj.t):
-            row = [t, *traj.states[i]]
-            for name in names:
-                row.append(traj.drift[name][i])
-            rows.append(row)
-        emit_csv(header, rows, stream)
+        rows = [(t, *state, *logs) for t, state, *logs in samples]
+        emit_csv(["t", "x", "y", "z", *columns], rows, stream)
     else:
         records = []
-        for i, t in enumerate(traj.t):
-            rec = {"t": t, "x": traj.states[i][0], "y": traj.states[i][1], "z": traj.states[i][2]}
-            for name in names:
-                rec[f"log{name}"] = traj.drift[name][i]
+        for t, (x, y, z), *logs in samples:
+            rec = {"t": t, "x": x, "y": y, "z": z}
+            rec.update(zip(columns, logs))
             records.append(rec)
         emit_jsonl(records, stream)
     return EXIT_OK

@@ -433,12 +433,24 @@ def log_integral_value(spec: FirstIntegralSpec, p) -> float:
     stays well-conditioned for large exponents and near the boundary, where
     the product form over- or underflows.
     """
-    vals = surface_values(p)
-    if any(v == 0.0 for v in vals):
+    x, y, z = _coords(p)
+    w = ((x + y) + z) - 1.0
+    if x == 0.0 or y == 0.0 or z == 0.0 or w == 0.0:
         raise DomainError(f"{spec.name}: log form needs all four surface values nonzero")
-    return math.fsum(
-        e * math.log(abs(f)) for e, f in zip(spec.exponents, vals) if e != 0.0
-    )
+    # unrolled over the four surfaces of surface_values: this runs on every
+    # monitored step
+    e1, e2, e3, e4 = spec.exponents
+    log = math.log
+    terms = []
+    if e1 != 0.0:
+        terms.append(e1 * log(abs(x)))
+    if e2 != 0.0:
+        terms.append(e2 * log(abs(y)))
+    if e3 != 0.0:
+        terms.append(e3 * log(abs(z)))
+    if e4 != 0.0:
+        terms.append(e4 * log(abs(w)))
+    return math.fsum(terms)
 
 
 def _closed_form_lie(spec: FirstIntegralSpec, k: ParamVector, p) -> float:

@@ -14,6 +14,12 @@ give the same bits.
 Backward time is realised by negating the field, never by negative steps,
 so there is a single stepping code path.
 
+Float sums that set output bits are added left to right from the int 0,
+through _plain_sum or, in code that runs on every step, as explicit loops;
+never with sum(), which from CPython 3.12 on compensates float sums and
+rounds differently.  So the output bits are those of 3.11's sum() on every
+interpreter.
+
 States are never projected back onto the simplex.  Violations are watched
 and bounded instead, because projection would mask integrator defects and
 perturb the first-integral drift statistics that the verification harnesses
@@ -89,12 +95,15 @@ class StepSizeUnderflow(RuntimeError):
     """The controller pushed the step below the resolvable span fraction."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class DenseSegment:
-    """Quartic interpolant over one accepted step (internal clock).
+    """Quartic interpolant over one accepted step (internal clock); treat as
+    immutable.
 
     K holds the step's seven stage derivatives; the interpolant's
-    coefficients q are built from them on first use.
+    coefficients q are built from them on first use.  Not frozen, because a
+    frozen __init__ costs three times as much on every accepted step;
+    segments compare and hash by identity.
     """
 
     t0: float
@@ -137,8 +146,9 @@ def _rk_step(fun, y, f0, h):
     uses this for states that are not three-component (see _rk_step3).
     Each stage sum starts from the int 0, keeps the zero tableau entries and
     scales by h last (h * (a * k), never (h * a) * k), so the float
-    operations are exactly those of sum(a[j] * K[j][i] for j ...): results
-    are bit-identical to the plain loop over stages.
+    operations are exactly those of the plain loop over stages adding
+    a[j] * K[j][i] left to right from the int 0: results are bit-identical
+    to it.
     """
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
@@ -201,9 +211,18 @@ def _rk_step3(fun, y, f0, h):
     return y_new, k6, err, (k0, k1, k2, k3, k4, k5, k6)
 
 
+def _plain_sum(values):
+    """sum(values) as CPython 3.11 adds floats: left to right from the int 0."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _dense_q(K, n):
     return tuple(
-        tuple(sum(K[s][i] * _P[s][j] for s in range(7)) for j in range(4)) for i in range(n)
+        tuple(_plain_sum(K[s][i] * _P[s][j] for s in range(7)) for j in range(4))
+        for i in range(n)
     )
 
 
@@ -227,12 +246,14 @@ def _error_norm3(err, y, y1, rtol, atol):
 
 def _initial_step(fun, y0, f0, rtol, atol, t_span):
     scale = [atol + rtol * abs(v) for v in y0]
-    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, scale)) / len(y0))
-    d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, scale)) / len(y0))
+    d0 = math.sqrt(_plain_sum((v / s) ** 2 for v, s in zip(y0, scale)) / len(y0))
+    d1 = math.sqrt(_plain_sum((v / s) ** 2 for v, s in zip(f0, scale)) / len(y0))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     y1 = tuple(y0[i] + h0 * f0[i] for i in range(len(y0)))
     f1 = fun(y1)
-    d2 = math.sqrt(sum(((f1[i] - f0[i]) / scale[i]) ** 2 for i in range(len(y0))) / len(y0)) / h0
+    d2 = math.sqrt(
+        _plain_sum(((f1[i] - f0[i]) / scale[i]) ** 2 for i in range(len(y0))) / len(y0)
+    ) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -286,10 +307,13 @@ class DormandPrince45:
     @property
     def speed(self) -> float:
         """Euclidean norm of the current derivative (free: FSAL)."""
-        return math.sqrt(sum(v * v for v in self.f))
+        total = 0
+        for v in self.f:
+            total += v * v
+        return math.sqrt(total)
 
     def step(self) -> DenseSegment:
-        if self.finished:
+        if self.t >= self.t_span:
             raise RuntimeError("integration span already exhausted")
         t, y, f0 = self.t, self.y, self.f
         h = self.h
@@ -320,7 +344,7 @@ class DormandPrince45:
             next_h = max(next_h, self.h)
         self.h = min(next_h, self.max_step)
         self._err_prev = max(err_norm, 1e-4)
-        segment = DenseSegment(t0=t, h=h, y0=y, K=K)
+        segment = DenseSegment(t, h, y, K)
         self.t = self.t_span if clipped else t + h
         self.y = y1
         self.f = f1
@@ -452,22 +476,29 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
     dense = [] if keep_dense else None
     drift = {name: [_log_or_nan(spec, stepper.y)] for name, spec in specs} or None
     max_violation = violation(stepper.y)
-    while not stepper.finished:
+    # bound once per run: this loop body runs on every accepted step
+    step, t_span = stepper.step, stepper.t_span
+    add_time, add_state = times.append, states.append
+    add_segment = dense.append if keep_dense else None
+    monitors = [(spec, drift[name].append) for name, spec in specs]
+    while stepper.t < t_span:
         if stepper.n_accepted >= max_steps:
             raise RuntimeError(f"accepted-step budget {max_steps} exhausted")
-        segment = stepper.step()
+        segment = step()
         y = stepper.y
-        max_violation = max(max_violation, violation(y))
+        v = violation(y)
+        if v > max_violation:  # the result of max(max_violation, v), nan included
+            max_violation = v
         if max_violation > VIOLATION_LIMIT:
             raise SimplexViolation(
                 f"{what} violation {max_violation:.3e} beyond {VIOLATION_LIMIT} at t={stepper.t:.6g}"
             )
-        times.append(sign * stepper.t)
-        states.append(y)
-        for name, spec in specs:
-            drift[name].append(_log_or_nan(spec, y))
-        if keep_dense:
-            dense.append(segment)
+        add_time(sign * stepper.t)
+        add_state(y)
+        for spec, add in monitors:
+            add(_log_or_nan(spec, y))
+        if add_segment is not None:
+            add_segment(segment)
     return Trajectory(
         k=k,
         t=tuple(times),
@@ -546,7 +577,7 @@ def integrate4(k: ParamVector, q0, t_end: float, tol_rel: float = DEFAULT_TOL_RE
     q0 = tuple(float(c) for c in q0)
     if len(q0) != 4:
         raise ValueError("q0 must have four components")
-    if abs(sum(q0) - 1.0) > VIOLATION_LIMIT or min(q0) < -VIOLATION_LIMIT:
+    if abs(_plain_sum(q0) - 1.0) > VIOLATION_LIMIT or min(q0) < -VIOLATION_LIMIT:
         raise SimplexViolation(f"q0={q0} is not a stochastic state")
 
     def phys(q):
@@ -572,7 +603,7 @@ class SectionSpec:
 
     def __post_init__(self):
         n = tuple(float(c) for c in self.normal)
-        norm = math.sqrt(sum(c * c for c in n))
+        norm = math.sqrt(_plain_sum(c * c for c in n))
         if norm == 0.0:
             raise ValueError("section normal must be nonzero")
         if self.direction not in ("positive", "negative", "both"):
@@ -581,7 +612,10 @@ class SectionSpec:
         object.__setattr__(self, "offset", float(self.offset) / norm)
 
     def value(self, y) -> float:
-        return sum(n * c for n, c in zip(self.normal, y)) - self.offset
+        total = 0
+        for n, c in zip(self.normal, y):
+            total += n * c
+        return total - self.offset
 
 
 @dataclass(frozen=True)
@@ -618,7 +652,10 @@ def _refine_crossing(segment, gfun, theta_lo, theta_hi, tol=REFINE_TOL):
 
 
 def _normal_component(section, v) -> float:
-    return sum(n * c for n, c in zip(section.normal, v))
+    total = 0
+    for n, c in zip(section.normal, v):
+        total += n * c
+    return total
 
 
 def _normal_velocity(section, fun, y) -> float:
@@ -640,7 +677,7 @@ def _locate_crossing(segment, section, g_start, g_end, tol=REFINE_TOL):
 
 
 def _dist(a, b) -> float:
-    return math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
+    return math.sqrt(_plain_sum((u - v) ** 2 for u, v in zip(a, b)))
 
 
 class _ReturnMap:

@@ -18,9 +18,11 @@ from lv3.darboux import (
     log_integral_value,
     named_integral_specs,
     solve_darboux,
+    surface_values,
     verify_invariance,
 )
 from lv3.params import ParamVector, discriminant
+from lv3.rng import SplitMix64
 from conftest import (
     rand_interior_point,
     rand_params,
@@ -220,6 +222,49 @@ def test_integral_zero_conventions():
         integral_value(neg, (0.0, 0.5, 0.5))
     with pytest.raises(DomainError):
         log_integral_value(spec, (0.0, 0.5, 0.5))
+
+
+def _log_integral_reference(spec, p):
+    """The generator form that log_integral_value unrolls."""
+    vals = surface_values(p)
+    if any(v == 0.0 for v in vals):
+        raise DomainError(f"{spec.name}: log form needs all four surface values nonzero")
+    return math.fsum(e * math.log(abs(f)) for e, f in zip(spec.exponents, vals) if e != 0.0)
+
+
+def test_log_integral_is_bitwise_the_generator_form():
+    rng = SplitMix64(2024)
+    exponent_choices = (0.0, -0.0, 1.0, -1.0, 2.5, -3.25, 1e-3, 7.0)
+    specs = [FirstIntegralSpec((0.0, 0.0, 0.0, 0.0), "zero"),
+             FirstIntegralSpec((-0.0, 0.0, -0.0, 0.0), "signed-zero")]
+    for _ in range(60):
+        specs.append(FirstIntegralSpec(
+            tuple(exponent_choices[rng.next_u64() % len(exponent_choices)]
+                  if rng.uniform() < 0.5 else rng.uniform(-4.0, 4.0) for _ in range(4))))
+    specs += list(named_integral_specs(ParamVector(2, 3, 3, 2)).values())
+    for spec in specs:
+        for _ in range(40):
+            # interior points and points off the simplex (negative
+            # components, x + y + z > 1): the log form takes |f_i|
+            p = tuple(rng.uniform(-0.5, 1.0) for _ in range(3))
+            assert log_integral_value(spec, p).hex() == _log_integral_reference(spec, p).hex()
+        if not any(spec.exponents):
+            assert log_integral_value(spec, (0.2, 0.3, 0.1)) == 0.0
+
+
+@pytest.mark.parametrize("p", [
+    (0.0, 0.5, 0.25), (-0.0, 0.5, 0.25),
+    (0.5, 0.0, 0.25), (0.5, -0.0, 0.25),
+    (0.5, 0.25, 0.0), (0.5, 0.25, -0.0),
+    (0.5, 0.25, 0.25),  # x + y + z - 1 is exactly 0
+])
+def test_log_integral_domain_error_on_each_zero_surface(p):
+    spec = FirstIntegralSpec((0.0, 1.0, 0.0, 0.0), "probe")  # exponents do not matter
+    with pytest.raises(DomainError) as err:
+        log_integral_value(spec, p)
+    assert str(err.value) == "probe: log form needs all four surface values nonzero"
+    with pytest.raises(DomainError):
+        _log_integral_reference(spec, p)
 
 
 def test_tilde_identity_on_manifold(rng):

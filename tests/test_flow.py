@@ -14,9 +14,11 @@ from lv3.flow import (
     _E,
     _P,
     _dense_q,
+    _dist,
     _error_norm,
     _error_norm3,
     _field3,
+    _normal_component,
     _rk_step,
     _rk_step3,
     field4,
@@ -45,6 +47,15 @@ def test_tableau_consistency():
         assert math.fsum(row) == pytest.approx(b, abs=1e-13)
 
 
+def _left_sum(values):
+    """Left to right from the int 0: sum() of floats on CPython 3.11 (from
+    3.12 on sum() is compensated, so the reference spells the loop out)."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _rk_step_reference(fun, y, f0, h):
     """The plain loop over stages that _rk_step unrolls."""
     n = len(y)
@@ -52,9 +63,9 @@ def _rk_step_reference(fun, y, f0, h):
     ys = y
     for s in range(1, 7):
         a = _A[s]
-        ys = tuple(y[i] + h * sum(a[j] * K[j][i] for j in range(s)) for i in range(n))
+        ys = tuple(y[i] + h * _left_sum(a[j] * K[j][i] for j in range(s)) for i in range(n))
         K.append(fun(ys))
-    err = tuple(h * sum(_E[j] * K[j][i] for j in range(7)) for i in range(n))
+    err = tuple(h * _left_sum(_E[j] * K[j][i] for j in range(7)) for i in range(n))
     return ys, K[6], err, K
 
 
@@ -108,6 +119,31 @@ def test_stepper_takes_the_three_component_kernel_for_3d_states():
     assert DormandPrince45(_field3(k), (0.2, 0.2, 0.2), 1.0)._kernel is _rk_step3
     assert DormandPrince45(face_field("Y", k), (0.2, 0.2), 1.0)._kernel is _rk_step
     assert DormandPrince45(lambda q: field4(k, q), (0.2, 0.2, 0.2, 0.4), 1.0)._kernel is _rk_step
+
+
+@cpython311_only
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_plain_sums_are_bitwise_the_sum_forms(n):
+    # the sums in lv3.flow must give the bits of CPython 3.11's sum(), which
+    # adds floats left to right from the int 0
+    rng = SplitMix64(3000 + n)
+    for fun, y, h in _kernel_cases(n):
+        y1, _, _, K = _rk_step(fun, y, fun(y), h)
+        raw = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+        section = SectionSpec(raw, rng.uniform(-0.5, 0.5))
+        norm = math.sqrt(sum(c * c for c in raw))
+        assert _bits(section.normal) == _bits(tuple(c / norm for c in raw))
+        assert (section.value(y1).hex()
+                == (sum(a * c for a, c in zip(section.normal, y1)) - section.offset).hex())
+        for v in K:
+            assert (_normal_component(section, v).hex()
+                    == sum(a * c for a, c in zip(section.normal, v)).hex())
+        stepper = DormandPrince45(fun, y1, 1.0)
+        assert stepper.speed.hex() == math.sqrt(sum(v * v for v in stepper.f)).hex()
+        assert _dist(y, y1).hex() == math.sqrt(sum((u - v) ** 2 for u, v in zip(y, y1))).hex()
+        assert _bits(_dense_q(K, n)) == _bits(tuple(
+            tuple(sum(K[s][i] * _P[s][j] for s in range(7)) for j in range(4))
+            for i in range(n)))
 
 
 # sha256 of repr() of outputs that only the generic kernel produces (the 4-D
@@ -284,6 +320,14 @@ def test_integrate_argument_validation():
         integrate(k, (0.2, 0.2, 0.2), 0.0)
     with pytest.raises(SimplexViolation):
         integrate(k, (0.7, 0.7, 0.7), 1.0)
+
+
+def test_simplex_violation_during_the_run_raises():
+    # the start is inside the simplex; at these loose tolerances the orbit
+    # leaves it later, which only the per-step check in the driver sees
+    with pytest.raises(SimplexViolation) as err:
+        integrate(ParamVector(2, 1, 2, 1), (0.001, 0.5, 0.3), 50, 1e-3, 1e-3, keep_dense=False)
+    assert str(err.value) == "simplex violation 1.634e-07 beyond 1e-09 at t=20.8153"
 
 
 def test_step_size_underflow_on_blowup():

@@ -42,6 +42,7 @@ from .darboux import c_star, certify_named_integrals
 from .flow import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
+    MAX_ACCEPTED_STEPS,
     VIOLATION_LIMIT,
     DormandPrince45,
     SectionSpec,
@@ -90,10 +91,10 @@ SPEED_TOL = 1e-8
 SEGMENT_DIST_TOL = 1e-4
 CLOSURE_TOL = 1e-6
 DEFAULT_HORIZON = 1e4
-MAX_ACCEPTED_STEPS = 10_000_000
 R_TUBE = 1e-3
 BOUNDARY_SAMPLING_MARGIN = 1e-3
 EQUILIBRIUM_TOL = 1e-6
+FACE_INSET = 1e-6
 _SQRT3 = math.sqrt(3.0)
 
 FACES = ("X", "Y", "Z", "Sigma")
@@ -184,61 +185,80 @@ def _classify_point(k, y, speed, label, tau, seg_tol) -> LimitSetReport:
                           terminal_speed=speed, horizon_used=tau)
 
 
-def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs, speed_tol, seg_tol,
-                 max_steps) -> LimitSetReport:
+def _probe(fun, y0, section, horizon, tol_rel, tol_abs, closure_tol, return_budget):
+    """Step the orbit of fun from y0 until it stops: the loop of every probe.
+
+    Returns (reason, stepper, return map or None, closure or None); reason
+    is periodic, speed-collapse, horizon, return-budget (with return_budget:
+    ten first-return estimates passed), step-budget, step-underflow or
+    simplex-violation.
+    """
+    stepper = DormandPrince45(fun, y0, horizon, tol_rel, tol_abs)
+    returns = None if section is None else _ReturnMap(section, fun, stepper.y)
+    budget = horizon
+    while not stepper.finished:
+        if stepper.t > budget:
+            return "return-budget", stepper, returns, None
+        if stepper.n_accepted >= MAX_ACCEPTED_STEPS:
+            return "step-budget", stepper, returns, None
+        try:
+            segment = stepper.step()
+        except StepSizeUnderflow:
+            return "step-underflow", stepper, returns, None
+        y = stepper.y
+        if _violation3(y) > VIOLATION_LIMIT:
+            return "simplex-violation", stepper, returns, None
+        if stepper.speed <= SPEED_TOL:
+            return "speed-collapse", stepper, returns, None
+        if returns is not None and returns.advance(segment, y):
+            hits = returns.hits
+            if return_budget and len(hits) == 2:
+                budget = min(budget, hits[0][0] + 10.0 * (hits[1][0] - hits[0][0]))
+            closed = returns.closure(closure_tol)
+            if closed is not None:
+                return "periodic", stepper, returns, closed
+    return "horizon", stepper, returns, None
+
+
+def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs, seg_tol) -> LimitSetReport:
     label = "omega" if forward else "alpha"
     start = SimplexPoint(*_coords(p0))
     phys = _field3(k)
-    fun = phys if forward else _negated(phys)
     try:
         section = default_section(k)
     except ValueError:
         section = None
-    stepper = DormandPrince45(fun, start.coords, horizon, tol_rel, tol_abs)
-    returns = None if section is None else _ReturnMap(section, fun, stepper.y)
-    while not stepper.finished and stepper.n_accepted < max_steps:
-        try:
-            segment = stepper.step()
-        except StepSizeUnderflow:
-            break
-        y = stepper.y
-        if _violation3(y) > VIOLATION_LIMIT:
-            break
-        if stepper.speed <= speed_tol:
-            return _classify_point(k, y, stepper.speed, label, stepper.t, seg_tol)
-        if returns is not None and returns.advance(segment, y):
-            closed = returns.closure(CLOSURE_TOL)
-            if closed is not None:
-                period, closure_error, witness = closed
-                return LimitSetReport(
-                    kind="periodic", direction=label, witness=witness,
-                    closure_error=closure_error, period=period,
-                    terminal_speed=stepper.speed, horizon_used=stepper.t,
-                )
+    reason, stepper, _, closed = _probe(phys if forward else _negated(phys), start.coords,
+                                        section, horizon, tol_rel, tol_abs, CLOSURE_TOL, False)
+    if reason == "speed-collapse":
+        return _classify_point(k, stepper.y, stepper.speed, label, stepper.t, seg_tol)
+    if reason == "periodic":
+        period, closure_error, witness = closed
+        return LimitSetReport(kind="periodic", direction=label, witness=witness,
+                              closure_error=closure_error, period=period,
+                              terminal_speed=stepper.speed, horizon_used=stepper.t)
     return LimitSetReport(kind="inconclusive", direction=label, witness=stepper.y,
                           terminal_speed=stepper.speed, horizon_used=stepper.t)
 
 
 def omega_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
                 tol_rel: float = DEFAULT_TOL_REL, tol_abs: float = DEFAULT_TOL_ABS,
-                speed_tol: float = SPEED_TOL, seg_tol: float = SEGMENT_DIST_TOL,
-                max_steps: int = MAX_ACCEPTED_STEPS) -> LimitSetReport:
+                seg_tol: float = SEGMENT_DIST_TOL) -> LimitSetReport:
     """Classify the forward limit set of the orbit through p0.
 
-    Integrates until the flow speed drops to speed_tol (then classifies the
+    Integrates until the flow speed drops to SPEED_TOL (then classifies the
     terminal state against s_py, s_xz and the singular edges), or until a
     return map certifies a periodic orbit, or until the horizon runs out
     (inconclusive).  Never raises for dynamical reasons.
     """
-    return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs, speed_tol, seg_tol, max_steps)
+    return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs, seg_tol)
 
 
 def alpha_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
                 tol_rel: float = DEFAULT_TOL_REL, tol_abs: float = DEFAULT_TOL_ABS,
-                speed_tol: float = SPEED_TOL, seg_tol: float = SEGMENT_DIST_TOL,
-                max_steps: int = MAX_ACCEPTED_STEPS) -> LimitSetReport:
+                seg_tol: float = SEGMENT_DIST_TOL) -> LimitSetReport:
     """Backward-time counterpart of omega_limit (field negated, one code path)."""
-    return _limit_probe(k, p0, horizon, False, tol_rel, tol_abs, speed_tol, seg_tol, max_steps)
+    return _limit_probe(k, p0, horizon, False, tol_rel, tol_abs, seg_tol)
 
 
 @dataclass(frozen=True)
@@ -250,9 +270,8 @@ class PeriodicOrbit:
 
 def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
                     tol_abs: float = DEFAULT_TOL_ABS, horizon: float = DEFAULT_HORIZON,
-                    closure_tol: float = CLOSURE_TOL, section: SectionSpec | None = None,
-                    speed_tol: float = SPEED_TOL,
-                    max_steps: int = MAX_ACCEPTED_STEPS) -> PeriodicOrbit | None:
+                    closure_tol: float = CLOSURE_TOL,
+                    section: SectionSpec | None = None) -> PeriodicOrbit | None:
     """Detect a periodic orbit through the interior point p0.
 
     Uses the default return-map section unless one is given.  Crossings are
@@ -275,30 +294,13 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
             section = default_section(k)
         except ValueError:
             return None
-    fun = _field3(k)
-    stepper = DormandPrince45(fun, start.coords, horizon, tol_rel, tol_abs)
-    returns = _ReturnMap(section, fun, stepper.y)
-    budget = horizon
-    while not stepper.finished and stepper.t <= budget and stepper.n_accepted < max_steps:
-        try:
-            segment = stepper.step()
-        except StepSizeUnderflow:
-            return None
-        y = stepper.y
-        if _violation3(y) > VIOLATION_LIMIT:
-            return None
-        if stepper.speed <= speed_tol:
-            return None
-        if returns.advance(segment, y):
-            hits = returns.hits
-            if len(hits) == 2:
-                budget = min(budget, hits[0][0] + 10.0 * (hits[1][0] - hits[0][0]))
-            closed = returns.closure(closure_tol)
-            if closed is not None:
-                period, closure_error, _ = closed
-                return PeriodicOrbit(period=period, closure_error=closure_error,
-                                     crossings=tuple(hits))
-    return None
+    reason, _, returns, closed = _probe(_field3(k), start.coords, section, horizon,
+                                        tol_rel, tol_abs, closure_tol, True)
+    if reason != "periodic":
+        return None
+    period, closure_error, _ = closed
+    return PeriodicOrbit(period=period, closure_error=closure_error,
+                         crossings=tuple(returns.hits))
 
 
 def certified_integral_names(k: ParamVector) -> tuple:
@@ -455,28 +457,25 @@ def face_field(face: str, k: ParamVector):
     return fun
 
 
-def face_connection_abscissae(k: ParamVector, face: str, x0: float, inset: float = 1e-6,
-                              speed_tol: float = SPEED_TOL, horizon: float = DEFAULT_HORIZON,
-                              tol_rel: float = DEFAULT_TOL_REL,
-                              tol_abs: float = DEFAULT_TOL_ABS) -> tuple:
+def face_connection_abscissae(k: ParamVector, face: str, x0: float) -> tuple:
     """Edge abscissae reached by the face orbit through the edge point x0.
 
-    Starts just inside the face next to (x0 on the singular edge) and
+    Starts FACE_INSET inside the face next to (x0 on the singular edge) and
     integrates the planar restriction both ways until the motion stalls at
     the edge; returns the two terminal abscissae (backward, forward).
     One of them reproduces x0, the other is the matching connection end.
     """
     if face == "Y":
-        start = ((1.0 - inset) * x0, (1.0 - inset) * (1.0 - x0))
+        start = ((1.0 - FACE_INSET) * x0, (1.0 - FACE_INSET) * (1.0 - x0))
     elif face == "Sigma":
-        start = (x0, inset)
+        start = (x0, FACE_INSET)
     else:
         raise ValueError("connection abscissae are defined on faces Y and Sigma")
     fun = face_field(face, k)
     out = []
     for direction in (_negated(fun), fun):
-        stepper = DormandPrince45(direction, start, horizon, tol_rel, tol_abs)
-        while not stepper.finished and stepper.speed > speed_tol:
+        stepper = DormandPrince45(direction, start, DEFAULT_HORIZON)
+        while not stepper.finished and stepper.speed > SPEED_TOL:
             stepper.step()
         out.append(stepper.y[0])
     return tuple(out)

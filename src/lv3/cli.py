@@ -15,7 +15,6 @@ import ast
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import analysis, darboux, equilibria, flow
 from .params import ParamVector, ZeroParameter, classify, discriminant
@@ -76,38 +75,6 @@ def _positive(text: str) -> float:
     return value
 
 
-@dataclass
-class RunConfig:
-    """Resolved configuration of one CLI invocation."""
-
-    command: str
-    k: ParamVector | None = None
-    p0: tuple = (0.2, 0.2, 0.2)
-    t_end: float = 50.0
-    tol_rel: float = flow.DEFAULT_TOL_REL
-    tol_abs: float = flow.DEFAULT_TOL_ABS
-    horizon: float = analysis.DEFAULT_HORIZON
-    samples: int = 20
-    seed: int = 42
-    fmt: str = "csv"
-    monitor: tuple = ()
-    backward: bool = False
-    spectrum: bool = False
-    alpha: bool = False
-    x0: float | None = None
-    base: tuple = (0.25, 0.25, 0.25)
-    direction: tuple = (0.0, -1.0, 0.0)
-    inner: float = 0.01
-    outer: float = 0.22
-    n: int = 10
-    slice_expr: str | None = None
-    t_range: tuple = (0.0, 1.0)
-    steps: int = 11
-    s_range: tuple | None = None
-    s_steps: int = 1
-    out: str | None = None
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lv3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(SUBCOMMANDS))
@@ -166,21 +133,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse argv into a RunConfig; usage problems exit with code 64."""
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv into the run configuration; usage problems exit with code 64."""
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for name in vars(ns):
-        if hasattr(cfg, name) and getattr(ns, name) is not None:
-            setattr(cfg, name, getattr(ns, name))
-    if getattr(ns, "fmt", None) is None:
-        cfg.fmt = "csv" if ns.command in ("integrate", "portrait") else "json"
-    if getattr(ns, "monitor", ""):
-        cfg.monitor = tuple(m.strip() for m in ns.monitor.split(",") if m.strip())
-    if getattr(ns, "backward", False):
-        cfg.t_end = -cfg.t_end
-    if ns.command == "scan":
+    cfg = parser.parse_args(argv)
+    if cfg.fmt is None:
+        cfg.fmt = "csv" if cfg.command in ("integrate", "portrait") else "json"
+    if cfg.command == "integrate":
+        cfg.monitor = tuple(m.strip() for m in cfg.monitor.split(",") if m.strip())
+        if len(set(cfg.monitor)) < len(cfg.monitor):
+            parser.error(f"--monitor names an integral twice: {','.join(cfg.monitor)}")
+        if cfg.backward:
+            cfg.t_end = -cfg.t_end
+    if cfg.command == "scan":
         try:
             _, uses_s = parse_slice(cfg.slice_expr)
         except ValueError as exc:
@@ -219,17 +184,13 @@ def emit_jsonl(records, stream):
 def emit_csv(header, rows, stream):
     stream.write(",".join(header))
     stream.write("\n")
+    formats = {}  # one %-format per row layout, giving each cell the text of _fmt
     for row in rows:
-        stream.write(",".join(map(_fmt, row)))
-        stream.write("\n")
-
-
-def emit(report, fmt, stream, header=None):
-    """Write a report as CSV rows or JSON lines."""
-    if fmt == "csv":
-        emit_csv(header or [], report, stream)
-    else:
-        emit_jsonl(report, stream)
+        types = tuple(map(type, row))
+        if types not in formats:
+            cells = ("%.17g" if issubclass(t, float) else "%s" for t in types)
+            formats[types] = ",".join(cells) + "\n"
+        stream.write(formats[types] % tuple(row))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +212,7 @@ def _cmd_classify(cfg, stream):
 def _cmd_equilibria(cfg, stream):
     k = cfg.k
     records = []
-    for segment, open_ends in ((equilibria.edge_py(), False), (equilibria.edge_xz(), False)):
+    for segment in (equilibria.edge_py(), equilibria.edge_xz()):
         records.append({
             "set": segment.label,
             "a": list(segment.a),
@@ -402,7 +363,7 @@ def _cmd_period_profile(cfg, stream):
     offsets = [cfg.inner + (cfg.outer - cfg.inner) * i / (cfg.n - 1) for i in range(cfg.n)] \
         if cfg.n > 1 else [cfg.inner]
     points = analysis.make_ray(cfg.base, cfg.direction, offsets)
-    report = analysis.period_profile(cfg.k, points, cfg.tol_rel, cfg.tol_abs, cfg.horizon)
+    report = analysis.period_profile(cfg.k, points, cfg.tol_rel, cfg.tol_abs)
     emit_jsonl(report["rows"] + [{
         "summary": True,
         "strictly_increasing": report["strictly_increasing"],

@@ -64,6 +64,7 @@ DEFAULT_TOL_REL = 1e-10
 DEFAULT_TOL_ABS = 1e-12
 VIOLATION_LIMIT = 1e-9
 MIN_STEP_FRACTION = 1e-14
+MAX_ACCEPTED_STEPS = 10_000_000
 
 # Dormand-Prince 5(4) tableau, 5th-order propagation weights in the last
 # row of A (FSAL), embedded-difference weights in E.
@@ -275,8 +276,7 @@ class DormandPrince45:
     ALPHA = 0.7 / 5.0
     BETA = 0.4 / 5.0
 
-    def __init__(self, fun, y0, t_span, rtol=DEFAULT_TOL_REL, atol=DEFAULT_TOL_ABS,
-                 first_step=None, max_step=math.inf):
+    def __init__(self, fun, y0, t_span, rtol=DEFAULT_TOL_REL, atol=DEFAULT_TOL_ABS):
         if t_span <= 0.0:
             raise ValueError("t_span must be positive")
         self.fun = fun
@@ -291,11 +291,8 @@ class DormandPrince45:
         else:
             self._kernel, self._norm = _rk_step, _error_norm
         self.min_step = MIN_STEP_FRACTION * self.t_span
-        self.max_step = max_step
-        h = first_step if first_step is not None else _initial_step(
-            fun, self.y, self.f, self.rtol, self.atol, self.t_span
-        )
-        self.h = min(h, max_step, self.t_span)
+        h = _initial_step(fun, self.y, self.f, self.rtol, self.atol, self.t_span)
+        self.h = min(h, self.t_span)
         self._err_prev = 1.0
         self.n_accepted = 0
         self.n_rejected = 0
@@ -342,7 +339,7 @@ class DormandPrince45:
         next_h = h * factor
         if clipped:
             next_h = max(next_h, self.h)
-        self.h = min(next_h, self.max_step)
+        self.h = next_h
         self._err_prev = max(err_norm, 1e-4)
         segment = DenseSegment(t, h, y, K)
         self.t = self.t_span if clipped else t + h
@@ -383,10 +380,6 @@ class Trajectory:
     @property
     def terminal_state(self) -> tuple:
         return self.states[-1]
-
-    @property
-    def terminal_time(self) -> float:
-        return self.t[-1]
 
     def state_at(self, t_req: float) -> tuple:
         """Dense-output state at reported time t_req."""
@@ -444,13 +437,17 @@ def _resolve_monitor(k, monitor):
     named = None
     for item in monitor:
         if isinstance(item, FirstIntegralSpec):
-            specs.append((item.name, item))
+            name, spec = item.name, item
         else:
             if named is None:
                 named = named_integral_specs(k)
             if item not in named:
                 raise ValueError(f"unknown integral name {item!r}")
-            specs.append((item, named[item]))
+            name, spec = item, named[item]
+        # drift keeps one series per name: a repeat would interleave two
+        if any(name == seen for seen, _ in specs):
+            raise ValueError(f"integral name {name!r} monitored twice")
+        specs.append((name, spec))
     return specs
 
 
@@ -461,8 +458,7 @@ def _log_or_nan(spec, y):
         return float("nan")
 
 
-def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_dense,
-           max_steps) -> Trajectory:
+def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_dense) -> Trajectory:
     """The stepping loop behind integrate and integrate4.
 
     Negative t_end negates the physical field fun.  violation(y) is tracked
@@ -482,8 +478,8 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
     add_segment = dense.append if keep_dense else None
     monitors = [(spec, drift[name].append) for name, spec in specs]
     while stepper.t < t_span:
-        if stepper.n_accepted >= max_steps:
-            raise RuntimeError(f"accepted-step budget {max_steps} exhausted")
+        if stepper.n_accepted >= MAX_ACCEPTED_STEPS:
+            raise RuntimeError(f"accepted-step budget {MAX_ACCEPTED_STEPS} exhausted")
         segment = step()
         y = stepper.y
         v = violation(y)
@@ -512,8 +508,8 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
 
 
 def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
-              tol_abs: float = DEFAULT_TOL_ABS, monitor=None, keep_dense: bool = True,
-              max_steps: int = 10_000_000) -> Trajectory:
+              tol_abs: float = DEFAULT_TOL_ABS, monitor=None,
+              keep_dense: bool = True) -> Trajectory:
     """Integrate the 3-D simplex flow from p0 for time t_end.
 
     Negative t_end integrates backward (the field is negated; steps stay
@@ -526,7 +522,7 @@ def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL
     start = SimplexPoint(*_coords(p0))
     specs = _resolve_monitor(k, monitor)
     return _drive(k, _field3(k), start.coords, t_end, tol_rel, tol_abs, _violation3,
-                  "simplex", specs, keep_dense, max_steps)
+                  "simplex", specs, keep_dense)
 
 
 def field4(k: ParamVector, q) -> tuple:
@@ -565,8 +561,7 @@ def _violation4(q) -> float:
 
 
 def integrate4(k: ParamVector, q0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
-               tol_abs: float = DEFAULT_TOL_ABS, keep_dense: bool = True,
-               max_steps: int = 10_000_000) -> Trajectory:
+               tol_abs: float = DEFAULT_TOL_ABS, keep_dense: bool = True) -> Trajectory:
     """Integrate the 4-D flow from q0 (components must sum to 1).
 
     Mass conservation is monitored: |sum(q) - 1| above 1e-9 anywhere along
@@ -584,7 +579,7 @@ def integrate4(k: ParamVector, q0, t_end: float, tol_rel: float = DEFAULT_TOL_RE
         return field4(k, q)
 
     traj = _drive(k, phys, q0, t_end, tol_rel, tol_abs, _violation4, "mass-conservation",
-                  (), keep_dense, max_steps)
+                  (), keep_dense)
     return replace(traj, mass_error=traj.max_violation)
 
 
@@ -631,7 +626,7 @@ REFINE_TOL = 1e-12
 GRAZE_TOL = 1e-10
 
 
-def _refine_crossing(segment, gfun, theta_lo, theta_hi, tol=REFINE_TOL):
+def _refine_crossing(segment, gfun, theta_lo, theta_hi):
     """Bisect the sign change of gfun(state(theta)) inside the segment."""
     g_lo = gfun(segment.eval_theta(theta_lo))
     best_theta, best_g = theta_lo, g_lo
@@ -640,7 +635,7 @@ def _refine_crossing(segment, gfun, theta_lo, theta_hi, tol=REFINE_TOL):
         g_mid = gfun(segment.eval_theta(mid))
         if abs(g_mid) < abs(best_g):
             best_theta, best_g = mid, g_mid
-        if abs(g_mid) <= tol:
+        if abs(g_mid) <= REFINE_TOL:
             return mid, g_mid
         if (g_lo < 0.0) == (g_mid < 0.0):
             theta_lo, g_lo = mid, g_mid
@@ -658,21 +653,19 @@ def _normal_component(section, v) -> float:
     return total
 
 
-def _normal_velocity(section, fun, y) -> float:
-    return _normal_component(section, fun(y))
+def _locate_crossing(segment, section, g_start, g_end, y_end):
+    """(theta, state, miss) of the section crossing inside segment, or None.
 
-
-def _locate_crossing(segment, section, g_start, g_end, tol=REFINE_TOL):
-    """(theta, miss) of the section crossing inside segment, or None.
-
-    g_start and g_end are the section values at the segment's ends.  A
-    strict sign change is refined on the dense output; an end landing
-    exactly on the plane from off it is the crossing itself.
+    g_start and g_end are the section values at the segment's ends and
+    y_end the stored step end.  A strict sign change is refined on the
+    dense output; an end landing exactly on the plane from off it is the
+    crossing itself.  Theta 1.0 reports y_end, never the interpolant there.
     """
     if (g_start < 0.0 and g_end > 0.0) or (g_start > 0.0 and g_end < 0.0):
-        return _refine_crossing(segment, section.value, 0.0, 1.0, tol)
+        theta, miss = _refine_crossing(segment, section.value, 0.0, 1.0)
+        return theta, y_end if theta == 1.0 else segment.eval_theta(theta), miss
     if g_end == 0.0 and g_start != 0.0:
-        return 1.0, 0.0
+        return 1.0, y_end, 0.0
     return None
 
 
@@ -702,7 +695,7 @@ class _ReturnMap:
             self._keep(0.0, y0)
 
     def _keep(self, tau, state) -> bool:
-        d = _normal_velocity(self.section, self.fun, state)
+        d = _normal_component(self.section, self.fun(state))
         direction = 1 if d > 0.0 else (-1 if d < 0.0 else 0)
         if direction == 0:
             return False
@@ -716,11 +709,10 @@ class _ReturnMap:
     def advance(self, segment, y) -> bool:
         """Take the step that built segment and ended at y; True on a new hit."""
         g_start, self._g = self._g, self.section.value(y)
-        found = _locate_crossing(segment, self.section, g_start, self._g)
+        found = _locate_crossing(segment, self.section, g_start, self._g, y)
         if found is None:
             return False
-        theta = found[0]
-        state = y if theta == 1.0 else segment.eval_theta(theta)
+        theta, state, _ = found
         return self._keep(segment.t0 + theta * segment.h, state)
 
     def closure(self, tol):
@@ -735,17 +727,13 @@ class _ReturnMap:
         return None
 
 
-def _section_slope(section, segment, theta):
-    return _normal_component(section, segment.derivative_theta(theta))
-
-
 def _extremum_theta(segment, section, d_lo):
     """Theta of the extremum of the section function along the interpolant,
     assuming the slope changes sign exactly once in (0, 1)."""
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        d_mid = _section_slope(section, segment, mid)
+        d_mid = _normal_component(section, segment.derivative_theta(mid))
         if (d_lo < 0.0) == (d_mid < 0.0):
             lo, d_lo = mid, d_mid
         else:
@@ -753,29 +741,27 @@ def _extremum_theta(segment, section, d_lo):
     return 0.5 * (lo + hi)
 
 
-def find_crossings(traj: Trajectory, section: SectionSpec, field=None,
-                   refine_tol: float = REFINE_TOL, graze_tol: float = GRAZE_TOL) -> list:
-    """Locate crossings of a plane section along a dense trajectory.
+def find_crossings(traj: Trajectory, section: SectionSpec) -> list:
+    """Locate crossings of a plane section along a dense simplex trajectory.
 
     Transversal crossings are refined by bisection on the dense output to
-    |n.p - offset| <= refine_tol.  Tangencies (sign-preserving touches, or
-    crossings with near-zero normal velocity) are reported with the grazing
-    flag set rather than dropped; a trajectory lying in the plane itself
-    yields no crossings.
+    |n.p - offset| <= REFINE_TOL.  Tangencies (sign-preserving touches, or
+    crossings with normal velocity within GRAZE_TOL of zero) are reported
+    with the grazing flag set rather than dropped; a trajectory lying in the
+    plane itself yields no crossings.
     """
     if traj.dense is None:
         raise ValueError("trajectory was integrated without dense output")
-    if field is None:
-        if traj.k is None or len(traj.states[0]) != 3:
-            raise ValueError("pass the physical field for non-standard trajectories")
-        field = _field3(traj.k)
+    if traj.k is None or len(traj.states[0]) != 3:
+        raise ValueError("crossings are located on trajectories of the 3-D simplex flow")
+    field = _field3(traj.k)
     out = []
 
     def emit(tau, state, miss):
-        # crossing direction is measured in physical time (field as given),
+        # crossing direction is measured in physical time (the forward field),
         # independent of the trajectory's traversal direction
-        gdot = _normal_velocity(section, field, state)
-        grazing = abs(gdot) <= graze_tol
+        gdot = _normal_component(section, field(state))
+        grazing = abs(gdot) <= GRAZE_TOL
         direction = 0 if grazing else (1 if gdot > 0.0 else -1)
         if not grazing:
             if section.direction == "positive" and direction < 0:
@@ -786,22 +772,23 @@ def find_crossings(traj: Trajectory, section: SectionSpec, field=None,
                             grazing=grazing, miss=abs(miss)))
 
     g_values = [section.value(state) for state in traj.states]
-    if all(abs(g) <= graze_tol for g in g_values):
+    if all(abs(g) <= GRAZE_TOL for g in g_values):
         return []  # trajectory lies in the plane: nothing transversal to report
     g_prev = g_values[0]
-    if g_prev == 0.0 and abs(g_values[1]) > graze_tol:
+    if g_prev == 0.0 and abs(g_values[1]) > GRAZE_TOL:
         emit(traj.dense[0].t0, traj.dense[0].y0, 0.0)
     for index, segment in enumerate(traj.dense):
         g_end = g_values[index + 1]
-        found = _locate_crossing(segment, section, g_prev, g_end, refine_tol)
+        found = _locate_crossing(segment, section, g_prev, g_end, traj.states[index + 1])
         if found is not None:
-            # landing on the plane from within graze_tol of it is no crossing
-            if g_end != 0.0 or abs(g_prev) > graze_tol:
-                theta, miss = found
-                if theta == 1.0:  # the step end itself: report the stored sample
-                    emit(traj.sign * traj.t[index + 1], traj.states[index + 1], miss)
-                else:
-                    emit(segment.t0 + theta * segment.h, segment.eval_theta(theta), miss)
+            # landing on the plane from within GRAZE_TOL of it is no crossing
+            if g_end != 0.0 or abs(g_prev) > GRAZE_TOL:
+                theta, state, miss = found
+                # the step end keeps its stored time, which on a clipped
+                # last step can differ from t0 + h
+                tau = (traj.sign * traj.t[index + 1] if theta == 1.0
+                       else segment.t0 + theta * segment.h)
+                emit(tau, state, miss)
         elif g_end != 0.0 and g_prev != 0.0:
             # same-sign endpoints: an interior slope reversal may hide a tangency.
             # In exact arithmetic the interpolant's slope is h*K[0] at theta 0
@@ -813,7 +800,7 @@ def find_crossings(traj: Trajectory, section: SectionSpec, field=None,
                 theta = _extremum_theta(segment, section, d0)
                 state = segment.eval_theta(theta)
                 miss = section.value(state)
-                if abs(miss) <= graze_tol:
+                if abs(miss) <= GRAZE_TOL:
                     out.append(
                         Crossing(t=traj.sign * (segment.t0 + theta * segment.h),
                                  state=state, direction=0, grazing=True, miss=abs(miss))

@@ -36,7 +36,3 @@ class SplitMix64:
 
     def choice(self, items):
         return items[self.next_u64() % len(items)]
-
-    def spawn(self) -> "SplitMix64":
-        """Independent child stream, e.g. one per parallel job."""
-        return SplitMix64(self.next_u64())

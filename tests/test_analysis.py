@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lv3.analysis import (
+    CLOSURE_TOL,
     DegenerateLeaf,
     LevelOutOfRange,
     OnEquilibrium,
@@ -24,6 +25,7 @@ from lv3.analysis import (
     sample_interior,
     verify_theorem_a,
     verify_theorem_b,
+    _probe,
 )
 from lv3.darboux import SignError
 from lv3.equilibria import interior_segment_R, limit_segments
@@ -153,6 +155,40 @@ def test_inconclusive_on_tiny_horizon():
     rep = omega_limit(ParamVector(2, 1, 2, 1), (0.2, 0.2, 0.2), horizon=0.5)
     assert rep.kind == "inconclusive"
     assert rep.horizon_used <= 0.5 + 1e-12
+
+
+# (k, p0, horizon, tol_rel, tol_abs, return_budget) -> (reason, stop time, accepted steps)
+PROBE_STOPS = [
+    (((2, 3, 3, 2), (0.2, 0.2, 0.2), 1e4, 1e-10, 1e-12, False),
+     ("periodic", 12.856505497786685, 383)),
+    (((2, 1, 2, 1), (0.2, 0.2, 0.2), 1e4, 1e-10, 1e-12, False),
+     ("speed-collapse", 52.86395636497378, 312)),
+    (((2, 3, 3, 2), (0.2, 0.2, 0.2), 0.5, 1e-10, 1e-12, False),
+     ("horizon", 0.5, 20)),
+    (((2, 3, 3, 2.01), (0.2, 0.2, 0.2), 1e4, 1e-10, 1e-12, True),
+     ("return-budget", 55.541378287227964, 1620)),
+    # loose tolerances carry this orbit off the simplex (as in test_flow)
+    (((2, 1, 2, 1), (0.001, 0.5, 0.3), 1e4, 1e-3, 1e-3, False),
+     ("simplex-violation", 20.815254030551124, 18)),
+]
+
+
+@pytest.mark.parametrize("case, expected", PROBE_STOPS, ids=[e[0] for _, e in PROBE_STOPS])
+def test_probe_stop_reasons(case, expected):
+    k, p0, horizon, tol_rel, tol_abs, return_budget = case
+    k = ParamVector(*k)
+    reason, stepper, _, closed = _probe(_field3(k), p0, default_section(k), horizon,
+                                        tol_rel, tol_abs, CLOSURE_TOL, return_budget)
+    assert (reason, stepper.t, stepper.n_accepted) == expected
+    assert (closed is not None) == (reason == "periodic")
+
+
+def test_omega_limit_reports_a_simplex_violation_as_inconclusive():
+    # the probe stops on the violation; the report does not yet say why
+    rep = omega_limit(ParamVector(2, 1, 2, 1), (0.001, 0.5, 0.3), tol_rel=1e-3, tol_abs=1e-3)
+    assert rep.kind == "inconclusive"
+    assert rep.horizon_used == 20.815254030551124
+    assert max(-min(rep.witness), sum(rep.witness) - 1.0) > 1e-9
 
 
 # --- boundary faces -----------------------------------------------------------

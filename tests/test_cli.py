@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
@@ -9,12 +10,13 @@ from lv3.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    _fmt,
     emit_csv,
     main,
     parse_args,
     parse_slice,
 )
-from conftest import cpython311_only
+from conftest import cpython_only
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +61,16 @@ def test_parse_args_defaults_and_backward():
     cfg = parse_args(["limit-set", "--k", "1,1,1,1", "--p0", "0.2,0.2,0.2"])
     assert cfg.fmt == "json"
     assert cfg.seed == 42
+
+
+def test_repeated_monitor_name_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["integrate", "--k", "2,1,2,1", "--p0", "0.2,0.2,0.2", "--t", "1",
+              "--monitor", "H,H"])
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "twice" in captured.err
 
 
 def test_integrate_csv_output(capsys):
@@ -238,13 +250,27 @@ def test_emit_empty_report_is_header_only():
     assert buffer.getvalue() == "a,b\n"
 
 
+def test_csv_cells_read_as_fmt_gives_them():
+    # rows in the two layouts the commands write (all floats; an int column
+    # first) and one mixed row; an int past 1e17 shows an int is not %g-formatted
+    rows = [
+        (0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 0.1, -2.5e-300),
+        [3, 1.0 / 3.0, -0.0, 1.7976931348623157e308],
+        [12345678901234567890, math.nan, -math.inf, 2.0**60],
+        (1.5, 2, True, None, "s"),
+    ]
+    buffer = io.StringIO()
+    emit_csv(["a"], rows, buffer)
+    assert buffer.getvalue() == "a\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
+
+
 # sha256 of stdout and the exit code, pinned for fast invocations.  No float
 # sum() sets an output bit any more: lv3.flow adds left to right from the int
 # 0, which is how sum() rounds on CPython 3.11 but not from 3.12 on.  The
-# digests were checked by hand on CPython 3.11.7, 3.12.1 and 3.13.0 (with a
-# numpy stand-in, since none of these invocations calls numpy); the test runs
-# on 3.11 only, where its dependencies are installed.  integrate-long has the
-# shape of the benchmark's integrate invocations.
+# digests hold on CPython 3.11.7, 3.12.1 and 3.13.0 (checked with a numpy
+# stand-in, since none of these invocations calls numpy), so the test runs on
+# every CPython.  integrate-long has the shape of the benchmark's integrate
+# invocations.
 GOLDEN_STDOUT = {
     "integrate-forward": (
         "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 3 --monitor H,V", EXIT_OK,
@@ -282,7 +308,7 @@ GOLDEN_STDOUT = {
 }
 
 
-@cpython311_only
+@cpython_only
 @pytest.mark.parametrize("name", list(GOLDEN_STDOUT))
 def test_cli_stdout_is_byte_identical_to_golden(capsys, name):
     argv, exit_code, digest = GOLDEN_STDOUT[name]

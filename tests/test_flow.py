@@ -27,10 +27,11 @@ from lv3.flow import (
     integrate,
     integrate4,
 )
+from lv3.darboux import named_integral_specs
 from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
-from conftest import cpython311_only, rand_interior_point, rand_params, norm3
+from conftest import cpython311_only, cpython_only, rand_interior_point, rand_params, norm3
 
 
 # --- tableau sanity ----------------------------------------------------------
@@ -164,7 +165,7 @@ def _generic_kernel_output(name):
     return face_connection_abscissae(ParamVector(2, 1, 2, 1), name[len("face-"):], 0.3)
 
 
-@cpython311_only
+@cpython_only
 @pytest.mark.parametrize("name", list(GOLDEN_GENERIC))
 def test_generic_kernel_output_is_byte_identical_to_golden(name):
     out = repr(_generic_kernel_output(name))
@@ -312,6 +313,15 @@ def test_log_h_increases_off_manifold():
     traj = integrate(k, (0.2, 0.2, 0.2), 10.0, monitor=["H"], keep_dense=False)
     series = traj.drift["H"]
     assert all(b > a for a, b in zip(series, series[1:]))
+
+
+def test_repeated_monitor_name_is_rejected():
+    # drift keeps one series per name, so a repeat would interleave two
+    # samples per step into it (24 samples, 47 values of drift["H"] at T=1)
+    k = ParamVector(2, 1, 2, 1)
+    for monitor in (["H", "H"], ["H", "V", named_integral_specs(k)["H"]]):
+        with pytest.raises(ValueError, match="'H' monitored twice"):
+            integrate(k, (0.2, 0.2, 0.2), 1.0, monitor=monitor)
 
 
 def test_integrate_argument_validation():

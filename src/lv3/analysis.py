@@ -30,7 +30,9 @@ from .equilibria import (
     OutOfRange,
     Segment,
     SimplexPoint,
+    SimplexViolation,
     _coords,
+    boundary_margin,
     edge_py,
     edge_xz,
     interior_segment_R,
@@ -95,7 +97,6 @@ R_TUBE = 1e-3
 BOUNDARY_SAMPLING_MARGIN = 1e-3
 EQUILIBRIUM_TOL = 1e-6
 FACE_INSET = 1e-6
-_SQRT3 = math.sqrt(3.0)
 
 FACES = ("X", "Y", "Z", "Sigma")
 
@@ -119,12 +120,6 @@ def default_section(k: ParamVector) -> SectionSpec:
     returns are transversal in the oscillatory regime.
     """
     return SectionSpec(normal=(k.k4, 0.0, -k.k3), offset=0.0, direction="both")
-
-
-def boundary_margin(y) -> float:
-    """Euclidean distance from y to the boundary of the simplex (interior > 0)."""
-    x, yy, z = y
-    return min(x, yy, z, (1.0 - x - yy - z) / _SQRT3)
 
 
 def sample_interior(k: ParamVector, n: int, rng: SplitMix64,
@@ -220,16 +215,25 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, closure_tol, return_budg
     return "horizon", stepper, returns, None
 
 
+def _probe_or_raise(*args):
+    """_probe, raising SimplexViolation where it stops on one, as integrate does."""
+    reason, stepper, returns, closed = _probe(*args)
+    if reason == "simplex-violation":
+        raise SimplexViolation(f"simplex violation {_violation3(stepper.y):.3e} beyond "
+                               f"{VIOLATION_LIMIT} at t={stepper.t:.6g}")
+    return reason, stepper, returns, closed
+
+
 def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs, seg_tol) -> LimitSetReport:
     label = "omega" if forward else "alpha"
     start = SimplexPoint(*_coords(p0))
-    phys = _field3(k)
+    fun = _field3(k) if forward else _negated(_field3(k))
     try:
         section = default_section(k)
     except ValueError:
         section = None
-    reason, stepper, _, closed = _probe(phys if forward else _negated(phys), start.coords,
-                                        section, horizon, tol_rel, tol_abs, CLOSURE_TOL, False)
+    reason, stepper, _, closed = _probe_or_raise(fun, start.coords, section, horizon, tol_rel,
+                                                 tol_abs, CLOSURE_TOL, False)
     if reason == "speed-collapse":
         return _classify_point(k, stepper.y, stepper.speed, label, stepper.t, seg_tol)
     if reason == "periodic":
@@ -249,7 +253,7 @@ def omega_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
     Integrates until the flow speed drops to SPEED_TOL (then classifies the
     terminal state against s_py, s_xz and the singular edges), or until a
     return map certifies a periodic orbit, or until the horizon runs out
-    (inconclusive).  Never raises for dynamical reasons.
+    (inconclusive).  Raises SimplexViolation if the orbit leaves the simplex.
     """
     return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs, seg_tol)
 
@@ -281,7 +285,7 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
     each other and of their predecessor.
     Returns None when the flow speed collapses (orbit heads to an
     equilibrium), or when ten first-return estimates or the absolute horizon
-    pass without confirmation.
+    pass without confirmation.  Raises SimplexViolation like omega_limit.
     """
     start = SimplexPoint(*_coords(p0))
     if start.interior_margin <= 0.0:
@@ -294,8 +298,8 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
             section = default_section(k)
         except ValueError:
             return None
-    reason, _, returns, closed = _probe(_field3(k), start.coords, section, horizon,
-                                        tol_rel, tol_abs, closure_tol, True)
+    reason, _, returns, closed = _probe_or_raise(_field3(k), start.coords, section, horizon,
+                                                 tol_rel, tol_abs, closure_tol, True)
     if reason != "periodic":
         return None
     period, closure_error, _ = closed

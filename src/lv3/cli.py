@@ -26,21 +26,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-SUBCOMMANDS = (
-    "classify",
-    "equilibria",
-    "darboux",
-    "integrate",
-    "limit-set",
-    "verify-a",
-    "verify-b",
-    "match",
-    "period-profile",
-    "scan",
-    "portrait",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -77,7 +62,7 @@ def _positive(text: str) -> float:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lv3", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(SUBCOMMANDS))
+    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_HANDLERS))
 
     def add(name, needs_k=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -162,8 +147,6 @@ def _fmt(value) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -360,9 +343,7 @@ def _cmd_match(cfg, stream):
 
 
 def _cmd_period_profile(cfg, stream):
-    offsets = [cfg.inner + (cfg.outer - cfg.inner) * i / (cfg.n - 1) for i in range(cfg.n)] \
-        if cfg.n > 1 else [cfg.inner]
-    points = analysis.make_ray(cfg.base, cfg.direction, offsets)
+    points = analysis.make_ray(cfg.base, cfg.direction, _linspace(cfg.inner, cfg.outer, cfg.n))
     report = analysis.period_profile(cfg.k, points, cfg.tol_rel, cfg.tol_abs)
     emit_jsonl(report["rows"] + [{
         "summary": True,

@@ -6,7 +6,7 @@ and the y-axis edge {(0, y, 0)}.  Same-sign parameter vectors single out
 the sub-segments s_py and s_xz of those edges, and on the zero-discriminant
 manifold an open interior segment of equilibria appears whose transverse
 spectrum is purely imaginary.  Everything here evaluates closed forms; the
-only numerics is a cross-checking dense eigensolve.
+only numerics is a root-finding cross-check on the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import ParamVector, ZeroParameter, classify
 
 __all__ = [
     "SimplexPoint",
+    "boundary_margin",
     "Segment",
     "SpectrumReport",
     "SimplexViolation",
@@ -41,11 +40,18 @@ __all__ = [
 
 TOL_GEOM = 1e-12
 OPEN_SAMPLING_MARGIN = 1e-9
+DK_SWEEPS = 64  # seeded generic Jacobians settle to rounding level within 36
 _SQRT3 = math.sqrt(3.0)
 
 CENTER_TYPE = "center-type"
 SADDLE_TYPE = "saddle-type-on-edge"
 OTHER_TYPE = "other"
+
+
+def boundary_margin(y) -> float:
+    """Euclidean distance from y to the boundary of the simplex (interior > 0)."""
+    x, yy, z = y
+    return min(x, yy, z, (1.0 - x - yy - z) / _SQRT3)
 
 
 class SimplexViolation(ValueError):
@@ -97,7 +103,7 @@ class SimplexPoint:
     @property
     def interior_margin(self) -> float:
         """Euclidean distance to the nearest face of T (zero on the boundary)."""
-        return min(self.x, self.y, self.z, (1.0 - self.x - self.y - self.z) / _SQRT3)
+        return boundary_margin(self.coords)
 
 
 def _coords(p) -> tuple:
@@ -123,34 +129,43 @@ def vector_field(k: ParamVector, p) -> tuple:
     )
 
 
-def jacobian(k: ParamVector, p) -> np.ndarray:
-    """Analytic Jacobian of the vector field at p."""
+def jacobian(k: ParamVector, p) -> tuple:
+    """Analytic Jacobian of the vector field at p, as three row tuples."""
     x, y, z = _coords(p)
     v = ((1.0 - x) - y) - z
-    return np.array(
-        [
-            [k.k1 * y - k.k4 * v + k.k4 * x, x * (k.k1 + k.k4), k.k4 * x],
-            [-k.k1 * y, k.k2 * z - k.k1 * x, k.k2 * y],
-            [-k.k3 * z, -z * (k.k2 + k.k3), k.k3 * v - k.k2 * y - k.k3 * z],
-        ]
+    return (
+        (k.k1 * y - k.k4 * v + k.k4 * x, x * (k.k1 + k.k4), k.k4 * x),
+        (-k.k1 * y, k.k2 * z - k.k1 * x, k.k2 * y),
+        (-k.k3 * z, -z * (k.k2 + k.k3), k.k3 * v - k.k2 * y - k.k3 * z),
     )
 
 
 def jacobian_spectrum(k: ParamVector, p, residual_tol: float = 1e-10) -> tuple:
-    """Eigenvalues of the Jacobian at p via a dense solve, residual-checked.
+    """Eigenvalues of the Jacobian at p, ordered by imaginary part.
 
-    Raises ArithmeticError if any eigenpair leaves ||A v - lam v|| above
-    residual_tol relative to the matrix scale.
+    They are the roots of lam^3 - trace*lam^2 + minors*lam - det (minors: the
+    sum of the principal 2x2 minors), found by DK_SWEEPS Durand-Kerner sweeps
+    started off-symmetry inside the Cauchy root bound.  Raises ArithmeticError
+    if |p(lam)| > residual_tol * scale**3 at a root, scale = max(1, max |J_ij|).
     """
-    a = jacobian(k, p)
-    w, vecs = np.linalg.eig(a)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for i in range(3):
-        res = float(np.linalg.norm(a @ vecs[:, i] - w[i] * vecs[:, i]))
-        if res > residual_tol * scale:
-            raise ArithmeticError(f"eigenpair residual {res:.3e} exceeds tolerance")
-    order = np.argsort(w.imag, kind="stable")
-    return tuple(complex(w[i]) for i in order)
+    (a, b, c), (d, e, f), (g, h, i) = rows = jacobian(k, p)
+    trace = a + e + i
+    minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+    def poly(lam):
+        return ((lam - trace) * lam + minors) * lam - det
+
+    radius = 1.0 + max(abs(trace), abs(minors), abs(det))
+    roots = [radius * (0.4 + 0.9j) ** n for n in range(3)]
+    for _ in range(DK_SWEEPS):
+        for n, lam in enumerate(roots):
+            roots[n] = lam - poly(lam) / ((lam - roots[n - 1]) * (lam - roots[n - 2]))
+    scale = max(1.0, max(abs(entry) for row in rows for entry in row))
+    worst = max(abs(poly(lam)) for lam in roots)
+    if worst > residual_tol * scale**3:
+        raise ArithmeticError(f"characteristic residual {worst:.3e} exceeds tolerance")
+    return tuple(sorted(roots, key=lambda lam: lam.imag))
 
 
 @dataclass(frozen=True)
@@ -276,8 +291,8 @@ def interior_spectrum(k: ParamVector, z: float, agree_tol: float = 1e-8) -> Spec
 
     The characteristic polynomial there factors as lam*(lam^2 + b) with
     b = z*y*(k1+k2)*(k2+k3) and y = (k4-(k3+k4)*z)/(k1+k4), so the analytic
-    eigenvalues are {0, +i sqrt(b), -i sqrt(b)}.  A dense eigensolve of the
-    Jacobian is run alongside and must agree within agree_tol.
+    eigenvalues are {0, +i sqrt(b), -i sqrt(b)}.  jacobian_spectrum, the roots
+    of the Jacobian's characteristic polynomial, must agree within agree_tol.
     """
     regime = classify(k)
     if not regime.oscillatory:

@@ -46,7 +46,6 @@ __all__ = [
     "DormandPrince45",
     "DenseSegment",
     "Trajectory",
-    "StepStats",
     "SectionSpec",
     "Crossing",
     "StepSizeUnderflow",
@@ -349,12 +348,6 @@ class DormandPrince45:
         return segment
 
 
-@dataclass(frozen=True)
-class StepStats:
-    accepted: int
-    rejected: int
-
-
 @dataclass
 class Trajectory:
     """Time-stamped state samples of one run; treat as immutable.
@@ -368,7 +361,6 @@ class Trajectory:
     t: tuple
     states: tuple
     sign: int
-    step_stats: StepStats
     max_violation: float
     dense: tuple | None = None
     drift: dict | None = None
@@ -500,7 +492,6 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
         t=tuple(times),
         states=tuple(states),
         sign=sign,
-        step_stats=StepStats(stepper.n_accepted, stepper.n_rejected),
         max_violation=max_violation,
         dense=tuple(dense) if keep_dense else None,
         drift=drift,

@@ -28,7 +28,7 @@ from lv3.analysis import (
     _probe,
 )
 from lv3.darboux import SignError
-from lv3.equilibria import interior_segment_R, limit_segments
+from lv3.equilibria import SimplexViolation, interior_segment_R, limit_segments
 from lv3.flow import DormandPrince45, SectionSpec, _field3, find_crossings, integrate
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
@@ -183,12 +183,11 @@ def test_probe_stop_reasons(case, expected):
     assert (closed is not None) == (reason == "periodic")
 
 
-def test_omega_limit_reports_a_simplex_violation_as_inconclusive():
-    # the probe stops on the violation; the report does not yet say why
-    rep = omega_limit(ParamVector(2, 1, 2, 1), (0.001, 0.5, 0.3), tol_rel=1e-3, tol_abs=1e-3)
-    assert rep.kind == "inconclusive"
-    assert rep.horizon_used == 20.815254030551124
-    assert max(-min(rep.witness), sum(rep.witness) - 1.0) > 1e-9
+@pytest.mark.parametrize("probe", [omega_limit, detect_periodic], ids=lambda f: f.__name__)
+def test_probe_raises_on_a_simplex_violation(probe):
+    # an orbit carried off the simplex is a defect, as in integrate, not a timeout
+    with pytest.raises(SimplexViolation, match=r"simplex violation .* beyond 1e-09 at t=20\.8153"):
+        probe(ParamVector(2, 1, 2, 1), (0.001, 0.5, 0.3), tol_rel=1e-3, tol_abs=1e-3)
 
 
 # --- boundary faces -----------------------------------------------------------

@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,6 +117,14 @@ def test_limit_set_exit_codes(capsys):
     code, _ = run_cli(capsys, "limit-set", "--k", "2,1,2,1", "--p0", "0.2,0.2,0.2",
                       "--horizon", "1")
     assert code == EXIT_INCONCLUSIVE
+
+
+def test_limit_set_leaving_the_simplex_is_a_failure(capsys):
+    # loose tolerances carry this orbit off the simplex at t=20.815
+    code, out = run_cli(capsys, "limit-set", "--k", "2,1,2,1", "--p0", "0.001,0.5,0.3",
+                        "--tol-rel", "1e-3", "--tol-abs", "1e-3")
+    assert code == EXIT_FAIL
+    assert out == ""
 
 
 def test_verify_a_cli(capsys):
@@ -267,9 +278,9 @@ def test_csv_cells_read_as_fmt_gives_them():
 # sha256 of stdout and the exit code, pinned for fast invocations.  No float
 # sum() sets an output bit any more: lv3.flow adds left to right from the int
 # 0, which is how sum() rounds on CPython 3.11 but not from 3.12 on.  The
-# digests hold on CPython 3.11.7, 3.12.1 and 3.13.0 (checked with a numpy
-# stand-in, since none of these invocations calls numpy), so the test runs on
-# every CPython.  integrate-long has the shape of the benchmark's integrate
+# digests hold on CPython 3.11.7, 3.12.1 and 3.13.0 (checked there with no
+# numpy installed, since lv3 does not import it), so the test runs on every
+# CPython.  integrate-long has the shape of the benchmark's integrate
 # invocations.
 GOLDEN_STDOUT = {
     "integrate-forward": (
@@ -305,6 +316,9 @@ GOLDEN_STDOUT = {
     "verify-b": (
         "verify-b --k 2,1,2,1 --samples 4 --seed 9", EXIT_OK,
         "f4869f94d9e171caad8377b10660a8ac4454d7b6de48ec9e413e4d2166d3acc2"),
+    "equilibria-spectrum": (
+        "equilibria --k 2,3,3,2 --spectrum", EXIT_OK,
+        "ca31b137073fb700c690c30754b96073dc53162ed935e5d21aedb97855818338"),
 }
 
 
@@ -315,3 +329,13 @@ def test_cli_stdout_is_byte_identical_to_golden(capsys, name):
     code, out = run_cli(capsys, *argv.split())
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_import_does_not_load_numpy():
+    # lv3 has no runtime dependency: numpy is only the tests' oracle
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, lv3.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

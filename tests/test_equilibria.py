@@ -15,6 +15,7 @@ from lv3.equilibria import (
     interior_segment_R,
     interior_spectrum,
     jacobian,
+    jacobian_spectrum,
     limit_endpoints,
     limit_segments,
     singular_boundary_sets,
@@ -174,6 +175,26 @@ def test_jacobian_trace_vanishes_on_interior_segment(rng):
         seg = interior_segment_R(k)
         for p in seg.sample(10):
             assert abs(float(np.trace(jacobian(k, p)))) <= 1e-12
+
+
+def test_jacobian_spectrum_matches_numpy_eigvals(rng):
+    # numpy's dense eigensolve is the oracle for the characteristic-polynomial
+    # roots: segment samples (roots cluster 1e-9 from the ends) and generic points
+    cases = []
+    for _ in range(20):
+        k = rand_params_on_S_exact(rng, positive=bool(rng.next_u64() % 2))
+        cases.extend((k, p) for p in interior_segment_R(k).sample(12))
+    cases.extend((rand_params(rng), rand_interior_point(rng)) for _ in range(200))
+    worst = 0.0
+    for k, p in cases:
+        ours = jacobian_spectrum(k, p)
+        ref = [complex(w) for w in np.linalg.eigvals(np.array(jacobian(k, p)))]
+        assert [w.imag for w in ours] == sorted(w.imag for w in ours)
+        scale = max(1.0, max(abs(w) for w in ref))
+        for these, those in ((ours, ref), (ref, ours)):
+            gap = max(min(abs(u - w) for w in those) for u in these)
+            worst = max(worst, gap / scale)
+    assert worst <= 1e-9
 
 
 def test_interior_spectrum_unit_example():

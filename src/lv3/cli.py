@@ -118,10 +118,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Options whose value is a comma list.  argparse reads a value such as
+# -2,-3,-3,-2 as an option string (only a plain negative number passes as a
+# value), so parse_args first attaches such a value with '='.  No option
+# string contains a comma.
+_LIST_OPTIONS = frozenset(("--k", "--p0", "--base", "--dir", "--range", "--range2", "--slice"))
+
+
+def _attach_list_values(argv) -> list:
+    """argv with each '--opt -a,b' of a list option joined to '--opt=-a,b'."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _LIST_OPTIONS and token.startswith("-") and "," in token:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def parse_args(argv) -> argparse.Namespace:
-    """Parse argv into the run configuration; usage problems exit with code 64."""
+    """Parse argv into the run configuration; usage problems exit with code 64.
+
+    A comma list that starts with a minus sign is the value of the list
+    option before it: --k -2,-3,-3,-2 means --k=-2,-3,-3,-2.
+    """
     parser = _build_parser()
-    cfg = parser.parse_args(argv)
+    cfg = parser.parse_args(_attach_list_values(argv))
     if cfg.fmt is None:
         cfg.fmt = "csv" if cfg.command in ("integrate", "portrait") else "json"
     if cfg.command == "integrate":

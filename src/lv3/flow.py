@@ -14,11 +14,14 @@ give the same bits.
 Backward time is realised by negating the field, never by negative steps,
 so there is a single stepping code path.
 
-Float sums that set output bits are added left to right from the int 0,
-through _plain_sum or, in code that runs on every step, as explicit loops;
-never with sum(), which from CPython 3.12 on compensates float sums and
-rounds differently.  So the output bits are those of 3.11's sum() on every
-interpreter.
+Float sums that set output bits are added left to right from 0.0, through
+_plain_sum or, in code that runs on every step, as explicit loops; never
+with sum(), which from CPython 3.12 on compensates float sums and rounds
+differently.  These are the float operations of 3.11's sum(), which adds its
+int start 0 to the first term as 0.0, so the output bits are 3.11's on every
+interpreter.  The three-component per-step path (kernel, error norm,
+controller, simplex check) calls no min() or max() either: each is spelled
+as a compare that returns the operand the builtin returns.
 
 States are never projected back onto the simplex.  Violations are watched
 and bounded instead, because projection would mask integrator defects and
@@ -144,29 +147,29 @@ def _rk_step(fun, y, f0, h):
 
     The stages are unrolled over the tableau, in any dimension; the stepper
     uses this for states that are not three-component (see _rk_step3).
-    Each stage sum starts from the int 0, keeps the zero tableau entries and
+    Each stage sum starts from 0.0, keeps the zero tableau entries and
     scales by h last (h * (a * k), never (h * a) * k), so the float
     operations are exactly those of the plain loop over stages adding
-    a[j] * K[j][i] left to right from the int 0: results are bit-identical
-    to it.
+    a[j] * K[j][i] left to right from 0.0 (or, the same, 3.11's sum()):
+    results are bit-identical to it.
     """
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
     e0, e1, e2, e3, e4, e5, e6 = _E
     k0 = f0
-    k1 = fun(tuple(yi + h * (0 + a10 * c0) for yi, c0 in zip(y, k0)))
-    k2 = fun(tuple(yi + h * (0 + a20 * c0 + a21 * c1) for yi, c0, c1 in zip(y, k0, k1)))
-    k3 = fun(tuple(yi + h * (0 + a30 * c0 + a31 * c1 + a32 * c2)
+    k1 = fun(tuple(yi + h * (0.0 + a10 * c0) for yi, c0 in zip(y, k0)))
+    k2 = fun(tuple(yi + h * (0.0 + a20 * c0 + a21 * c1) for yi, c0, c1 in zip(y, k0, k1)))
+    k3 = fun(tuple(yi + h * (0.0 + a30 * c0 + a31 * c1 + a32 * c2)
                    for yi, c0, c1, c2 in zip(y, k0, k1, k2)))
-    k4 = fun(tuple(yi + h * (0 + a40 * c0 + a41 * c1 + a42 * c2 + a43 * c3)
+    k4 = fun(tuple(yi + h * (0.0 + a40 * c0 + a41 * c1 + a42 * c2 + a43 * c3)
                    for yi, c0, c1, c2, c3 in zip(y, k0, k1, k2, k3)))
-    k5 = fun(tuple(yi + h * (0 + a50 * c0 + a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
+    k5 = fun(tuple(yi + h * (0.0 + a50 * c0 + a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
                    for yi, c0, c1, c2, c3, c4 in zip(y, k0, k1, k2, k3, k4)))
     # stage 7 state is the 5th-order solution, its derivative seeds the next step
-    y1 = tuple(yi + h * (0 + a60 * c0 + a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
+    y1 = tuple(yi + h * (0.0 + a60 * c0 + a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
                for yi, c0, c1, c2, c3, c4, c5 in zip(y, k0, k1, k2, k3, k4, k5))
     k6 = fun(y1)
-    err = tuple(h * (0 + e0 * c0 + e1 * c1 + e2 * c2 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6)
+    err = tuple(h * (0.0 + e0 * c0 + e1 * c1 + e2 * c2 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6)
                 for c0, c1, c2, c3, c4, c5, c6 in zip(k0, k1, k2, k3, k4, k5, k6))
     return y1, k6, err, (k0, k1, k2, k3, k4, k5, k6)
 
@@ -175,7 +178,7 @@ def _rk_step3(fun, y, f0, h):
     """_rk_step for a three-component state, over named scalars.
 
     Same stages and, component by component, the same float operations as
-    _rk_step (int 0 start, zero tableau entries kept, h scaling last), so
+    _rk_step (0.0 start, zero tableau entries kept, h scaling last), so
     every output bit agrees; only the generators and zips are gone.
     """
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
@@ -183,37 +186,38 @@ def _rk_step3(fun, y, f0, h):
     e0, e1, e2, e3, e4, e5, e6 = _E
     y0, y1, y2 = y
     c00, c01, c02 = k0 = f0
-    c10, c11, c12 = k1 = fun((y0 + h * (0 + a10 * c00),
-                              y1 + h * (0 + a10 * c01),
-                              y2 + h * (0 + a10 * c02)))
-    c20, c21, c22 = k2 = fun((y0 + h * (0 + a20 * c00 + a21 * c10),
-                              y1 + h * (0 + a20 * c01 + a21 * c11),
-                              y2 + h * (0 + a20 * c02 + a21 * c12)))
-    c30, c31, c32 = k3 = fun((y0 + h * (0 + a30 * c00 + a31 * c10 + a32 * c20),
-                              y1 + h * (0 + a30 * c01 + a31 * c11 + a32 * c21),
-                              y2 + h * (0 + a30 * c02 + a31 * c12 + a32 * c22)))
-    c40, c41, c42 = k4 = fun((y0 + h * (0 + a40 * c00 + a41 * c10 + a42 * c20 + a43 * c30),
-                              y1 + h * (0 + a40 * c01 + a41 * c11 + a42 * c21 + a43 * c31),
-                              y2 + h * (0 + a40 * c02 + a41 * c12 + a42 * c22 + a43 * c32)))
+    c10, c11, c12 = k1 = fun((y0 + h * (0.0 + a10 * c00),
+                              y1 + h * (0.0 + a10 * c01),
+                              y2 + h * (0.0 + a10 * c02)))
+    c20, c21, c22 = k2 = fun((y0 + h * (0.0 + a20 * c00 + a21 * c10),
+                              y1 + h * (0.0 + a20 * c01 + a21 * c11),
+                              y2 + h * (0.0 + a20 * c02 + a21 * c12)))
+    c30, c31, c32 = k3 = fun((y0 + h * (0.0 + a30 * c00 + a31 * c10 + a32 * c20),
+                              y1 + h * (0.0 + a30 * c01 + a31 * c11 + a32 * c21),
+                              y2 + h * (0.0 + a30 * c02 + a31 * c12 + a32 * c22)))
+    c40, c41, c42 = k4 = fun((y0 + h * (0.0 + a40 * c00 + a41 * c10 + a42 * c20 + a43 * c30),
+                              y1 + h * (0.0 + a40 * c01 + a41 * c11 + a42 * c21 + a43 * c31),
+                              y2 + h * (0.0 + a40 * c02 + a41 * c12 + a42 * c22 + a43 * c32)))
     c50, c51, c52 = k5 = fun((
-        y0 + h * (0 + a50 * c00 + a51 * c10 + a52 * c20 + a53 * c30 + a54 * c40),
-        y1 + h * (0 + a50 * c01 + a51 * c11 + a52 * c21 + a53 * c31 + a54 * c41),
-        y2 + h * (0 + a50 * c02 + a51 * c12 + a52 * c22 + a53 * c32 + a54 * c42)))
+        y0 + h * (0.0 + a50 * c00 + a51 * c10 + a52 * c20 + a53 * c30 + a54 * c40),
+        y1 + h * (0.0 + a50 * c01 + a51 * c11 + a52 * c21 + a53 * c31 + a54 * c41),
+        y2 + h * (0.0 + a50 * c02 + a51 * c12 + a52 * c22 + a53 * c32 + a54 * c42)))
     y_new = (
-        y0 + h * (0 + a60 * c00 + a61 * c10 + a62 * c20 + a63 * c30 + a64 * c40 + a65 * c50),
-        y1 + h * (0 + a60 * c01 + a61 * c11 + a62 * c21 + a63 * c31 + a64 * c41 + a65 * c51),
-        y2 + h * (0 + a60 * c02 + a61 * c12 + a62 * c22 + a63 * c32 + a64 * c42 + a65 * c52))
+        y0 + h * (0.0 + a60 * c00 + a61 * c10 + a62 * c20 + a63 * c30 + a64 * c40 + a65 * c50),
+        y1 + h * (0.0 + a60 * c01 + a61 * c11 + a62 * c21 + a63 * c31 + a64 * c41 + a65 * c51),
+        y2 + h * (0.0 + a60 * c02 + a61 * c12 + a62 * c22 + a63 * c32 + a64 * c42 + a65 * c52))
     c60, c61, c62 = k6 = fun(y_new)
     err = (
-        h * (0 + e0 * c00 + e1 * c10 + e2 * c20 + e3 * c30 + e4 * c40 + e5 * c50 + e6 * c60),
-        h * (0 + e0 * c01 + e1 * c11 + e2 * c21 + e3 * c31 + e4 * c41 + e5 * c51 + e6 * c61),
-        h * (0 + e0 * c02 + e1 * c12 + e2 * c22 + e3 * c32 + e4 * c42 + e5 * c52 + e6 * c62))
+        h * (0.0 + e0 * c00 + e1 * c10 + e2 * c20 + e3 * c30 + e4 * c40 + e5 * c50 + e6 * c60),
+        h * (0.0 + e0 * c01 + e1 * c11 + e2 * c21 + e3 * c31 + e4 * c41 + e5 * c51 + e6 * c61),
+        h * (0.0 + e0 * c02 + e1 * c12 + e2 * c22 + e3 * c32 + e4 * c42 + e5 * c52 + e6 * c62))
     return y_new, k6, err, (k0, k1, k2, k3, k4, k5, k6)
 
 
 def _plain_sum(values):
-    """sum(values) as CPython 3.11 adds floats: left to right from the int 0."""
-    total = 0
+    """sum(values) as CPython 3.11 adds floats: left to right from 0.0 (its
+    int start 0 meets the first term as 0.0)."""
+    total = 0.0
     for v in values:
         total += v
     return total
@@ -236,12 +240,28 @@ def _error_norm(err, y, y1, rtol, atol):
 
 
 def _error_norm3(err, y, y1, rtol, atol):
-    """_error_norm for a three-component state, unrolled; bit-identical."""
+    """_error_norm for a three-component state, unrolled; bit-identical.
+
+    max(a, b) is spelled b if b > a else a: the operand max() returns, nan
+    and ties included.
+    """
     e0, e1, e2 = err
-    r0 = e0 / (atol + rtol * max(abs(y[0]), abs(y1[0])))
-    r1 = e1 / (atol + rtol * max(abs(y[1]), abs(y1[1])))
-    r2 = e2 / (atol + rtol * max(abs(y[2]), abs(y1[2])))
+    a0, a1, a2 = y
+    b0, b1, b2 = y1
+    a0, b0 = abs(a0), abs(b0)
+    a1, b1 = abs(a1), abs(b1)
+    a2, b2 = abs(a2), abs(b2)
+    r0 = e0 / (atol + rtol * (b0 if b0 > a0 else a0))
+    r1 = e1 / (atol + rtol * (b1 if b1 > a1 else a1))
+    r2 = e2 / (atol + rtol * (b2 if b2 > a2 else a2))
     return math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
+
+
+def _clamp(v, lo, hi):
+    """min(hi, max(lo, v)) as compares, returning the same operand in every
+    case (nan gives lo, as max(lo, nan) does)."""
+    v = v if v > lo else lo
+    return v if v < hi else hi
 
 
 def _initial_step(fun, y0, f0, rtol, atol, t_span):
@@ -303,7 +323,7 @@ class DormandPrince45:
     @property
     def speed(self) -> float:
         """Euclidean norm of the current derivative (free: FSAL)."""
-        total = 0
+        total = 0.0
         for v in self.f:
             total += v * v
         return math.sqrt(total)
@@ -324,22 +344,18 @@ class DormandPrince45:
             if err_norm <= 1.0:
                 break
             self.n_rejected += 1
-            h *= max(self.MIN_FACTOR, self.SAFETY * err_norm**-0.2)
+            shrink = self.SAFETY * err_norm**-0.2
+            h *= shrink if shrink > self.MIN_FACTOR else self.MIN_FACTOR  # max(MIN, shrink)
         if err_norm == 0.0:
             factor = self.MAX_FACTOR
         else:
-            factor = min(
-                self.MAX_FACTOR,
-                max(
-                    self.MIN_FACTOR,
-                    self.SAFETY * err_norm**-self.ALPHA * self._err_prev**self.BETA,
-                ),
-            )
+            factor = _clamp(self.SAFETY * err_norm**-self.ALPHA * self._err_prev**self.BETA,
+                            self.MIN_FACTOR, self.MAX_FACTOR)
         next_h = h * factor
-        if clipped:
-            next_h = max(next_h, self.h)
+        if clipped and self.h > next_h:  # max(next_h, self.h)
+            next_h = self.h
         self.h = next_h
-        self._err_prev = max(err_norm, 1e-4)
+        self._err_prev = 1e-4 if 1e-4 > err_norm else err_norm  # max(err_norm, 1e-4)
         segment = DenseSegment(t, h, y, K)
         self.t = self.t_span if clipped else t + h
         self.y = y1
@@ -418,8 +434,23 @@ def _negated(fun):
 
 
 def _violation3(y) -> float:
+    """max(0.0, -x, -y, -z, ((x + y) + z) - 1.0), folded left to right with
+    the compare max() makes, so the same operand wins (nan and ties too)."""
     x, yy, z = y
-    return max(0.0, -x, -yy, -z, ((x + yy) + z) - 1.0)
+    worst = 0.0
+    v = -x
+    if v > worst:
+        worst = v
+    v = -yy
+    if v > worst:
+        worst = v
+    v = -z
+    if v > worst:
+        worst = v
+    v = ((x + yy) + z) - 1.0
+    if v > worst:
+        worst = v
+    return worst
 
 
 def _resolve_monitor(k, monitor):
@@ -598,7 +629,7 @@ class SectionSpec:
         object.__setattr__(self, "offset", float(self.offset) / norm)
 
     def value(self, y) -> float:
-        total = 0
+        total = 0.0
         for n, c in zip(self.normal, y):
             total += n * c
         return total - self.offset
@@ -638,7 +669,7 @@ def _refine_crossing(segment, gfun, theta_lo, theta_hi):
 
 
 def _normal_component(section, v) -> float:
-    total = 0
+    total = 0.0
     for n, c in zip(section.normal, v):
         total += n * c
     return total

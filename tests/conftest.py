@@ -9,8 +9,8 @@ from lv3.rng import SplitMix64
 
 
 # The pinned output digests hold on every CPython: no float sum() sets an
-# output bit (lv3.flow adds left to right from the int 0).  Other
-# implementations may format or round differently, so they skip them.
+# output bit (lv3.flow adds left to right from 0.0).  Other implementations
+# may format or round differently, so they skip them.
 cpython_only = pytest.mark.skipif(
     platform.python_implementation() != "CPython",
     reason="output digests are pinned on CPython",

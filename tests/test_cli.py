@@ -66,6 +66,35 @@ def test_parse_args_defaults_and_backward():
     assert cfg.seed == 42
 
 
+# a negative value of each comma-list option, as two tokens and attached
+NEGATIVE_LISTS = [
+    ("equilibria --k -2,-3,-3,-2 --spectrum", "equilibria --k=-2,-3,-3,-2 --spectrum"),
+    ("integrate --k -2,-3,-3,-2 --p0 -0.0,0.3,0.3 --t 2",
+     "integrate --k=-2,-3,-3,-2 --p0=-0.0,0.3,0.3 --t 2"),
+    ("period-profile --k -2,-3,-3,-2 --dir -0.1,0.05,0.05 --n 2",
+     "period-profile --k=-2,-3,-3,-2 --dir=-0.1,0.05,0.05 --n 2"),
+    ("scan --slice -2,t,-2,s --range -3,-1 --steps 2 --range2 -3,-1 --steps2 2",
+     "scan --slice=-2,t,-2,s --range=-3,-1 --steps 2 --range2=-3,-1 --steps2 2"),
+]
+
+
+@pytest.mark.parametrize("spaced, attached", NEGATIVE_LISTS)
+def test_negative_list_value_reads_like_the_attached_spelling(capsys, spaced, attached):
+    code, out = run_cli(capsys, *spaced.split())
+    code_attached, out_attached = run_cli(capsys, *attached.split())
+    assert code == code_attached == EXIT_OK
+    assert out == out_attached
+
+
+def test_negative_base_parses_like_the_attached_spelling():
+    cfg = parse_args(["period-profile", "--k", "2,3,3,2", "--base", "-0.0,0.5,0.5"])
+    assert vars(cfg) == vars(parse_args(["period-profile", "--k", "2,3,3,2",
+                                         "--base=-0.0,0.5,0.5"]))
+    # a comma list never passes for an option string, not even after a flag
+    cfg = parse_args(["equilibria", "--spectrum", "--k", "-2,-3,-3,-2"])
+    assert cfg.spectrum and tuple(cfg.k) == (-2.0, -3.0, -3.0, -2.0)
+
+
 def test_repeated_monitor_name_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["integrate", "--k", "2,1,2,1", "--p0", "0.2,0.2,0.2", "--t", "1",
@@ -276,8 +305,8 @@ def test_csv_cells_read_as_fmt_gives_them():
 
 
 # sha256 of stdout and the exit code, pinned for fast invocations.  No float
-# sum() sets an output bit any more: lv3.flow adds left to right from the int
-# 0, which is how sum() rounds on CPython 3.11 but not from 3.12 on.  The
+# sum() sets an output bit any more: lv3.flow adds left to right from 0.0,
+# which is how sum() rounds on CPython 3.11 but not from 3.12 on.  The
 # digests hold on CPython 3.11.7, 3.12.1 and 3.13.0 (checked there with no
 # numpy installed, since lv3 does not import it), so the test runs on every
 # CPython.  integrate-long has the shape of the benchmark's integrate

@@ -50,7 +50,9 @@ def test_tableau_consistency():
 
 def _left_sum(values):
     """Left to right from the int 0: sum() of floats on CPython 3.11 (from
-    3.12 on sum() is compensated, so the reference spells the loop out)."""
+    3.12 on sum() is compensated, so the reference spells the loop out).
+    lv3.flow starts its sums from 0.0 instead, the same float operations,
+    since the int meets the first term as 0.0."""
     total = 0
     for v in values:
         total += v
@@ -125,8 +127,8 @@ def test_stepper_takes_the_three_component_kernel_for_3d_states():
 @cpython311_only
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_plain_sums_are_bitwise_the_sum_forms(n):
-    # the sums in lv3.flow must give the bits of CPython 3.11's sum(), which
-    # adds floats left to right from the int 0
+    # the sums in lv3.flow, left to right from 0.0, must give the bits of
+    # CPython 3.11's sum(), which adds its int start 0 to the first term as 0.0
     rng = SplitMix64(3000 + n)
     for fun, y, h in _kernel_cases(n):
         y1, _, _, K = _rk_step(fun, y, fun(y), h)
@@ -253,7 +255,48 @@ def test_adaptive_controller_attains_tolerance():
     assert stepper.n_accepted < 400
 
 
+# sha256 of the hex of (t, h, n_rejected) after every step of one seeded 3-D
+# orbit at two tolerances, measured before the controller's min/max calls
+# became compares; the loose run rejects steps, so the reject loop, the
+# accept clamp and the clipped last step are all pinned.
+GOLDEN_STEP_SEQUENCE = {
+    (1e-10, 1e-12): (975, 0, "1e8959fce1e167192426bd0ba633cdaa3c6dcc61259dd4a97061e68c29f45a45"),
+    (1e-3, 1e-3): (32, 3, "5c60b9f62479db90cbf440d4dbd7300a1b69725f7f03e90d0a1ff76ae82ac921"),
+}
+
+
+@cpython_only
+@pytest.mark.parametrize("tols", list(GOLDEN_STEP_SEQUENCE))
+def test_step_size_sequence_is_pinned(tols):
+    rng = SplitMix64(5)
+    k = rand_params(rng, signs="positive")
+    stepper = DormandPrince45(_field3(k), rand_interior_point(rng), 50.0, *tols)
+    rows = []
+    while not stepper.finished:
+        stepper.step()
+        rows.append(f"{stepper.t.hex()} {stepper.h.hex()} {stepper.n_rejected}")
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert (stepper.n_accepted, stepper.n_rejected, digest) == GOLDEN_STEP_SEQUENCE[tols]
+
+
 # --- simplex flow contracts ---------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [(1, 1, 1, 1), (2, 3, 3, 2)])
+def test_endpoints_agree_with_scipy_dop853(k):
+    # an independent integrator at much tighter tolerances; the bound is the
+    # benchmark's reference tolerance
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    k = ParamVector(*k)
+    fun = _field3(k)
+    rng = SplitMix64(4100)
+    for _ in range(3):
+        p0 = rand_interior_point(rng, margin=0.05)
+        end = integrate(k, p0, 50.0, keep_dense=False).terminal_state
+        ref = solve_ivp(lambda t, y: fun(tuple(y)), (0.0, 50.0), p0, method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+        assert ref.status == 0
+        assert max(abs(a - b) for a, b in zip(end, ref.y[:, -1])) <= 1e-6
 
 
 def test_equilibrium_stays_fixed():

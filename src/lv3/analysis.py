@@ -197,7 +197,7 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, closure_tol, return_budg
         if stepper.n_accepted >= MAX_ACCEPTED_STEPS:
             return "step-budget", stepper, returns, None
         try:
-            segment = stepper.step()
+            stepper.step()
         except StepSizeUnderflow:
             return "step-underflow", stepper, returns, None
         y = stepper.y
@@ -205,7 +205,7 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, closure_tol, return_budg
             return "simplex-violation", stepper, returns, None
         if stepper.speed <= SPEED_TOL:
             return "speed-collapse", stepper, returns, None
-        if returns is not None and returns.advance(segment, y):
+        if returns is not None and returns.advance(stepper, y):
             hits = returns.hits
             if return_budget and len(hits) == 2:
                 budget = min(budget, hits[0][0] + 10.0 * (hits[1][0] - hits[0][0]))

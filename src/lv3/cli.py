@@ -60,6 +60,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive count, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lv3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_HANDLERS))
@@ -90,10 +97,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
     p.add_argument("--alpha", action="store_true", help="also probe backward time")
     p = add("verify-a")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
     p = add("verify-b")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
     p = add("match")
     p.add_argument("--x0", type=float, required=True)
@@ -102,18 +109,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--dir", dest="direction", type=_triple, default=(0.0, -1.0, 0.0))
     p.add_argument("--inner", type=_positive, default=0.01)
     p.add_argument("--outer", type=_positive, default=0.22)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_count, default=10)
     p = add("scan", needs_k=False)
     p.add_argument("--slice", dest="slice_expr", required=True,
                    help="four expressions in t (and optionally s), e.g. '2,t,2,t'")
     p.add_argument("--range", dest="t_range", type=_pair, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--range2", dest="s_range", type=_pair, default=None)
-    p.add_argument("--steps2", dest="s_steps", type=int, default=1)
+    p.add_argument("--steps2", dest="s_steps", type=_count, default=1)
     p.add_argument("--p0", type=_triple, default=(0.2, 0.2, 0.2))
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
     p = add("portrait")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--t", dest="t_end", type=_positive, default=50.0)
     return parser
 
@@ -150,6 +157,10 @@ def parse_args(argv) -> argparse.Namespace:
         cfg.monitor = tuple(m.strip() for m in cfg.monitor.split(",") if m.strip())
         if len(set(cfg.monitor)) < len(cfg.monitor):
             parser.error(f"--monitor names an integral twice: {','.join(cfg.monitor)}")
+        named = darboux.named_integral_specs(cfg.k)
+        if not set(cfg.monitor) <= set(named):
+            parser.error(f"--monitor names an unknown integral: {','.join(cfg.monitor)} "
+                         f"(known: {','.join(named)})")
         if cfg.backward:
             cfg.t_end = -cfg.t_end
     if cfg.command == "scan":

@@ -33,6 +33,7 @@ __all__ = [
     "certify_named_integrals",
     "surface_values",
     "integral_value",
+    "log_integral_series",
     "log_integral_value",
     "lie_derivative",
     "c_star",
@@ -437,8 +438,7 @@ def log_integral_value(spec: FirstIntegralSpec, p) -> float:
     w = ((x + y) + z) - 1.0
     if x == 0.0 or y == 0.0 or z == 0.0 or w == 0.0:
         raise DomainError(f"{spec.name}: log form needs all four surface values nonzero")
-    # unrolled over the four surfaces of surface_values: this runs on every
-    # monitored step
+    # unrolled over the four surfaces of surface_values
     e1, e2, e3, e4 = spec.exponents
     log = math.log
     terms = []
@@ -451,6 +451,25 @@ def log_integral_value(spec: FirstIntegralSpec, p) -> float:
     if e4 != 0.0:
         terms.append(e4 * log(abs(w)))
     return math.fsum(terms)
+
+
+def log_integral_series(specs, points) -> list:
+    """log_integral_value of each spec at each of points (float triples),
+    bit for bit, nan where a surface value is zero: log|f_i| once per
+    surface column, then per spec fsum of its nonzero-exponent terms in
+    index order."""
+    columns = [*zip(*points)] or [(), (), ()]
+    columns.append([((x + y) + z) - 1.0 for x, y, z in points])
+    zero = {i for c in columns if 0.0 in c for i, v in enumerate(c) if v == 0.0}
+    logs = [[math.log(abs(v)) if v != 0.0 else 0.0 for v in c] if zero
+            else [*map(math.log, map(abs, c))] for c in columns]
+    out = []
+    for spec in specs:
+        terms = [[e * v for v in log] for e, log in zip(spec.exponents, logs) if e != 0.0]
+        rows = zip(*terms) if terms else [()] * len(columns[3])
+        out.append([math.nan if i in zero else math.fsum(r) for i, r in enumerate(rows)]
+                   if zero else [*map(math.fsum, rows)])
+    return out
 
 
 def _closed_form_lie(spec: FirstIntegralSpec, k: ParamVector, p) -> float:

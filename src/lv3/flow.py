@@ -2,9 +2,10 @@
 plane-crossing detection.
 
 The integrator is an explicit Dormand-Prince 5(4) embedded pair (Dormand &
-Prince 1980) with PI stepsize control.  Every accepted step keeps its stage
-derivatives; the quartic interpolant over the step is built from them on
-first use, since most steps are never interpolated.  It operates on plain
+Prince 1980) with PI stepsize control.  A step builds no dense segment:
+segment() builds the last accepted step's quartic interpolant on demand
+(for keep_dense, or a return map at a sign change), and monitored first
+integrals are evaluated in one pass after the run.  It operates on plain
 float tuples: state dimensions here are 2 to 4, where numpy array overhead
 would dominate the runtime.  The stepper picks its kernel once, from the
 state's length: three-component states (the simplex flow, so every orbit
@@ -38,12 +39,7 @@ from functools import cached_property
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords
-from .darboux import (
-    DomainError,
-    FirstIntegralSpec,
-    log_integral_value,
-    named_integral_specs,
-)
+from .darboux import FirstIntegralSpec, log_integral_series, named_integral_specs
 
 __all__ = [
     "DormandPrince45",
@@ -103,10 +99,9 @@ class DenseSegment:
     """Quartic interpolant over one accepted step (internal clock); treat as
     immutable.
 
-    K holds the step's seven stage derivatives; the interpolant's
-    coefficients q are built from them on first use.  Not frozen, because a
-    frozen __init__ costs three times as much on every accepted step;
-    segments compare and hash by identity.
+    K holds the step's seven stage derivatives; the coefficients q are
+    built from them on first use.  Not frozen (a frozen __init__ costs
+    three times as much); segments compare and hash by identity.
     """
 
     t0: float
@@ -286,7 +281,8 @@ class DormandPrince45:
 
     The local error per step is kept below atol + rtol*|state| componentwise
     (RMS-normed); acceptance feeds a PI controller.  Use step() repeatedly
-    until finished; each call returns the dense segment it produced.
+    until finished; segment() builds the dense segment of the step last
+    accepted, on demand.
     """
 
     SAFETY = 0.9
@@ -328,7 +324,7 @@ class DormandPrince45:
             total += v * v
         return math.sqrt(total)
 
-    def step(self) -> DenseSegment:
+    def step(self) -> None:
         if self.t >= self.t_span:
             raise RuntimeError("integration span already exhausted")
         t, y, f0 = self.t, self.y, self.f
@@ -356,12 +352,15 @@ class DormandPrince45:
             next_h = self.h
         self.h = next_h
         self._err_prev = 1e-4 if 1e-4 > err_norm else err_norm  # max(err_norm, 1e-4)
-        segment = DenseSegment(t, h, y, K)
+        self._last = (t, h, y, K)
         self.t = self.t_span if clipped else t + h
         self.y = y1
         self.f = f1
         self.n_accepted += 1
-        return segment
+
+    def segment(self) -> DenseSegment:
+        """Dense segment of the step last accepted (a new one on every call)."""
+        return DenseSegment(*self._last)
 
 
 @dataclass
@@ -453,10 +452,10 @@ def _violation3(y) -> float:
     return worst
 
 
-def _resolve_monitor(k, monitor):
+def _resolve_monitor(k, monitor) -> dict:
     if not monitor:
-        return []
-    specs = []
+        return {}
+    specs = {}
     named = None
     for item in monitor:
         if isinstance(item, FirstIntegralSpec):
@@ -467,18 +466,11 @@ def _resolve_monitor(k, monitor):
             if item not in named:
                 raise ValueError(f"unknown integral name {item!r}")
             name, spec = item, named[item]
-        # drift keeps one series per name: a repeat would interleave two
-        if any(name == seen for seen, _ in specs):
+        # drift keeps one series per name: a repeat would replace the first
+        if name in specs:
             raise ValueError(f"integral name {name!r} monitored twice")
-        specs.append((name, spec))
+        specs[name] = spec
     return specs
-
-
-def _log_or_nan(spec, y):
-    try:
-        return log_integral_value(spec, y)
-    except DomainError:
-        return float("nan")
 
 
 def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_dense) -> Trajectory:
@@ -486,24 +478,23 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
 
     Negative t_end negates the physical field fun.  violation(y) is tracked
     at every sample; its running maximum beyond VIOLATION_LIMIT raises
-    SimplexViolation, labelled by what.  specs are resolved monitor pairs.
+    SimplexViolation, labelled by what.  specs maps monitored names to
+    their specs, evaluated over all samples once the run is done.
     """
     sign = 1 if t_end > 0.0 else -1
     stepper = DormandPrince45(fun if sign > 0 else _negated(fun), y0, abs(t_end), tol_rel, tol_abs)
     times = [0.0]
     states = [stepper.y]
     dense = [] if keep_dense else None
-    drift = {name: [_log_or_nan(spec, stepper.y)] for name, spec in specs} or None
     max_violation = violation(stepper.y)
     # bound once per run: this loop body runs on every accepted step
     step, t_span = stepper.step, stepper.t_span
     add_time, add_state = times.append, states.append
     add_segment = dense.append if keep_dense else None
-    monitors = [(spec, drift[name].append) for name, spec in specs]
     while stepper.t < t_span:
         if stepper.n_accepted >= MAX_ACCEPTED_STEPS:
             raise RuntimeError(f"accepted-step budget {MAX_ACCEPTED_STEPS} exhausted")
-        segment = step()
+        step()
         y = stepper.y
         v = violation(y)
         if v > max_violation:  # the result of max(max_violation, v), nan included
@@ -514,10 +505,9 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
             )
         add_time(sign * stepper.t)
         add_state(y)
-        for spec, add in monitors:
-            add(_log_or_nan(spec, y))
         if add_segment is not None:
-            add_segment(segment)
+            add_segment(stepper.segment())
+    drift = dict(zip(specs, log_integral_series(specs.values(), states))) if specs else None
     return Trajectory(
         k=k,
         t=tuple(times),
@@ -536,8 +526,9 @@ def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL
 
     Negative t_end integrates backward (the field is negated; steps stay
     positive internally).  Monitored first integrals are recorded in log
-    form at every accepted sample.  A simplex violation beyond 1e-9 raises
-    SimplexViolation; smaller ones are only recorded.
+    form at every accepted sample (nan where a surface value is zero).  A
+    simplex violation beyond 1e-9 raises SimplexViolation; smaller ones are
+    only recorded.
     """
     if t_end == 0.0:
         raise ValueError("t_end must be nonzero")
@@ -601,7 +592,7 @@ def integrate4(k: ParamVector, q0, t_end: float, tol_rel: float = DEFAULT_TOL_RE
         return field4(k, q)
 
     traj = _drive(k, phys, q0, t_end, tol_rel, tol_abs, _violation4, "mass-conservation",
-                  (), keep_dense)
+                  {}, keep_dense)
     return replace(traj, mass_error=traj.max_violation)
 
 
@@ -728,13 +719,16 @@ class _ReturnMap:
         self.hits.append((tau, state))
         return True
 
-    def advance(self, segment, y) -> bool:
-        """Take the step that built segment and ended at y; True on a new hit."""
-        g_start, self._g = self._g, self.section.value(y)
-        found = _locate_crossing(segment, self.section, g_start, self._g, y)
-        if found is None:
+    def advance(self, stepper, y) -> bool:
+        """Take the step stepper last accepted, ending at y; True on a new hit."""
+        g_start, g_end = self._g, self.section.value(y)
+        self._g = g_end
+        # build the segment only where _locate_crossing finds a crossing
+        if not (g_start < 0.0 < g_end or g_start > 0.0 > g_end
+                or (g_end == 0.0 and g_start != 0.0)):
             return False
-        theta, state, _ = found
+        segment = stepper.segment()
+        theta, state, _ = _locate_crossing(segment, self.section, g_start, g_end, y)
         return self._keep(segment.t0 + theta * segment.h, state)
 
     def closure(self, tol):

@@ -66,6 +66,22 @@ def test_detect_periodic_keeps_step_end_on_section():
     assert sum(n * v for n, v in zip(section.normal, velocity)) < 0.0
 
 
+def test_detect_periodic_keeps_step_end_on_section_reached_from_below():
+    # as above with the normal flipped: the fifth step now lands on the
+    # plane from its negative side
+    k = ParamVector(2, 3, 3, 2)
+    p0 = (0.2, 0.2, 0.2)
+    stepper = DormandPrince45(_field3(k), p0, 1e4)
+    for _ in range(5):
+        stepper.step()
+    section = SectionSpec((-1.0, 0.0, 0.0), -stepper.y[0], "both")
+    assert section.value(stepper.y) == 0.0
+    first = find_crossings(integrate(k, p0, 20.0), section)[0]
+    assert (first.t, first.direction) == (stepper.t, 1)
+    orbit = detect_periodic(k, p0, section=section)
+    assert orbit.crossings[0][0] == stepper.t
+
+
 @pytest.mark.parametrize("direction, sign", [("negative", -1), ("positive", 1)])
 def test_detect_periodic_keeps_the_section_direction(direction, sign):
     k = ParamVector(2, 3, 3, 2)

@@ -95,6 +95,34 @@ def test_negative_base_parses_like_the_attached_spelling():
     assert cfg.spectrum and tuple(cfg.k) == (-2.0, -3.0, -3.0, -2.0)
 
 
+@pytest.mark.parametrize("argv", [
+    "verify-a --k 2,3,3,2 --samples 0",
+    "verify-a --k 2,3,3,2 --samples -3",
+    "verify-b --k 2,1,2,1 --samples 0",
+    "period-profile --k 2,3,3,2 --n 0",
+    "portrait --k 2,3,3,2 --n -2",
+    "scan --slice 2,t,2,t --range 1,2 --steps -1",
+    "scan --slice 2,t,2,s --range 1,2 --steps 2 --range2 1,2 --steps2 0",
+])
+def test_nonpositive_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a positive count" in captured.err
+
+
+def test_unknown_monitor_name_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["integrate", "--k", "2,3,3,2", "--p0", "0.2,0.2,0.2", "--t", "1",
+              "--monitor", "H,Q"])
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown integral: H,Q" in captured.err
+
+
 def test_repeated_monitor_name_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["integrate", "--k", "2,1,2,1", "--p0", "0.2,0.2,0.2", "--t", "1",

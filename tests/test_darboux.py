@@ -15,6 +15,7 @@ from lv3.darboux import (
     integral_value,
     kernel_basis,
     lie_derivative,
+    log_integral_series,
     log_integral_value,
     named_integral_specs,
     solve_darboux,
@@ -265,6 +266,43 @@ def test_log_integral_domain_error_on_each_zero_surface(p):
     assert str(err.value) == "probe: log form needs all four surface values nonzero"
     with pytest.raises(DomainError):
         _log_integral_reference(spec, p)
+
+
+def _log_or_nan(spec, p):
+    try:
+        return log_integral_value(spec, p)
+    except DomainError:
+        return math.nan
+
+
+# rows on which one surface value is +-0.0 (the last one: x + y + z == 1)
+ZERO_SURFACE_ROWS = [(0.0, 0.5, 0.25), (-0.0, 0.5, 0.25), (0.5, 0.0, 0.25),
+                     (0.5, -0.0, 0.25), (0.5, 0.25, 0.0), (0.5, 0.25, -0.0),
+                     (0.5, 0.25, 0.25)]
+
+
+@pytest.mark.parametrize("k", [(2, 3, 3, 2), (1, 1, 1, 1), (-2, -3, -3, -2)])
+def test_log_integral_series_is_bitwise_the_single_point_form(k):
+    rng = SplitMix64(9000 + k[1])
+    specs = list(named_integral_specs(ParamVector(*k)).values()) + [
+        FirstIntegralSpec((1.5, -0.0, -2.25, 0.75), "three"),
+        FirstIntegralSpec((rng.uniform(-4.0, 4.0), -1.0, 3.0, rng.uniform(-4.0, 4.0)), "four"),
+        FirstIntegralSpec((0.0, 0.0, 0.0, 0.0), "zero"),
+        FirstIntegralSpec((-0.0, 0.0, -0.0, -0.0), "signed-zero"),
+    ]
+    # interior points and points off the simplex (the log form takes |f_i|)
+    points = [rand_interior_point(rng) for _ in range(40)]
+    points += [tuple(rng.uniform(-0.5, 1.0) for _ in range(3)) for _ in range(40)]
+    for with_zeros in (False, True):
+        if with_zeros:
+            points = points[:30] + ZERO_SURFACE_ROWS + points[30:]
+        series = log_integral_series(specs, points)
+        assert len(series) == len(specs)
+        for spec, values in zip(specs, series):
+            assert [v.hex() for v in values] == [_log_or_nan(spec, p).hex() for p in points]
+    nan_rows = [values[30:30 + len(ZERO_SURFACE_ROWS)] for values in series]
+    assert all(math.isnan(v) for row in nan_rows for v in row)
+    assert log_integral_series(specs, []) == [[] for _ in specs]
 
 
 def test_tilde_identity_on_manifold(rng):

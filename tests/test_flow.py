@@ -27,7 +27,9 @@ from lv3.flow import (
     integrate,
     integrate4,
 )
-from lv3.darboux import named_integral_specs
+from lv3 import flow
+from lv3.analysis import detect_periodic
+from lv3.darboux import log_integral_value, named_integral_specs
 from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
@@ -358,9 +360,47 @@ def test_log_h_increases_off_manifold():
     assert all(b > a for a, b in zip(series, series[1:]))
 
 
+def test_monitored_drift_is_bitwise_the_single_point_form():
+    rng = SplitMix64(77)
+    k = rand_params(rng, signs="positive")
+    traj = integrate(k, rand_interior_point(rng), 30.0, monitor=["H", "V"], keep_dense=False)
+    specs = named_integral_specs(k)
+    assert set(traj.drift) == {"H", "V"}
+    for name, series in traj.drift.items():
+        assert [v.hex() for v in series] == [
+            log_integral_value(specs[name], y).hex() for y in traj.states]
+
+
+def test_dense_segments_are_built_only_when_read(monkeypatch):
+    built = []
+    located = []
+    init, locate = DenseSegment.__init__, flow._locate_crossing
+
+    def counted_init(segment, *args, **kwargs):
+        built.append(segment)
+        init(segment, *args, **kwargs)
+
+    def counted_locate(*args):
+        found = locate(*args)
+        located.append(found is not None)
+        return found
+
+    monkeypatch.setattr(DenseSegment, "__init__", counted_init)
+    monkeypatch.setattr(flow, "_locate_crossing", counted_locate)
+    k = ParamVector(2, 3, 3, 2)
+    traj = integrate(k, (0.2, 0.2, 0.2), 20.0, keep_dense=False)
+    assert len(built) == 0 and len(traj) > 100
+    traj = integrate(k, (0.2, 0.2, 0.2), 20.0)
+    assert len(built) == len(traj.dense) == len(traj) - 1
+    built.clear()
+    orbit = detect_periodic(k, (0.2, 0.2, 0.2))
+    # one segment per located crossing, in either direction
+    assert len(built) == sum(located) == len(located) >= len(orbit.crossings) >= 3
+
+
 def test_repeated_monitor_name_is_rejected():
-    # drift keeps one series per name, so a repeat would interleave two
-    # samples per step into it (24 samples, 47 values of drift["H"] at T=1)
+    # drift keeps one series per name, so a repeat would have no series of
+    # its own
     k = ParamVector(2, 1, 2, 1)
     for monitor in (["H", "H"], ["H", "V", named_integral_specs(k)["H"]]):
         with pytest.raises(ValueError, match="'H' monitored twice"):

@@ -4,9 +4,12 @@ foliations, heteroclinic matching and the automated verification harnesses.
 Numerical policy: "converged to a segment" means terminal speed at or below
 1e-8 AND point-to-segment distance at or below 1e-4.  Two thresholds because
 the approach along the slow center direction is algebraically slow, so a
-distance test alone would accept premature stops.  Periodicity requires two
-consecutive return agreements, not one, to reject near-periodic spiral
-transients.  Inconclusive is a first-class outcome, never silently coerced.
+distance test alone would accept premature stops.  Off s_py and s_xz, a
+limit probe does not stop next to a singular-edge point that it can still
+leave along a repelling transverse direction: the flow also slows down while
+it passes a saddle-type edge point.  Periodicity requires two consecutive
+return agreements, not one, to reject near-periodic spiral transients.
+Inconclusive is a first-class outcome, never silently coerced.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .equilibria import (
     SimplexPoint,
     SimplexViolation,
     _coords,
+    _field3,
     boundary_margin,
+    edge_eigenvalues,
     edge_py,
     edge_xz,
     interior_segment_R,
@@ -50,7 +55,6 @@ from .flow import (
     SectionSpec,
     StepSizeUnderflow,
     _ReturnMap,
-    _field3,
     _negated,
     _violation3,
     integrate,
@@ -97,6 +101,8 @@ R_TUBE = 1e-3
 BOUNDARY_SAMPLING_MARGIN = 1e-3
 EQUILIBRIUM_TOL = 1e-6
 FACE_INSET = 1e-6
+MATCH_TOL = 1e-9
+DRIFT_TOL = 1e-8
 
 FACES = ("X", "Y", "Z", "Sigma")
 
@@ -122,13 +128,12 @@ def default_section(k: ParamVector) -> SectionSpec:
     return SectionSpec(normal=(k.k4, 0.0, -k.k3), offset=0.0, direction="both")
 
 
-def sample_interior(k: ParamVector, n: int, rng: SplitMix64,
-                    r_tube: float = R_TUBE,
-                    margin: float = BOUNDARY_SAMPLING_MARGIN) -> list:
+def sample_interior(k: ParamVector, n: int, rng: SplitMix64) -> list:
     """Rejection-sample n interior points, uniform on the simplex.
 
-    Excludes a margin along the boundary and, when the interior equilibrium
-    segment exists, a tube around it (detector preconditions).
+    Excludes a BOUNDARY_SAMPLING_MARGIN along the boundary and, when the
+    interior equilibrium segment exists, a tube of radius R_TUBE around it
+    (detector preconditions).
     """
     segment = interior_segment_R(k)
     points = []
@@ -136,9 +141,9 @@ def sample_interior(k: ParamVector, n: int, rng: SplitMix64,
         x, y, z = rng.uniform(), rng.uniform(), rng.uniform()
         if x + y + z > 1.0:
             continue
-        if boundary_margin((x, y, z)) <= margin:
+        if boundary_margin((x, y, z)) <= BOUNDARY_SAMPLING_MARGIN:
             continue
-        if segment is not None and segment.distance_to((x, y, z)) <= r_tube:
+        if segment is not None and segment.distance_to((x, y, z)) <= R_TUBE:
             continue
         points.append(SimplexPoint(x, y, z))
     return points
@@ -164,29 +169,29 @@ class LimitSetReport:
     period: float | None = None
 
 
-def _classify_point(k, y, speed, label, tau, seg_tol) -> LimitSetReport:
-    regime = classify(k)
+def _point_kind(k, y) -> tuple:
+    """(kind, distance) of a state where the flow stopped: the first of s_py,
+    s_xz (same-sign k only), R_py and R_xz within SEGMENT_DIST_TOL, else
+    (boundary-unclassified, None)."""
     candidates = []
-    if regime.in_ps:
-        s_py, s_xz = limit_segments(k)
-        candidates.extend([("point-on-s_py", s_py), ("point-on-s_xz", s_xz)])
+    if classify(k).in_ps:
+        candidates.extend(zip(("point-on-s_py", "point-on-s_xz"), limit_segments(k)))
     candidates.extend([("point-on-R_py", edge_py()), ("point-on-R_xz", edge_xz())])
     for kind, segment in candidates:
         d = segment.distance_to(y)
-        if d <= seg_tol:
-            return LimitSetReport(kind=kind, direction=label, witness=y, distance=d,
-                                  terminal_speed=speed, horizon_used=tau)
-    return LimitSetReport(kind="boundary-unclassified", direction=label, witness=y,
-                          terminal_speed=speed, horizon_used=tau)
+        if d <= SEGMENT_DIST_TOL:
+            return kind, d
+    return "boundary-unclassified", None
 
 
-def _probe(fun, y0, section, horizon, tol_rel, tol_abs, closure_tol, return_budget):
+def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, settled=None):
     """Step the orbit of fun from y0 until it stops: the loop of every probe.
 
     Returns (reason, stepper, return map or None, closure or None); reason
-    is periodic, speed-collapse, horizon, return-budget (with return_budget:
-    ten first-return estimates passed), step-budget, step-underflow or
-    simplex-violation.
+    is periodic (two returns within CLOSURE_TOL), speed-collapse (where
+    settled, if given, accepts the state), horizon, return-budget (with
+    return_budget: ten first-return estimates passed), step-budget,
+    step-underflow or simplex-violation.
     """
     stepper = DormandPrince45(fun, y0, horizon, tol_rel, tol_abs)
     returns = None if section is None else _ReturnMap(section, fun, stepper.y)
@@ -203,13 +208,13 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, closure_tol, return_budg
         y = stepper.y
         if _violation3(y) > VIOLATION_LIMIT:
             return "simplex-violation", stepper, returns, None
-        if stepper.speed <= SPEED_TOL:
+        if stepper.speed <= SPEED_TOL and (settled is None or settled(y)):
             return "speed-collapse", stepper, returns, None
         if returns is not None and returns.advance(stepper, y):
             hits = returns.hits
             if return_budget and len(hits) == 2:
                 budget = min(budget, hits[0][0] + 10.0 * (hits[1][0] - hits[0][0]))
-            closed = returns.closure(closure_tol)
+            closed = returns.closure(CLOSURE_TOL)
             if closed is not None:
                 return "periodic", stepper, returns, closed
     return "horizon", stepper, returns, None
@@ -224,7 +229,30 @@ def _probe_or_raise(*args):
     return reason, stepper, returns, closed
 
 
-def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs, seg_tol) -> LimitSetReport:
+def _settled_test(k, forward):
+    """Stop test of a limit probe whose speed collapsed at y.  Next to a
+    point of R_py or R_xz off s_py and s_xz the orbit may only slow down
+    while it slides past, so the probe goes on while a transverse direction
+    repels in the probe's time direction and the state still lies off the
+    face it leaves by: x or z on R_xz; y or w = 1-x-y-z on R_py, where w
+    sinks to rounding level next to the face x+y+z = 1."""
+    sign = 1.0 if forward else -1.0
+
+    def settled(y):
+        kind, _ = _point_kind(k, y)
+        if not kind.startswith("point-on-R_"):
+            return True
+        x, yy, z = y
+        if kind == "point-on-R_py":
+            pairs = zip(edge_eigenvalues(k, "R_py", x), (((1.0 - x) - yy) - z, yy))
+        else:
+            pairs = zip(edge_eigenvalues(k, "R_xz", yy), (x, z))
+        return not any(sign * lam > 0.0 and c > 0.0 for lam, c in pairs)
+
+    return settled
+
+
+def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs) -> LimitSetReport:
     label = "omega" if forward else "alpha"
     start = SimplexPoint(*_coords(p0))
     fun = _field3(k) if forward else _negated(_field3(k))
@@ -233,9 +261,11 @@ def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs, seg_tol) -> LimitSet
     except ValueError:
         section = None
     reason, stepper, _, closed = _probe_or_raise(fun, start.coords, section, horizon, tol_rel,
-                                                 tol_abs, CLOSURE_TOL, False)
+                                                 tol_abs, False, _settled_test(k, forward))
     if reason == "speed-collapse":
-        return _classify_point(k, stepper.y, stepper.speed, label, stepper.t, seg_tol)
+        kind, distance = _point_kind(k, stepper.y)
+        return LimitSetReport(kind=kind, direction=label, witness=stepper.y, distance=distance,
+                              terminal_speed=stepper.speed, horizon_used=stepper.t)
     if reason == "periodic":
         period, closure_error, witness = closed
         return LimitSetReport(kind="periodic", direction=label, witness=witness,
@@ -246,23 +276,26 @@ def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs, seg_tol) -> LimitSet
 
 
 def omega_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
-                tol_rel: float = DEFAULT_TOL_REL, tol_abs: float = DEFAULT_TOL_ABS,
-                seg_tol: float = SEGMENT_DIST_TOL) -> LimitSetReport:
+                tol_rel: float = DEFAULT_TOL_REL,
+                tol_abs: float = DEFAULT_TOL_ABS) -> LimitSetReport:
     """Classify the forward limit set of the orbit through p0.
 
     Integrates until the flow speed drops to SPEED_TOL (then classifies the
-    terminal state against s_py, s_xz and the singular edges), or until a
-    return map certifies a periodic orbit, or until the horizon runs out
-    (inconclusive).  Raises SimplexViolation if the orbit leaves the simplex.
+    terminal state against s_py, s_xz and the singular edges within
+    SEGMENT_DIST_TOL), or until a return map certifies a periodic orbit, or
+    until the horizon runs out (inconclusive).  Next to a singular-edge point
+    off s_py and s_xz it keeps stepping while the orbit can still leave along
+    a repelling transverse direction.  Raises SimplexViolation if the orbit
+    leaves the simplex.
     """
-    return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs, seg_tol)
+    return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs)
 
 
 def alpha_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
-                tol_rel: float = DEFAULT_TOL_REL, tol_abs: float = DEFAULT_TOL_ABS,
-                seg_tol: float = SEGMENT_DIST_TOL) -> LimitSetReport:
+                tol_rel: float = DEFAULT_TOL_REL,
+                tol_abs: float = DEFAULT_TOL_ABS) -> LimitSetReport:
     """Backward-time counterpart of omega_limit (field negated, one code path)."""
-    return _limit_probe(k, p0, horizon, False, tol_rel, tol_abs, seg_tol)
+    return _limit_probe(k, p0, horizon, False, tol_rel, tol_abs)
 
 
 @dataclass(frozen=True)
@@ -274,14 +307,13 @@ class PeriodicOrbit:
 
 def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
                     tol_abs: float = DEFAULT_TOL_ABS, horizon: float = DEFAULT_HORIZON,
-                    closure_tol: float = CLOSURE_TOL,
                     section: SectionSpec | None = None) -> PeriodicOrbit | None:
     """Detect a periodic orbit through the interior point p0.
 
     Uses the default return-map section unless one is given.  Crossings are
     kept in the section's direction (physical time); for 'both', the
     default, the direction is locked by the first crossing.  Periodicity
-    requires two consecutive same-direction returns within closure_tol of
+    requires two consecutive same-direction returns within CLOSURE_TOL of
     each other and of their predecessor.
     Returns None when the flow speed collapses (orbit heads to an
     equilibrium), or when ten first-return estimates or the absolute horizon
@@ -299,7 +331,7 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
         except ValueError:
             return None
     reason, _, returns, closed = _probe_or_raise(_field3(k), start.coords, section, horizon,
-                                                 tol_rel, tol_abs, closure_tol, True)
+                                                 tol_rel, tol_abs, True)
     if reason != "periodic":
         return None
     period, closure_error, _ = closed
@@ -313,12 +345,12 @@ def certified_integral_names(k: ParamVector) -> tuple:
     return tuple(n for n in ("H", "V", "Htilde", "Vtilde") if status[n].certified)[:2]
 
 
-def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None,
-                         tol_rel: float = 1e-12, tol_abs: float = 1e-14) -> dict:
-    """Peak log-form drift of the certified integrals along one orbit stretch."""
+def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dict:
+    """Peak log-form drift of the certified integrals along one orbit stretch,
+    integrated at tol_rel 1e-12 and tol_abs 1e-14."""
     if names is None:
         names = certified_integral_names(k)
-    traj = integrate(k, p0, duration, tol_rel, tol_abs, monitor=list(names), keep_dense=False)
+    traj = integrate(k, p0, duration, 1e-12, 1e-14, monitor=list(names), keep_dense=False)
     return {name: traj.drift_range(name) for name in names}
 
 
@@ -495,13 +527,14 @@ class HeteroclinicMatch:
     level_sigma: float
 
 
-def heteroclinic_match(k: ParamVector, x0: float, match_tol: float = 1e-9) -> HeteroclinicMatch:
+def heteroclinic_match(k: ParamVector, x0: float) -> HeteroclinicMatch:
     """Compare the two face connections leaving the edge point (x0, 0, 1-x0).
 
     The leaf through the point on the y=0 face ends at abscissa x1, the leaf
-    through the same point on the sum face at x2.  The two agree exactly
-    when the discriminant vanishes (the two leaf families coincide), which
-    is when the boundary heteroclinic connections close into loops.
+    through the same point on the sum face at x2.  The two agree (within
+    MATCH_TOL) exactly when the discriminant vanishes (the two leaf families
+    coincide), which is when the boundary heteroclinic connections close
+    into loops.
     """
     if not classify(k).in_ps:
         raise NotInPS("heteroclinic matching requires same-sign parameters")
@@ -519,7 +552,7 @@ def heteroclinic_match(k: ParamVector, x0: float, match_tol: float = 1e-9) -> He
     x1 = _other_leaf_root(gamma_y, level_y, x0, crit_y)
     x2 = _other_leaf_root(gamma_sigma, level_sigma, x0, crit_sigma)
     return HeteroclinicMatch(
-        x0=x0, x1=x1, x2=x2, matched=abs(x1 - x2) <= match_tol,
+        x0=x0, x1=x1, x2=x2, matched=abs(x1 - x2) <= MATCH_TOL,
         level_y=level_y, level_sigma=level_sigma,
     )
 
@@ -557,121 +590,79 @@ def complement_edge_distance(k: ParamVector, point, which: str) -> float:
 # Verification harnesses
 
 
-def _face_match_points(k: ParamVector) -> list:
-    crit_y = k.k3 / (k.k3 + k.k4)
-    crit_sigma = k.k2 / (k.k1 + k.k2)
-    m = min(crit_y, crit_sigma)
-    return [0.35 * m, 0.6 * m, 0.85 * m]
+def _face_matches(k: ParamVector) -> list:
+    """heteroclinic_match verdicts at three abscissae below both critical ones."""
+    m = min(k.k3 / (k.k3 + k.k4), k.k2 / (k.k1 + k.k2))
+    return [heteroclinic_match(k, f * m).matched for f in (0.35, 0.6, 0.85)]
+
+
+def _report_head(theorem: str, k: ParamVector, n_samples: int, seed: int) -> tuple:
+    """(regime, the report fields every harness run starts with)."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    regime = classify(k)
+    return regime, {"theorem": theorem, "k": list(k), "regime": regime.label(),
+                    "n_samples": n_samples, "seed": seed}
+
+
+def _limit_pairs(k, starts, horizon, tol_rel, tol_abs) -> list:
+    """(omega, alpha) LimitSetReport of the orbit through each start."""
+    return [(omega_limit(k, p, horizon, tol_rel, tol_abs),
+             alpha_limit(k, p, horizon, tol_rel, tol_abs)) for p in starts]
 
 
 def verify_theorem_a(k: ParamVector, n_samples: int, seed: int = 42,
                      tol_rel: float = DEFAULT_TOL_REL, tol_abs: float = DEFAULT_TOL_ABS,
-                     horizon: float = DEFAULT_HORIZON, drift_tol: float = 1e-8,
-                     closure_tol: float = CLOSURE_TOL) -> dict:
+                     horizon: float = DEFAULT_HORIZON) -> dict:
     """Verify the global picture for k: periodic interior orbits plus closed
     boundary loops on the center regime, boundary-bound non-periodic limit
     sets everywhere else.
 
     On the center regime hypothesis (part a) every interior sample must
-    yield a periodic orbit with bounded closure error and first-integral
-    drift, the interior segment must be singular to 1e-12, and the boundary
-    connections must match.  Otherwise part b is checked instead and the
-    report notes the hypothesis mismatch for part a.
+    yield a periodic orbit with closure error within CLOSURE_TOL and
+    first-integral drift within DRIFT_TOL, the interior segment must be
+    singular to 1e-12, and the boundary connections must match.  Otherwise
+    part b is checked instead and the report notes the hypothesis mismatch
+    for part a.  Raises ValueError for n_samples < 1.
     """
-    regime = classify(k)
-    rng = SplitMix64(seed)
-    report = {
-        "theorem": "A",
-        "k": list(k),
-        "regime": regime.label(),
-        "n_samples": n_samples,
-        "seed": seed,
-    }
+    regime, report = _report_head("A", k, n_samples, seed)
+    starts = sample_interior(k, n_samples, SplitMix64(seed))
     if regime.oscillatory:
-        report["part"] = "a"
-        report["hypothesis_mismatch"] = False
-        segment = interior_segment_R(k)
         residual = max(
-            max(abs(c) for c in vector_field(k, p)) for p in segment.sample(100)
+            max(abs(c) for c in vector_field(k, p)) for p in interior_segment_R(k).sample(100)
         )
-        report["segment_residual_max"] = residual
-        starts = sample_interior(k, n_samples, rng)
         names = certified_integral_names(k)
-
-        def job(p):
-            orbit = detect_periodic(k, p, tol_rel, tol_abs, horizon, closure_tol)
-            if orbit is None:
-                return {"status": "inconclusive"}
-            drift = orbit_integral_drift(k, p, orbit.period, names)
-            return {
-                "status": "periodic",
-                "period": orbit.period,
-                "closure_error": orbit.closure_error,
-                "drift": max(drift.values()) if drift else 0.0,
-            }
-
-        results = [job(p) for p in starts]
-        periodic_results = [r for r in results if r["status"] == "periodic"]
-        report["n_periodic"] = len(periodic_results)
-        report["n_inconclusive"] = n_samples - len(periodic_results)
-        report["worst_closure_error"] = max((r["closure_error"] for r in periodic_results), default=0.0)
-        report["worst_drift"] = max((r["drift"] for r in periodic_results), default=0.0)
-        matches = [heteroclinic_match(k, x0).matched for x0 in _face_match_points(k)]
-        report["face_matches"] = matches
-        report["failed"] = (
-            report["worst_closure_error"] > closure_tol
-            or report["worst_drift"] > drift_tol
-            or residual > 1e-12
-            or not all(matches)
-        )
-        report["passed"] = (
-            not report["failed"]
-            and report["n_periodic"] == n_samples
-        )
+        periodic = []  # (closure_error, drift) of each periodic sample
+        for p in starts:
+            orbit = detect_periodic(k, p, tol_rel, tol_abs, horizon)
+            if orbit is not None:
+                drift = orbit_integral_drift(k, p, orbit.period, names)
+                periodic.append((orbit.closure_error, max(drift.values(), default=0.0)))
+        worst_closure = max((c for c, _ in periodic), default=0.0)
+        worst_drift = max((d for _, d in periodic), default=0.0)
+        matches = _face_matches(k)
+        failed = (worst_closure > CLOSURE_TOL or worst_drift > DRIFT_TOL
+                  or residual > 1e-12 or not all(matches))
+        report.update(part="a", hypothesis_mismatch=False, segment_residual_max=residual,
+                      n_periodic=len(periodic), n_inconclusive=n_samples - len(periodic),
+                      worst_closure_error=worst_closure, worst_drift=worst_drift,
+                      face_matches=matches, failed=failed,
+                      passed=not failed and len(periodic) == n_samples)
         return report
-    report["part"] = "b"
-    report["hypothesis_mismatch"] = True  # for part (a); part (b) applies instead
-    starts = sample_interior(k, n_samples, rng)
-
-    def job(p):
-        entry = {}
-        for label, probe in (("omega", omega_limit), ("alpha", alpha_limit)):
-            rep = probe(k, p, horizon, tol_rel, tol_abs)
-            entry[label] = {
-                "kind": rep.kind,
-                "boundary_margin": boundary_margin(rep.witness) if rep.kind not in ("inconclusive",) else None,
-            }
-        return entry
-
-    results = [job(p) for p in starts]
-    n_periodic = sum(
-        1 for r in results for side in ("omega", "alpha") if r[side]["kind"] == "periodic"
-    )
-    n_inconclusive = sum(
-        1 for r in results for side in ("omega", "alpha") if r[side]["kind"] == "inconclusive"
-    )
-    margins = [
-        r[side]["boundary_margin"]
-        for r in results
-        for side in ("omega", "alpha")
-        if r[side]["boundary_margin"] is not None
-    ]
-    report["n_periodic"] = n_periodic
-    report["n_inconclusive"] = n_inconclusive
-    report["worst_boundary_margin"] = max((abs(m) for m in margins), default=0.0)
-    faces_ok = True
+    # part (b) applies instead of part (a)
+    reports = [rep for pair in _limit_pairs(k, starts, horizon, tol_rel, tol_abs) for rep in pair]
+    margins = [abs(boundary_margin(rep.witness)) for rep in reports if rep.kind != "inconclusive"]
+    n_periodic = sum(rep.kind == "periodic" for rep in reports)
+    report.update(part="b", hypothesis_mismatch=True, n_periodic=n_periodic,
+                  n_inconclusive=len(reports) - len(margins),
+                  worst_boundary_margin=max(margins, default=0.0))
     if regime.in_ps:
         # same-sign parameters off the manifold: boundary connections must
         # NOT close into loops
-        matches = [heteroclinic_match(k, x0).matched for x0 in _face_match_points(k)]
-        report["face_matches"] = matches
-        faces_ok = not any(matches)
-    report["failed"] = (
-        n_periodic > 0
-        or report["worst_boundary_margin"] > SEGMENT_DIST_TOL
-        or not faces_ok
-    )
-    report["passed"] = not report["failed"] and bool(margins)
+        report["face_matches"] = _face_matches(k)
+    failed = (n_periodic > 0 or report["worst_boundary_margin"] > SEGMENT_DIST_TOL
+              or any(report.get("face_matches", ())))
+    report.update(failed=failed, passed=not failed and bool(margins))
     return report
 
 
@@ -686,70 +677,38 @@ def _expected_limit_segments(regime) -> tuple:
 
 def verify_theorem_b(k: ParamVector, n_samples: int, seed: int = 42,
                      tol_rel: float = DEFAULT_TOL_REL, tol_abs: float = DEFAULT_TOL_ABS,
-                     horizon: float = DEFAULT_HORIZON,
-                     seg_tol: float = SEGMENT_DIST_TOL) -> dict:
+                     horizon: float = DEFAULT_HORIZON) -> dict:
     """Verify the off-manifold picture: every interior orbit runs from one
-    distinguished boundary segment to the other, in the orientation set by
-    the regime, and boundary connections do not close into loops.
+    distinguished boundary segment to the other (within SEGMENT_DIST_TOL),
+    in the orientation set by the regime, and boundary connections do not
+    close into loops.  Raises ValueError for n_samples < 1.
     """
-    regime = classify(k)
-    report = {
-        "theorem": "B",
-        "k": list(k),
-        "regime": regime.label(),
-        "n_samples": n_samples,
-        "seed": seed,
-    }
+    regime, report = _report_head("B", k, n_samples, seed)
     if not (regime.in_ps and regime.s_sign != S_ZERO):
-        report["status"] = "hypothesis-mismatch"
-        report["failed"] = True
-        report["passed"] = False
+        report.update(status="hypothesis-mismatch", failed=True, passed=False)
         return report
-    report["status"] = "checked"
     expected_alpha, expected_omega = _expected_limit_segments(regime)
-    report["expected"] = {"alpha": expected_alpha, "omega": expected_omega}
-    rng = SplitMix64(seed)
-    starts = sample_interior(k, n_samples, rng)
-
-    results = [
-        (omega_limit(k, p, horizon, tol_rel, tol_abs, seg_tol=seg_tol),
-         alpha_limit(k, p, horizon, tol_rel, tol_abs, seg_tol=seg_tol))
-        for p in starts
-    ]
-    n_inconclusive = 0
-    n_pass = 0
-    n_fail = 0
-    worst_distance = 0.0
-    min_complement = math.inf
-    for om, al in results:
-        if om.kind == "inconclusive" or al.kind == "inconclusive":
-            n_inconclusive += 1
-            continue
-        ok = (
-            om.kind == f"point-on-{expected_omega}"
-            and al.kind == f"point-on-{expected_alpha}"
-        )
-        if ok:
-            n_pass += 1
-            worst_distance = max(worst_distance, om.distance, al.distance)
-            for rep in (om, al):
-                which = "py" if rep.kind.endswith("s_py") else "xz"
-                min_complement = min(
-                    min_complement, complement_edge_distance(k, rep.witness, which)
-                )
-        else:
-            n_fail += 1
-    matches = [heteroclinic_match(k, x0).matched for x0 in _face_match_points(k)]
+    report.update(status="checked", expected={"alpha": expected_alpha, "omega": expected_omega})
+    starts = sample_interior(k, n_samples, SplitMix64(seed))
+    pairs = _limit_pairs(k, starts, horizon, tol_rel, tol_abs)
+    want = (f"point-on-{expected_omega}", f"point-on-{expected_alpha}")
+    n_inconclusive = sum("inconclusive" in (om.kind, al.kind) for om, al in pairs)
+    passing = [pair for pair in pairs if (pair[0].kind, pair[1].kind) == want]
+    ends = [rep for pair in passing for rep in pair]
+    n_fail = len(pairs) - n_inconclusive - len(passing)
+    matches = _face_matches(k)
     failed = n_fail > 0 or any(matches)
     report.update(
-        n_pass=n_pass,
+        n_pass=len(passing),
         n_fail=n_fail,
         n_inconclusive=n_inconclusive,
-        worst_segment_distance=worst_distance,
-        min_complement_distance=min_complement,
+        worst_segment_distance=max((rep.distance for rep in ends), default=0.0),
+        # the kinds of ends name their segment: point-on-s_py, point-on-s_xz
+        min_complement_distance=min((complement_edge_distance(k, rep.witness, rep.kind[-2:])
+                                     for rep in ends), default=math.inf),
         face_matches=matches,
         failed=failed,
-        passed=(not failed and n_pass > 0),
+        passed=(not failed and bool(passing)),
     )
     return report
 
@@ -762,7 +721,7 @@ def make_ray(base, direction, offsets) -> list:
 
 
 def period_profile(k: ParamVector, points, tol_rel: float = DEFAULT_TOL_REL,
-                   tol_abs: float = DEFAULT_TOL_ABS, horizon: float = DEFAULT_HORIZON) -> dict:
+                   tol_abs: float = DEFAULT_TOL_ABS) -> dict:
     """Periods along a family of starts marching toward the boundary.
 
     Rows keep the input order (expected: from near the interior segment
@@ -771,7 +730,7 @@ def period_profile(k: ParamVector, points, tol_rel: float = DEFAULT_TOL_REL,
     """
     rows = []
     for p in points:
-        orbit = detect_periodic(k, p, tol_rel, tol_abs, horizon)
+        orbit = detect_periodic(k, p, tol_rel, tol_abs)
         rows.append(
             {
                 "point": list(_coords(p)),

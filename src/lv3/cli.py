@@ -225,34 +225,21 @@ def _cmd_classify(cfg, stream):
     return EXIT_OK
 
 
+def _segment_record(segment, **extra) -> dict:
+    return {"set": segment.label, "a": list(segment.a), "b": list(segment.b),
+            "open": segment.open_ends, **extra}
+
+
 def _cmd_equilibria(cfg, stream):
     k = cfg.k
-    records = []
-    for segment in (equilibria.edge_py(), equilibria.edge_xz()):
-        records.append({
-            "set": segment.label,
-            "a": list(segment.a),
-            "b": list(segment.b),
-            "open": segment.open_ends,
-        })
+    records = [_segment_record(edge) for edge in (equilibria.edge_py(), equilibria.edge_xz())]
     regime = classify(k)
     if regime.in_ps:
-        for segment in equilibria.limit_segments(k):
-            records.append({
-                "set": segment.label,
-                "a": list(segment.a),
-                "b": list(segment.b),
-                "open": False,
-                "degenerate": segment.degenerate,
-            })
+        records += [_segment_record(segment, degenerate=segment.degenerate)
+                    for segment in equilibria.limit_segments(k)]
     segment = equilibria.interior_segment_R(k)
     if segment is not None:
-        records.append({
-            "set": segment.label,
-            "a": list(segment.a),
-            "b": list(segment.b),
-            "open": True,
-        })
+        records.append(_segment_record(segment))
     if not regime.in_nz:
         records.append({"set": "fully-singular", "labels": equilibria.singular_boundary_sets(k)})
     if cfg.spectrum:

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 PIVOT_REL_TOL = 1e-12
+RESIDUAL_REL_TOL = 1e-12
+LIE_AGREE_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -213,8 +215,9 @@ class InvarianceReport:
     scale: float
 
 
-def verify_invariance(surface: PolySurface, k: ParamVector, rel_tol: float = 1e-12) -> InvarianceReport:
-    """Check that the flow derivative of f equals cofactor*f, by expansion.
+def verify_invariance(surface: PolySurface, k: ParamVector) -> InvarianceReport:
+    """Check that the flow derivative of f equals cofactor*f, by expansion,
+    within RESIDUAL_REL_TOL of the largest coefficient.
 
     The residual polynomial is produced by term-list arithmetic and merged
     with exact accumulation, so for the builtin surfaces it vanishes
@@ -226,7 +229,7 @@ def verify_invariance(surface: PolySurface, k: ParamVector, rel_tol: float = 1e-
     scale = max(1.0, lie.max_abs_coefficient(), prod.max_abs_coefficient())
     max_residual = max((abs(v) for v in residual.values()), default=0.0)
     return InvarianceReport(
-        ok=max_residual <= rel_tol * scale,
+        ok=max_residual <= RESIDUAL_REL_TOL * scale,
         residual=residual,
         max_residual=max_residual,
         scale=scale,
@@ -257,10 +260,10 @@ def _normalize_kernel_vector(v: list) -> tuple:
     return tuple(v)
 
 
-def kernel_basis(rows: list, ncols: int | None = None, rel_tol: float = PIVOT_REL_TOL) -> list:
+def kernel_basis(rows: list, ncols: int | None = None) -> list:
     """Nullspace basis by Gauss-Jordan elimination with partial pivoting.
 
-    A column whose best available pivot stays below rel_tol times the
+    A column whose best available pivot stays below PIVOT_REL_TOL times the
     largest entry of the input matrix is treated as free.  Basis vectors are
     normalised to unit max-norm with their first significant entry positive,
     so the output is reproducible.
@@ -271,7 +274,7 @@ def kernel_basis(rows: list, ncols: int | None = None, rel_tol: float = PIVOT_RE
     scale = max((abs(v) for r in a for v in r), default=0.0)
     pivots = []
     if scale > 0.0:
-        thresh = rel_tol * scale
+        thresh = PIVOT_REL_TOL * scale
         r0 = 0
         for c in range(n):
             if r0 >= m:
@@ -342,12 +345,13 @@ class NamedIntegralStatus:
     certified: bool
 
 
-def certify_named_integrals(k: ParamVector, rel_tol: float = 1e-12) -> dict:
+def certify_named_integrals(k: ParamVector) -> dict:
     """Certify which named candidates are genuine first integrals for k.
 
     A candidate passes when it is non-constant (some exponent nonzero) and
-    its exponent vector annihilates the cofactor matrix.  No case split on
-    which components of k vanish: the criterion is checked directly.
+    its exponent vector annihilates the cofactor matrix within
+    RESIDUAL_REL_TOL.  No case split on which components of k vanish: the
+    criterion is checked directly.
     """
     _, rows = cofactor_matrix(k)
     scale = max(1.0, max((abs(v) for r in rows for v in r), default=0.0))
@@ -359,7 +363,7 @@ def certify_named_integrals(k: ParamVector, rel_tol: float = 1e-12) -> dict:
             default=0.0,
         )
         lam_scale = max(1.0, max(abs(e) for e in lam))
-        certified = spec.non_constant and residual <= rel_tol * scale * lam_scale
+        certified = spec.non_constant and residual <= RESIDUAL_REL_TOL * scale * lam_scale
         out[name] = NamedIntegralStatus(
             name=name,
             exponents=lam,
@@ -379,7 +383,7 @@ class DarbouxReport:
     named: dict
 
 
-def solve_darboux(k: ParamVector, rel_tol: float = PIVOT_REL_TOL) -> DarbouxReport:
+def solve_darboux(k: ParamVector) -> DarbouxReport:
     """Solve sum(lambda_i * K_i) = 0 for the exponent vectors lambda.
 
     Assembles the coefficient-matching system over the monomial basis and
@@ -389,7 +393,7 @@ def solve_darboux(k: ParamVector, rel_tol: float = PIVOT_REL_TOL) -> DarbouxRepo
     zero-discriminant manifold.
     """
     monomials, rows = cofactor_matrix(k)
-    kernel = kernel_basis(rows, ncols=4, rel_tol=rel_tol)
+    kernel = kernel_basis(rows, ncols=4)
     det13 = k.k1 * k.k3 - (-k.k2) * (-k.k4)
     det24 = (-k.k1) * (-k.k3) - k.k4 * k.k2
     return DarbouxReport(
@@ -397,7 +401,7 @@ def solve_darboux(k: ParamVector, rel_tol: float = PIVOT_REL_TOL) -> DarbouxRepo
         matrix=tuple(tuple(r) for r in rows),
         kernel=tuple(kernel),
         subsystem_determinants=(det13, det24),
-        named=certify_named_integrals(k, rel_tol),
+        named=certify_named_integrals(k),
     )
 
 
@@ -503,20 +507,20 @@ def _gradient(spec: FirstIntegralSpec, p) -> tuple:
     )
 
 
-def lie_derivative(spec: FirstIntegralSpec, k: ParamVector, p, rel_tol: float = 1e-9) -> float:
+def lie_derivative(spec: FirstIntegralSpec, k: ParamVector, p) -> float:
     """Derivative of the product integral along the flow at p.
 
     Evaluated two independent ways: the factored closed form, and the
     analytic gradient dotted with the velocity.  The two must agree within
-    rel_tol relative to the size of the terms involved; disagreement is an
-    internal error, not a data condition.
+    LIE_AGREE_TOL relative to the size of the terms involved; disagreement
+    is an internal error, not a data condition.
     """
     closed = _closed_form_lie(spec, k, p)
     grad = _gradient(spec, p)
     vel = vector_field(k, p)
     dotted = math.fsum(g * w for g, w in zip(grad, vel))
     term_scale = math.fsum(abs(g * w) for g, w in zip(grad, vel))
-    allowance = rel_tol * max(abs(closed), abs(dotted), term_scale, 1e-300)
+    allowance = LIE_AGREE_TOL * max(abs(closed), abs(dotted), term_scale, 1e-300)
     if abs(closed - dotted) > allowance:
         raise ArithmeticError(
             f"lie derivative routes disagree: {closed!r} vs {dotted!r}"

@@ -31,6 +31,7 @@ __all__ = [
     "limit_endpoints",
     "limit_segments",
     "interior_spectrum",
+    "edge_eigenvalues",
     "edge_spectrum_py",
     "edge_py",
     "edge_xz",
@@ -41,6 +42,8 @@ __all__ = [
 TOL_GEOM = 1e-12
 OPEN_SAMPLING_MARGIN = 1e-9
 DK_SWEEPS = 64  # seeded generic Jacobians settle to rounding level within 36
+SPECTRUM_RESIDUAL_TOL = 1e-10
+SPECTRUM_AGREE_TOL = 1e-8
 _SQRT3 = math.sqrt(3.0)
 
 CENTER_TYPE = "center-type"
@@ -113,20 +116,30 @@ def _coords(p) -> tuple:
     return float(x), float(y), float(z)
 
 
-def vector_field(k: ParamVector, p) -> tuple:
-    """Velocity of the simplex flow at p.
+def _field3(k: ParamVector):
+    """The velocity of the simplex flow as a function of the state alone.
 
     Evaluates x*(k1*y - k4*v), y*(k2*z - k1*x), z*(k3*v - k2*y) with
     v = 1 - x - y - z, sequenced so that states on the two singular edges
     return an algebraically exact zero, not a rounded one.
     """
-    x, y, z = _coords(p)
-    v = ((1.0 - x) - y) - z
-    return (
-        x * (k.k1 * y - k.k4 * v),
-        y * (k.k2 * z - k.k1 * x),
-        z * (k.k3 * v - k.k2 * y),
-    )
+    k1, k2, k3, k4 = k
+
+    def fun(p):
+        x, y, z = p
+        v = ((1.0 - x) - y) - z
+        return (
+            x * (k1 * y - k4 * v),
+            y * (k2 * z - k1 * x),
+            z * (k3 * v - k2 * y),
+        )
+
+    return fun
+
+
+def vector_field(k: ParamVector, p) -> tuple:
+    """Velocity of the simplex flow at p, evaluated as _field3 does."""
+    return _field3(k)(_coords(p))
 
 
 def jacobian(k: ParamVector, p) -> tuple:
@@ -140,13 +153,14 @@ def jacobian(k: ParamVector, p) -> tuple:
     )
 
 
-def jacobian_spectrum(k: ParamVector, p, residual_tol: float = 1e-10) -> tuple:
+def jacobian_spectrum(k: ParamVector, p) -> tuple:
     """Eigenvalues of the Jacobian at p, ordered by imaginary part.
 
     They are the roots of lam^3 - trace*lam^2 + minors*lam - det (minors: the
     sum of the principal 2x2 minors), found by DK_SWEEPS Durand-Kerner sweeps
     started off-symmetry inside the Cauchy root bound.  Raises ArithmeticError
-    if |p(lam)| > residual_tol * scale**3 at a root, scale = max(1, max |J_ij|).
+    if |p(lam)| > SPECTRUM_RESIDUAL_TOL * scale**3 at a root, with
+    scale = max(1, max |J_ij|).
     """
     (a, b, c), (d, e, f), (g, h, i) = rows = jacobian(k, p)
     trace = a + e + i
@@ -163,7 +177,7 @@ def jacobian_spectrum(k: ParamVector, p, residual_tol: float = 1e-10) -> tuple:
             roots[n] = lam - poly(lam) / ((lam - roots[n - 1]) * (lam - roots[n - 2]))
     scale = max(1.0, max(abs(entry) for row in rows for entry in row))
     worst = max(abs(poly(lam)) for lam in roots)
-    if worst > residual_tol * scale**3:
+    if worst > SPECTRUM_RESIDUAL_TOL * scale**3:
         raise ArithmeticError(f"characteristic residual {worst:.3e} exceeds tolerance")
     return tuple(sorted(roots, key=lambda lam: lam.imag))
 
@@ -286,13 +300,14 @@ class SpectrumReport:
     max_mismatch: float | None = None
 
 
-def interior_spectrum(k: ParamVector, z: float, agree_tol: float = 1e-8) -> SpectrumReport:
+def interior_spectrum(k: ParamVector, z: float) -> SpectrumReport:
     """Spectrum at the interior-segment point with third coordinate z.
 
     The characteristic polynomial there factors as lam*(lam^2 + b) with
     b = z*y*(k1+k2)*(k2+k3) and y = (k4-(k3+k4)*z)/(k1+k4), so the analytic
     eigenvalues are {0, +i sqrt(b), -i sqrt(b)}.  jacobian_spectrum, the roots
-    of the Jacobian's characteristic polynomial, must agree within agree_tol.
+    of the Jacobian's characteristic polynomial, must agree within
+    SPECTRUM_AGREE_TOL.
     """
     regime = classify(k)
     if not regime.oscillatory:
@@ -310,9 +325,9 @@ def interior_spectrum(k: ParamVector, z: float, agree_tol: float = 1e-8) -> Spec
     mismatch = max(
         min(abs(a - w) for w in numeric) for a in analytic
     )
-    if mismatch > agree_tol:
+    if mismatch > SPECTRUM_AGREE_TOL:
         raise ArithmeticError(
-            f"analytic/numeric eigenvalue mismatch {mismatch:.3e} exceeds {agree_tol}"
+            f"analytic/numeric eigenvalue mismatch {mismatch:.3e} exceeds {SPECTRUM_AGREE_TOL}"
         )
     return SpectrumReport(
         eigenvalues=analytic,
@@ -321,6 +336,15 @@ def interior_spectrum(k: ParamVector, z: float, agree_tol: float = 1e-8) -> Spec
         numeric_eigenvalues=numeric,
         max_mismatch=mismatch,
     )
+
+
+def edge_eigenvalues(k: ParamVector, edge: str, s: float) -> tuple:
+    """The two transverse eigenvalues at the point with abscissa s of the
+    singular edge R_py, (s, 0, 1-s), or R_xz, (0, s, 0).  The third
+    eigenvalue, along the edge, is 0."""
+    if edge == "R_py":
+        return (k.k3 + k.k4) * s - k.k3, k.k2 - s * (k.k1 + k.k2)
+    return k.k1 * s - k.k4 * (1.0 - s), k.k3 * (1.0 - s) - k.k2 * s
 
 
 def edge_spectrum_py(k: ParamVector, x0: float) -> SpectrumReport:
@@ -333,8 +357,7 @@ def edge_spectrum_py(k: ParamVector, x0: float) -> SpectrumReport:
     x0 = float(x0)
     if not 0.0 <= x0 <= 1.0:
         raise OutOfRange(f"x0={x0} outside [0, 1]")
-    lam2 = (k.k3 + k.k4) * x0 - k.k3
-    lam3 = k.k2 - x0 * (k.k1 + k.k2)
+    lam2, lam3 = edge_eigenvalues(k, "R_py", x0)
     outside = None
     if (k.k1 + k.k2) != 0.0 and (k.k3 + k.k4) != 0.0:
         t1 = k.k2 / (k.k1 + k.k2)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .params import ParamVector
-from .equilibria import SimplexPoint, SimplexViolation, _coords
+from .equilibria import SimplexPoint, SimplexViolation, _coords, _field3
 from .darboux import FirstIntegralSpec, log_integral_series, named_integral_specs
 
 __all__ = [
@@ -408,21 +408,6 @@ class Trajectory:
         series = self.drift[name]
         base = series[0]
         return max(abs(v - base) for v in series)
-
-
-def _field3(k: ParamVector):
-    k1, k2, k3, k4 = k
-
-    def fun(p):
-        x, y, z = p
-        v = ((1.0 - x) - y) - z
-        return (
-            x * (k1 * y - k4 * v),
-            y * (k2 * z - k1 * x),
-            z * (k3 * v - k2 * y),
-        )
-
-    return fun
 
 
 def _negated(fun):

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from lv3.analysis import (
-    CLOSURE_TOL,
     DegenerateLeaf,
     LevelOutOfRange,
     OnEquilibrium,
@@ -194,9 +193,39 @@ def test_probe_stop_reasons(case, expected):
     k, p0, horizon, tol_rel, tol_abs, return_budget = case
     k = ParamVector(*k)
     reason, stepper, _, closed = _probe(_field3(k), p0, default_section(k), horizon,
-                                        tol_rel, tol_abs, CLOSURE_TOL, return_budget)
+                                        tol_rel, tol_abs, return_budget)
     assert (reason, stepper.t, stepper.n_accepted) == expected
     assert (closed is not None) == (reason == "periodic")
+
+
+# starts of SplitMix64(7) samples whose omega probe stopped next to a
+# saddle-type point of R_py (and one alpha probe next to R_xz), read as
+# point-on-R_*: (k, number sampled, index of the start)
+EDGE_SADDLE_STARTS = [((2, 1, 2, 1), 400, 67), ((2, 1, 2, 1), 400, 109),
+                      ((2, 1, 2, 1), 400, 371), ((-2, -1, -2, -1), 100, 67)]
+
+
+@pytest.mark.parametrize("k, n, index", EDGE_SADDLE_STARTS,
+                         ids=[f"{','.join(map(str, k))}-{i}" for k, _, i in EDGE_SADDLE_STARTS])
+def test_limit_probes_slide_past_saddle_edge_points(k, n, index):
+    k = ParamVector(*k)
+    p = sample_interior(k, n, SplitMix64(7))[index]
+    alpha_seg, omega_seg = ("s_xz", "s_py") if k.k1 > 0 else ("s_py", "s_xz")
+    om, al = omega_limit(k, p), alpha_limit(k, p)
+    assert (om.kind, al.kind) == (f"point-on-{omega_seg}", f"point-on-{alpha_seg}")
+    assert max(om.distance, al.distance) <= 1e-4
+
+
+def test_limit_probe_stops_where_the_state_sank_onto_the_face():
+    # this orbit reaches the saddle-type point x = 0.3434 of R_py with
+    # w = 1-x-y-z at rounding level: stepping on would only grow w's rounding
+    # error off the simplex, so the probe stops and reports the edge point
+    k = ParamVector(3, 1, 1, 2)
+    rep = omega_limit(k, sample_interior(k, 20, SplitMix64(5))[13])
+    x, y, z = rep.witness
+    assert rep.kind == "point-on-R_py"
+    assert ((1.0 - x) - y) - z <= 0.0
+    assert x == pytest.approx(0.3434, abs=1e-4)
 
 
 @pytest.mark.parametrize("probe", [omega_limit, detect_periodic], ids=lambda f: f.__name__)
@@ -360,6 +389,15 @@ def test_verify_theorem_b_hypothesis_mismatch():
     report = verify_theorem_b(ParamVector(2, 3, 3, 2), 3)
     assert report["status"] == "hypothesis-mismatch"
     assert not report["passed"]
+
+
+@pytest.mark.parametrize("harness", [verify_theorem_a, verify_theorem_b],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_harnesses_reject_sample_counts_below_one(harness, n_samples):
+    # a run that checks no orbit must not report passed
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        harness(ParamVector(2, 3, 3, 2), n_samples)
 
 
 def test_verify_theorem_b_negated_regime():

@@ -373,6 +373,19 @@ GOLDEN_STDOUT = {
     "verify-b": (
         "verify-b --k 2,1,2,1 --samples 4 --seed 9", EXIT_OK,
         "f4869f94d9e171caad8377b10660a8ac4454d7b6de48ec9e413e4d2166d3acc2"),
+    "verify-a-part-b": (
+        "verify-a --k 2,1,2,1 --samples 4 --seed 9", EXIT_OK,
+        "5c13dde4f51b5d85f58aab81e870d2bb3ec23d04e89ca01217de184150f0c542"),
+    "verify-a-part-b-not-ps": (
+        "verify-a --k 1,-1,1,1 --samples 4 --seed 9", EXIT_OK,
+        "37ab7c092ef302c92246a1e9601c9aa5267109414c2c89a61e168514692cdb0d"),
+    "verify-b-mismatch": (
+        "verify-b --k 2,3,3,2 --samples 2 --seed 9", EXIT_FAIL,
+        "837b8202d1345271cdfdee6b197f433e070dfc51fac3066fc9657670e73d4ed1"),
+    # sample 3 slows down next to a saddle-type point of R_py on its way to s_py
+    "verify-b-edge-saddle": (
+        "verify-b --k 2,1,2,1 --samples 4 --seed 1130267431", EXIT_OK,
+        "687e767dae0ae099755dd6bd4a6a7402d8de200f037c3ab279717b03d88402a5"),
     "equilibria-spectrum": (
         "equilibria --k 2,3,3,2 --spectrum", EXIT_OK,
         "ca31b137073fb700c690c30754b96073dc53162ed935e5d21aedb97855818338"),

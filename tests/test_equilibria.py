@@ -9,6 +9,7 @@ from lv3.equilibria import (
     OutOfRange,
     SimplexPoint,
     SimplexViolation,
+    edge_eigenvalues,
     edge_py,
     edge_spectrum_py,
     edge_xz,
@@ -247,6 +248,19 @@ def test_edge_spectrum_examples():
     rep = edge_spectrum_py(ParamVector(1, 1, 1, 1), 0.5)
     assert all(abs(w.real) <= 1e-15 for w in rep.eigenvalues)
     assert rep.classification == "other"
+
+
+def test_edge_eigenvalues_match_the_jacobian(rng):
+    # the closed forms on both singular edges against numpy's eigensolve of
+    # the analytic Jacobian: spectrum {0, l2, l3}, all real
+    for _ in range(100):
+        k = rand_params(rng)
+        s = rng.uniform()
+        for edge, p in (("R_py", (s, 0.0, 1.0 - s)), ("R_xz", (0.0, s, 0.0))):
+            ref = np.linalg.eigvals(np.array(jacobian(k, p)))
+            assert np.abs(ref.imag).max() <= 1e-12
+            assert sorted(ref.real) == pytest.approx(sorted((0.0, *edge_eigenvalues(k, edge, s))),
+                                                     abs=1e-12)
 
 
 def test_edge_spectrum_sign_rule_outside_span(rng):

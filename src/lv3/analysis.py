@@ -54,10 +54,12 @@ from .flow import (
     DormandPrince45,
     SectionSpec,
     StepSizeUnderflow,
+    _DOP853,
     _ReturnMap,
+    _drive,
     _negated,
+    _simplex_run_args,
     _violation3,
-    integrate,
 )
 from .rng import SplitMix64
 
@@ -347,10 +349,19 @@ def certified_integral_names(k: ParamVector) -> tuple:
 
 def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dict:
     """Peak log-form drift of the certified integrals along one orbit stretch,
-    integrated at tol_rel 1e-12 and tol_abs 1e-14."""
+    integrated at tol_rel 1e-12 and tol_abs 1e-14.
+
+    The run takes integrate's argument checks, simplex check and step
+    limits, but steps with the eighth-order Dormand-Prince pair: at this
+    tolerance it needs about 4x fewer field evaluations than the
+    fifth-order one, and the drift is read at every accepted sample, never
+    between them.
+    """
     if names is None:
         names = certified_integral_names(k)
-    traj = integrate(k, p0, duration, 1e-12, 1e-14, monitor=list(names), keep_dense=False)
+    start, specs = _simplex_run_args(k, p0, duration, list(names))
+    traj = _drive(k, _field3(k), start, duration, 1e-12, 1e-14, _violation3, "simplex", specs,
+                  False, _DOP853)
     return {name: traj.drift_range(name) for name in names}
 
 

@@ -12,6 +12,15 @@ state's length: three-component states (the simplex flow, so every orbit
 of integrate, the probes and the harnesses) take a step written over named
 scalars; the 2-D face flows and the 4-D flow take the generic one.  Both
 give the same bits.
+
+One run takes a second pair: analysis.orbit_integral_drift re-integrates
+each detected period with the Dormand-Prince 8(5,3) pair (DOP853; Prince &
+Dormand 1981) at 1e-12/1e-14, where it needs about 8x fewer steps and 4x
+fewer field evaluations than the 5(4) pair.  The same stepper and driver
+run it (_pair=_DOP853, three-component states only); it builds no dense
+output.  Everything else keeps the 5(4) pair: integrate prints one row per
+accepted step, so a higher order would change its output rather than its
+cost, and return maps read the 5(4) pair's free quartic interpolant.
 Backward time is realised by negating the field, never by negative steps,
 so there is a single stepping code path.
 
@@ -87,6 +96,48 @@ _P = (
     (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+# Dormand-Prince 8(5,3) tableau (Prince & Dormand 1981; Hairer, Norsett &
+# Wanner, Solving ODEs I, II.10), the published coefficients that scipy's
+# DOP853 also uses.  Rows of _A8 list every entry, zeros included; the
+# 8th-order weights _B8 also give the state of the FSAL stage, and _E5 and
+# _E3 are the two embedded-difference weights of Hairer's error estimate.
+_A8 = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+)
+_B8 = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+)
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294,
+)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082,
 )
 
 
@@ -209,6 +260,108 @@ def _rk_step3(fun, y, f0, h):
     return y_new, k6, err, (k0, k1, k2, k3, k4, k5, k6)
 
 
+def _rk_step8_3(fun, y, f0, h):
+    """One Dormand-Prince 8(5,3) step of a three-component state; returns
+    (y1, f1, err, K).
+
+    Written over named scalars like _rk_step3: each stage sum starts from
+    0.0 and scales by h last, and the tableau's zero entries are left out
+    (adding 0.0 * k to a sum started from 0.0 changes no bit of a finite
+    sum).  Twelve stages; the thirteenth evaluation, at y1, is the next
+    step's first (FSAL).  err holds the h-scaled 5th-order then 3rd-order
+    error estimates, the operands of _error_norm8_3.
+    """
+    (_, (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3), (a5_0, _, _, a5_3, a5_4),
+     (a6_0, _, _, a6_3, a6_4, a6_5), (a7_0, _, _, a7_3, a7_4, a7_5, a7_6),
+     (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7), (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10)) = _A8
+    b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = _B8
+    e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _E5
+    e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3
+    y0, y1, y2 = y
+    c0_0, c0_1, c0_2 = k0 = f0
+    c1_0, c1_1, c1_2 = k1 = fun((
+        y0 + h * (0.0 + a1_0 * c0_0),
+        y1 + h * (0.0 + a1_0 * c0_1),
+        y2 + h * (0.0 + a1_0 * c0_2)))
+    c2_0, c2_1, c2_2 = k2 = fun((
+        y0 + h * (0.0 + a2_0 * c0_0 + a2_1 * c1_0),
+        y1 + h * (0.0 + a2_0 * c0_1 + a2_1 * c1_1),
+        y2 + h * (0.0 + a2_0 * c0_2 + a2_1 * c1_2)))
+    c3_0, c3_1, c3_2 = k3 = fun((
+        y0 + h * (0.0 + a3_0 * c0_0 + a3_2 * c2_0),
+        y1 + h * (0.0 + a3_0 * c0_1 + a3_2 * c2_1),
+        y2 + h * (0.0 + a3_0 * c0_2 + a3_2 * c2_2)))
+    c4_0, c4_1, c4_2 = k4 = fun((
+        y0 + h * (0.0 + a4_0 * c0_0 + a4_2 * c2_0 + a4_3 * c3_0),
+        y1 + h * (0.0 + a4_0 * c0_1 + a4_2 * c2_1 + a4_3 * c3_1),
+        y2 + h * (0.0 + a4_0 * c0_2 + a4_2 * c2_2 + a4_3 * c3_2)))
+    c5_0, c5_1, c5_2 = k5 = fun((
+        y0 + h * (0.0 + a5_0 * c0_0 + a5_3 * c3_0 + a5_4 * c4_0),
+        y1 + h * (0.0 + a5_0 * c0_1 + a5_3 * c3_1 + a5_4 * c4_1),
+        y2 + h * (0.0 + a5_0 * c0_2 + a5_3 * c3_2 + a5_4 * c4_2)))
+    c6_0, c6_1, c6_2 = k6 = fun((
+        y0 + h * (0.0 + a6_0 * c0_0 + a6_3 * c3_0 + a6_4 * c4_0 + a6_5 * c5_0),
+        y1 + h * (0.0 + a6_0 * c0_1 + a6_3 * c3_1 + a6_4 * c4_1 + a6_5 * c5_1),
+        y2 + h * (0.0 + a6_0 * c0_2 + a6_3 * c3_2 + a6_4 * c4_2 + a6_5 * c5_2)))
+    c7_0, c7_1, c7_2 = k7 = fun((
+        y0 + h * (0.0 + a7_0 * c0_0 + a7_3 * c3_0 + a7_4 * c4_0 + a7_5 * c5_0 + a7_6 * c6_0),
+        y1 + h * (0.0 + a7_0 * c0_1 + a7_3 * c3_1 + a7_4 * c4_1 + a7_5 * c5_1 + a7_6 * c6_1),
+        y2 + h * (0.0 + a7_0 * c0_2 + a7_3 * c3_2 + a7_4 * c4_2 + a7_5 * c5_2 + a7_6 * c6_2)))
+    c8_0, c8_1, c8_2 = k8 = fun((
+        y0 + h * (0.0 + a8_0 * c0_0 + a8_3 * c3_0 + a8_4 * c4_0 + a8_5 * c5_0 + a8_6 * c6_0
+                    + a8_7 * c7_0),
+        y1 + h * (0.0 + a8_0 * c0_1 + a8_3 * c3_1 + a8_4 * c4_1 + a8_5 * c5_1 + a8_6 * c6_1
+                    + a8_7 * c7_1),
+        y2 + h * (0.0 + a8_0 * c0_2 + a8_3 * c3_2 + a8_4 * c4_2 + a8_5 * c5_2 + a8_6 * c6_2
+                    + a8_7 * c7_2)))
+    c9_0, c9_1, c9_2 = k9 = fun((
+        y0 + h * (0.0 + a9_0 * c0_0 + a9_3 * c3_0 + a9_4 * c4_0 + a9_5 * c5_0 + a9_6 * c6_0
+                    + a9_7 * c7_0 + a9_8 * c8_0),
+        y1 + h * (0.0 + a9_0 * c0_1 + a9_3 * c3_1 + a9_4 * c4_1 + a9_5 * c5_1 + a9_6 * c6_1
+                    + a9_7 * c7_1 + a9_8 * c8_1),
+        y2 + h * (0.0 + a9_0 * c0_2 + a9_3 * c3_2 + a9_4 * c4_2 + a9_5 * c5_2 + a9_6 * c6_2
+                    + a9_7 * c7_2 + a9_8 * c8_2)))
+    c10_0, c10_1, c10_2 = k10 = fun((
+        y0 + h * (0.0 + a10_0 * c0_0 + a10_3 * c3_0 + a10_4 * c4_0 + a10_5 * c5_0 + a10_6 * c6_0
+                    + a10_7 * c7_0 + a10_8 * c8_0 + a10_9 * c9_0),
+        y1 + h * (0.0 + a10_0 * c0_1 + a10_3 * c3_1 + a10_4 * c4_1 + a10_5 * c5_1 + a10_6 * c6_1
+                    + a10_7 * c7_1 + a10_8 * c8_1 + a10_9 * c9_1),
+        y2 + h * (0.0 + a10_0 * c0_2 + a10_3 * c3_2 + a10_4 * c4_2 + a10_5 * c5_2 + a10_6 * c6_2
+                    + a10_7 * c7_2 + a10_8 * c8_2 + a10_9 * c9_2)))
+    c11_0, c11_1, c11_2 = k11 = fun((
+        y0 + h * (0.0 + a11_0 * c0_0 + a11_3 * c3_0 + a11_4 * c4_0 + a11_5 * c5_0 + a11_6 * c6_0
+                    + a11_7 * c7_0 + a11_8 * c8_0 + a11_9 * c9_0 + a11_10 * c10_0),
+        y1 + h * (0.0 + a11_0 * c0_1 + a11_3 * c3_1 + a11_4 * c4_1 + a11_5 * c5_1 + a11_6 * c6_1
+                    + a11_7 * c7_1 + a11_8 * c8_1 + a11_9 * c9_1 + a11_10 * c10_1),
+        y2 + h * (0.0 + a11_0 * c0_2 + a11_3 * c3_2 + a11_4 * c4_2 + a11_5 * c5_2 + a11_6 * c6_2
+                    + a11_7 * c7_2 + a11_8 * c8_2 + a11_9 * c9_2 + a11_10 * c10_2)))
+    # the 8th-order solution; its derivative seeds the next step (FSAL)
+    y_new = (
+        y0 + h * (0.0 + b0 * c0_0 + b5 * c5_0 + b6 * c6_0 + b7 * c7_0 + b8 * c8_0 + b9 * c9_0
+                    + b10 * c10_0 + b11 * c11_0),
+        y1 + h * (0.0 + b0 * c0_1 + b5 * c5_1 + b6 * c6_1 + b7 * c7_1 + b8 * c8_1 + b9 * c9_1
+                    + b10 * c10_1 + b11 * c11_1),
+        y2 + h * (0.0 + b0 * c0_2 + b5 * c5_2 + b6 * c6_2 + b7 * c7_2 + b8 * c8_2 + b9 * c9_2
+                    + b10 * c10_2 + b11 * c11_2))
+    k12 = fun(y_new)
+    err = (
+        h * (0.0 + e5_0 * c0_0 + e5_5 * c5_0 + e5_6 * c6_0 + e5_7 * c7_0 + e5_8 * c8_0
+               + e5_9 * c9_0 + e5_10 * c10_0 + e5_11 * c11_0),
+        h * (0.0 + e5_0 * c0_1 + e5_5 * c5_1 + e5_6 * c6_1 + e5_7 * c7_1 + e5_8 * c8_1
+               + e5_9 * c9_1 + e5_10 * c10_1 + e5_11 * c11_1),
+        h * (0.0 + e5_0 * c0_2 + e5_5 * c5_2 + e5_6 * c6_2 + e5_7 * c7_2 + e5_8 * c8_2
+               + e5_9 * c9_2 + e5_10 * c10_2 + e5_11 * c11_2),
+        h * (0.0 + e3_0 * c0_0 + e3_5 * c5_0 + e3_6 * c6_0 + e3_7 * c7_0 + e3_8 * c8_0
+               + e3_9 * c9_0 + e3_10 * c10_0 + e3_11 * c11_0),
+        h * (0.0 + e3_0 * c0_1 + e3_5 * c5_1 + e3_6 * c6_1 + e3_7 * c7_1 + e3_8 * c8_1
+               + e3_9 * c9_1 + e3_10 * c10_1 + e3_11 * c11_1),
+        h * (0.0 + e3_0 * c0_2 + e3_5 * c5_2 + e3_6 * c6_2 + e3_7 * c7_2 + e3_8 * c8_2
+               + e3_9 * c9_2 + e3_10 * c10_2 + e3_11 * c11_2))
+    return y_new, k12, err, (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12)
+
+
 def _plain_sum(values):
     """sum(values) as CPython 3.11 adds floats: left to right from 0.0 (its
     int start 0 meets the first term as 0.0)."""
@@ -252,6 +405,32 @@ def _error_norm3(err, y, y1, rtol, atol):
     return math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
 
 
+def _error_norm8_3(err, y, y1, rtol, atol):
+    """Hairer's combined DOP853 error norm of a three-component step.
+
+    err holds h*e5 and h*e3 (see _rk_step8_3).  With the RMS norms of e5
+    and e3 over the scale atol + rtol*max(|y|, |y1|), the norm is
+    |h|*|e5|**2 / sqrt(|e5|**2 + 0.01*|e3|**2): the 3rd-order estimate
+    keeps a 5th-order error that is small by cancellation from passing.
+    Written here with the h-scaled sums, which is the same expression.
+    """
+    e0, e1, e2, d0, d1, d2 = err
+    a0, a1, a2 = y
+    b0, b1, b2 = y1
+    a0, b0 = abs(a0), abs(b0)
+    a1, b1 = abs(a1), abs(b1)
+    a2, b2 = abs(a2), abs(b2)
+    s0 = atol + rtol * (b0 if b0 > a0 else a0)
+    s1 = atol + rtol * (b1 if b1 > a1 else a1)
+    s2 = atol + rtol * (b2 if b2 > a2 else a2)
+    e0, e1, e2 = e0 / s0, e1 / s1, e2 / s2
+    d0, d1, d2 = d0 / s0, d1 / s1, d2 / s2
+    sq5 = 0.0 + e0 * e0 + e1 * e1 + e2 * e2
+    if sq5 == 0.0:
+        return 0.0
+    return sq5 / math.sqrt(3 * (sq5 + 0.01 * (0.0 + d0 * d0 + d1 * d1 + d2 * d2)))
+
+
 def _clamp(v, lo, hi):
     """min(hi, max(lo, v)) as compares, returning the same operand in every
     case (nan gives lo, as max(lo, nan) does)."""
@@ -259,7 +438,7 @@ def _clamp(v, lo, hi):
     return v if v < hi else hi
 
 
-def _initial_step(fun, y0, f0, rtol, atol, t_span):
+def _initial_step(fun, y0, f0, rtol, atol, t_span, exponent):
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = math.sqrt(_plain_sum((v / s) ** 2 for v, s in zip(y0, scale)) / len(y0))
     d1 = math.sqrt(_plain_sum((v / s) ** 2 for v, s in zip(f0, scale)) / len(y0))
@@ -272,8 +451,41 @@ def _initial_step(fun, y0, f0, rtol, atol, t_span):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** exponent
     return min(100 * h0, h1, t_span)
+
+
+@dataclass(frozen=True, eq=False)
+class _Pair:
+    """An embedded Runge-Kutta pair as the stepper drives it.
+
+    kernel3 and norm3 step three-component states, kernel and norm any
+    other (None: three-component states only).  A rejected step shrinks by
+    SAFETY * err**reject_exp, an accepted one grows by the PI factor
+    SAFETY * err**-alpha * err_prev**beta, and the first step is
+    (0.01 / d)**initial_exp.  dense: whether the stages build the quartic
+    DenseSegment.
+    """
+
+    kernel3: object
+    norm3: object
+    kernel: object
+    norm: object
+    reject_exp: float
+    alpha: float
+    beta: float
+    initial_exp: float
+    dense: bool
+
+
+# Dormand-Prince 5(4), the pair of every run but the drift re-integration.
+_DP5 = _Pair(_rk_step3, _error_norm3, _rk_step, _error_norm,
+             -0.2, 0.7 / 5.0, 0.4 / 5.0, 0.2, True)
+# Dormand-Prince 8(5,3), 3-D only, without dense output: the pair of
+# analysis.orbit_integral_drift at 1e-12/1e-14, where it needs about 4x
+# fewer field evaluations than _DP5.
+_DOP853 = _Pair(_rk_step8_3, _error_norm8_3, None, None,
+                -1 / 8, 0.7 / 8, 0.4 / 8, 1 / 8, False)
 
 
 class DormandPrince45:
@@ -282,16 +494,17 @@ class DormandPrince45:
     The local error per step is kept below atol + rtol*|state| componentwise
     (RMS-normed); acceptance feeds a PI controller.  Use step() repeatedly
     until finished; segment() builds the dense segment of the step last
-    accepted, on demand.
+    accepted, on demand.  The private _pair selects the embedded pair:
+    Dormand-Prince 5(4) by default, _DOP853 for the drift re-integration
+    (three-component states only, and without segment()).
     """
 
     SAFETY = 0.9
     MIN_FACTOR = 0.2
     MAX_FACTOR = 5.0
-    ALPHA = 0.7 / 5.0
-    BETA = 0.4 / 5.0
 
-    def __init__(self, fun, y0, t_span, rtol=DEFAULT_TOL_REL, atol=DEFAULT_TOL_ABS):
+    def __init__(self, fun, y0, t_span, rtol=DEFAULT_TOL_REL, atol=DEFAULT_TOL_ABS,
+                 _pair=_DP5):
         if t_span <= 0.0:
             raise ValueError("t_span must be positive")
         self.fun = fun
@@ -300,13 +513,18 @@ class DormandPrince45:
         self.t_span = float(t_span)
         self.rtol = float(rtol)
         self.atol = float(atol)
-        self.f = fun(self.y)
         if len(self.y) == 3:
-            self._kernel, self._norm = _rk_step3, _error_norm3
+            self._kernel, self._norm = _pair.kernel3, _pair.norm3
+        elif _pair.kernel is None:
+            raise ValueError("this pair steps three-component states only")
         else:
-            self._kernel, self._norm = _rk_step, _error_norm
+            self._kernel, self._norm = _pair.kernel, _pair.norm
+        self._pair = _pair
+        self._reject_exp, self._alpha, self._beta = _pair.reject_exp, _pair.alpha, _pair.beta
+        self.f = fun(self.y)
         self.min_step = MIN_STEP_FRACTION * self.t_span
-        h = _initial_step(fun, self.y, self.f, self.rtol, self.atol, self.t_span)
+        h = _initial_step(fun, self.y, self.f, self.rtol, self.atol, self.t_span,
+                          _pair.initial_exp)
         self.h = min(h, self.t_span)
         self._err_prev = 1.0
         self.n_accepted = 0
@@ -340,12 +558,12 @@ class DormandPrince45:
             if err_norm <= 1.0:
                 break
             self.n_rejected += 1
-            shrink = self.SAFETY * err_norm**-0.2
+            shrink = self.SAFETY * err_norm**self._reject_exp
             h *= shrink if shrink > self.MIN_FACTOR else self.MIN_FACTOR  # max(MIN, shrink)
         if err_norm == 0.0:
             factor = self.MAX_FACTOR
         else:
-            factor = _clamp(self.SAFETY * err_norm**-self.ALPHA * self._err_prev**self.BETA,
+            factor = _clamp(self.SAFETY * err_norm**-self._alpha * self._err_prev**self._beta,
                             self.MIN_FACTOR, self.MAX_FACTOR)
         next_h = h * factor
         if clipped and self.h > next_h:  # max(next_h, self.h)
@@ -359,7 +577,13 @@ class DormandPrince45:
         self.n_accepted += 1
 
     def segment(self) -> DenseSegment:
-        """Dense segment of the step last accepted (a new one on every call)."""
+        """Dense segment of the step last accepted (a new one on every call).
+
+        Raises ValueError on an eighth-order stepper: its stages do not
+        build the fifth-order pair's quartic.
+        """
+        if not self._pair.dense:
+            raise ValueError("the eighth-order pair has no dense output")
         return DenseSegment(*self._last)
 
 
@@ -458,16 +682,20 @@ def _resolve_monitor(k, monitor) -> dict:
     return specs
 
 
-def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_dense) -> Trajectory:
-    """The stepping loop behind integrate and integrate4.
+def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_dense,
+           pair=_DP5) -> Trajectory:
+    """The stepping loop behind integrate, integrate4 and the drift run.
 
     Negative t_end negates the physical field fun.  violation(y) is tracked
     at every sample; its running maximum beyond VIOLATION_LIMIT raises
     SimplexViolation, labelled by what.  specs maps monitored names to
-    their specs, evaluated over all samples once the run is done.
+    their specs, evaluated over all samples once the run is done.  pair is
+    the embedded pair the stepper runs; keep_dense needs one with dense
+    output (segment() raises ValueError otherwise).
     """
     sign = 1 if t_end > 0.0 else -1
-    stepper = DormandPrince45(fun if sign > 0 else _negated(fun), y0, abs(t_end), tol_rel, tol_abs)
+    stepper = DormandPrince45(fun if sign > 0 else _negated(fun), y0, abs(t_end), tol_rel, tol_abs,
+                              _pair=pair)
     times = [0.0]
     states = [stepper.y]
     dense = [] if keep_dense else None
@@ -515,12 +743,16 @@ def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL
     simplex violation beyond 1e-9 raises SimplexViolation; smaller ones are
     only recorded.
     """
+    start, specs = _simplex_run_args(k, p0, t_end, monitor)
+    return _drive(k, _field3(k), start, t_end, tol_rel, tol_abs, _violation3,
+                  "simplex", specs, keep_dense)
+
+
+def _simplex_run_args(k, p0, t_end, monitor) -> tuple:
+    """integrate's checks of its arguments: (start state, monitor specs)."""
     if t_end == 0.0:
         raise ValueError("t_end must be nonzero")
-    start = SimplexPoint(*_coords(p0))
-    specs = _resolve_monitor(k, monitor)
-    return _drive(k, _field3(k), start.coords, t_end, tol_rel, tol_abs, _violation3,
-                  "simplex", specs, keep_dense)
+    return SimplexPoint(*_coords(p0)).coords, _resolve_monitor(k, monitor)
 
 
 def field4(k: ParamVector, q) -> tuple:

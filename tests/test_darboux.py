@@ -21,7 +21,9 @@ from lv3.darboux import (
     solve_darboux,
     surface_values,
     verify_invariance,
+    _cofactors,
 )
+from lv3.flow import integrate
 from lv3.params import ParamVector, discriminant
 from lv3.rng import SplitMix64
 from conftest import (
@@ -366,6 +368,53 @@ def test_lie_derivative_sign_tracks_discriminant(rng):
         spec = named_integral_specs(k)["H"]
         p = rand_interior_point(rng, margin=0.02)
         assert math.copysign(1.0, lie_derivative(spec, k, p)) == math.copysign(1.0, d)
+
+
+# --- the named integrals are Lyapunov functions off the manifold -------------
+
+# d/dt log I is the exponent-weighted sum of the surface cofactors; for each
+# named integral it is D = k1*k3 - k2*k4 times one coordinate of the 4-D
+# simplex, w = 1-x-y-z, x, y or z, with this sign
+LYAPUNOV_FORMS = {"H": ("w", 1), "V": ("x", -1), "Htilde": ("y", 1), "Vtilde": ("z", -1)}
+
+
+def _integer_params(rng) -> ParamVector:
+    # components +-1..9: every cofactor product and sum is exact
+    return ParamVector(*((rng.next_u64() % 9 + 1.0) * (1 if rng.uniform() < 0.5 else -1)
+                         for _ in range(4)))
+
+
+def test_cofactor_combinations_are_discriminant_times_a_coordinate():
+    x, y, z = Poly.variable(0), Poly.variable(1), Poly.variable(2)
+    coordinate = {"w": Poly.constant(1.0) - x - y - z, "x": x, "y": y, "z": z}
+    rng = SplitMix64(311)
+    for k in [ParamVector(2, 1, 2, 1)] + [_integer_params(rng) for _ in range(50)]:
+        d = k.k1 * k.k3 - k.k2 * k.k4
+        assert discriminant(k) == d
+        cofactors = _cofactors(k)
+        for name, spec in named_integral_specs(k).items():
+            rate = Poly()
+            for e, c in zip(spec.exponents, cofactors):
+                rate = rate + e * c
+            form, sign = LYAPUNOV_FORMS[name]
+            assert (rate - (sign * d) * coordinate[form]).coefficients() == {}, (k, name)
+
+
+def test_log_integrals_move_with_the_sign_of_the_discriminant():
+    rng = SplitMix64(312)
+    checked = 0
+    while checked < 12:
+        k = _integer_params(rng)
+        d = discriminant(k)
+        if d == 0.0:
+            continue
+        checked += 1
+        p0 = rand_interior_point(rng, margin=0.05)
+        traj = integrate(k, p0, 2.0, monitor=list(LYAPUNOV_FORMS), keep_dense=False)
+        for name, (_, sign) in LYAPUNOV_FORMS.items():
+            series = traj.drift[name]
+            change = series[-1] - series[0]
+            assert math.copysign(1.0, change) == sign * math.copysign(1.0, d), (k, p0, name)
 
 
 def test_lie_derivative_routes_cross_check_custom_spec(rng):

@@ -10,17 +10,26 @@ from lv3.flow import (
     SectionSpec,
     StepSizeUnderflow,
     _A,
+    _A8,
     _B,
+    _B8,
+    _DOP853,
     _E,
+    _E3,
+    _E5,
     _P,
     _dense_q,
     _dist,
+    _drive,
     _error_norm,
     _error_norm3,
+    _error_norm8_3,
     _field3,
     _normal_component,
     _rk_step,
     _rk_step3,
+    _rk_step8_3,
+    _violation3,
     field4,
     field4_terms,
     find_crossings,
@@ -50,6 +59,40 @@ def test_tableau_consistency():
         assert math.fsum(row) == pytest.approx(b, abs=1e-13)
 
 
+# DOP853 stage abscissae (Prince & Dormand 1981); lv3.flow needs none, the
+# field being autonomous
+_C8 = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+       0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+       0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+
+
+def test_eighth_order_tableau_consistency():
+    assert [len(row) for row in _A8] == list(range(12))
+    assert len(_B8) == len(_E5) == len(_E3) == 12
+    # each row integrates its abscissa.  The literals round the published
+    # decimals to within 2**-53 relative, so the bound scales with the
+    # row's magnitude: row 9 (entries up to 33) is off by 1.8e-15
+    for row, c in zip(_A8, _C8):
+        assert abs(math.fsum(row) - c) <= 2**-52 * (math.fsum(map(abs, row)) + c)
+    # quadrature conditions of order 8: sum b_i c_i**(q-1) = 1/q
+    for q in range(1, 9):
+        assert math.fsum(b * c ** (q - 1) for b, c in zip(_B8, _C8)) == pytest.approx(
+            1 / q, abs=1e-15)
+    # both embedded differences annihilate constants
+    assert math.fsum(_E5) == pytest.approx(0.0, abs=1e-15)
+    assert math.fsum(_E3) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_eighth_order_tableau_is_scipys():
+    # an independent copy of the published coefficients
+    d = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert all(_A8[i][j] == d.A[i, j] for i in range(12) for j in range(i))
+    assert all(_B8[j] == d.B[j] and _E5[j] == d.E5[j] and _E3[j] == d.E3[j]
+               for j in range(12))
+    assert d.E5[12] == d.E3[12] == 0.0  # the FSAL stage enters no estimate
+    assert _C8 == tuple(d.C[:12])
+
+
 def _left_sum(values):
     """Left to right from the int 0: sum() of floats on CPython 3.11 (from
     3.12 on sum() is compensated, so the reference spells the loop out).
@@ -72,6 +115,22 @@ def _rk_step_reference(fun, y, f0, h):
         K.append(fun(ys))
     err = tuple(h * _left_sum(_E[j] * K[j][i] for j in range(7)) for i in range(n))
     return ys, K[6], err, K
+
+
+def _rk_step8_reference(fun, y, f0, h):
+    """The plain loop over the DOP853 stages that _rk_step8_3 unrolls, zero
+    tableau entries included."""
+    n = len(y)
+    K = [f0]
+    for s in range(1, 12):
+        a = _A8[s]
+        K.append(fun(tuple(y[i] + h * _left_sum(a[j] * K[j][i] for j in range(s))
+                           for i in range(n))))
+    y1 = tuple(y[i] + h * _left_sum(_B8[j] * K[j][i] for j in range(12)) for i in range(n))
+    K.append(fun(y1))
+    err = tuple(h * _left_sum(e[j] * K[j][i] for j in range(12))
+                for e in (_E5, _E3) for i in range(n))
+    return y1, K[12], err, K
 
 
 def _bits(value):
@@ -124,6 +183,76 @@ def test_stepper_takes_the_three_component_kernel_for_3d_states():
     assert DormandPrince45(_field3(k), (0.2, 0.2, 0.2), 1.0)._kernel is _rk_step3
     assert DormandPrince45(face_field("Y", k), (0.2, 0.2), 1.0)._kernel is _rk_step
     assert DormandPrince45(lambda q: field4(k, q), (0.2, 0.2, 0.2, 0.4), 1.0)._kernel is _rk_step
+    assert DormandPrince45(_field3(k), (0.2, 0.2, 0.2), 1.0, _pair=_DOP853)._kernel is _rk_step8_3
+    # the eighth-order pair is written for three components only
+    with pytest.raises(ValueError, match="three-component"):
+        DormandPrince45(face_field("Y", k), (0.2, 0.2), 1.0, _pair=_DOP853)
+    with pytest.raises(ValueError, match="three-component"):
+        DormandPrince45(lambda q: field4(k, q), (0.2, 0.2, 0.2, 0.4), 1.0, _pair=_DOP853)
+
+
+def test_eighth_order_step_is_bitwise_the_stage_loop():
+    for fun, y, h in _kernel_cases(3):
+        f0 = fun(y)
+        ref = _rk_step8_reference(fun, y, f0, h)
+        y1, f1, err, K = _rk_step8_3(fun, y, f0, h)
+        assert _bits((y1, f1, err)) == _bits(ref[:3])
+        assert _bits(K) == _bits(tuple(ref[3]))
+
+
+def test_eighth_order_error_norm_is_hairers_estimate():
+    # |h| |e5|^2 / sqrt(3 (|e5|^2 + 0.01 |e3|^2)) over the scaled estimates
+    # without their factor h, as scipy's DOP853 writes it; the kernel hands
+    # _error_norm8_3 the h-scaled sums
+    for fun, y, h in _kernel_cases(3):
+        y1, _, err, _ = _rk_step8_3(fun, y, fun(y), h)
+        for rtol, atol in ((1e-12, 1e-14), (1e-6, 1e-9)):
+            scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y1)]
+            e5 = [err[i] / h / scale[i] for i in range(3)]
+            e3 = [err[3 + i] / h / scale[i] for i in range(3)]
+            sq5, sq3 = math.fsum(v * v for v in e5), math.fsum(v * v for v in e3)
+            want = 0.0 if sq5 == 0.0 else abs(h) * sq5 / math.sqrt(3 * (sq5 + 0.01 * sq3))
+            assert _error_norm8_3(err, y, y1, rtol, atol) == pytest.approx(want, rel=1e-12)
+    assert _error_norm8_3((0.0,) * 6, (0.2,) * 3, (0.2,) * 3, 1e-12, 1e-14) == 0.0
+
+
+def _fixed_step_end(kernel, fun, y0, t_end, n_steps):
+    h = t_end / n_steps
+    y, f = y0, fun(y0)
+    for _ in range(n_steps):
+        y, f, _, _ = kernel(fun, y, f, h)
+    return y
+
+
+def test_eighth_order_convergence():
+    # fixed steps on a center orbit of the simplex flow to T = 5, against
+    # 20000 fifth-order steps (within 3e-15 of 40000).  Measured errors for
+    # 8, 16 and 32 steps: 9.5e-9, 4.0e-11 and 1.6e-13, i.e. ratios 237 and
+    # 251 for the 2**8 = 256 of an eighth-order method; 64 steps reach the
+    # rounding floor (2e-15).  Changing one digit of a coefficient that a
+    # low-order condition reads (the 8th significant digit of _A8[8][5], the
+    # 5th of _B8[8] or of _A8[11][10]) leaves this window.  Stage 4 is
+    # hidden at low order (b4 = 0 and sum_i b_i a_i4 = 0), so a change in
+    # the 7th digit of _A8[4][2] passes here and fails the row sums above.
+    fun = _field3(ParamVector(2, 3, 3, 2))
+    y0 = (0.2, 0.2, 0.2)
+    ref = _fixed_step_end(_rk_step3, fun, y0, 5.0, 20000)
+    errors = [max(abs(a - b) for a, b in zip(_fixed_step_end(_rk_step8_3, fun, y0, 5.0, n), ref))
+              for n in (8, 16, 32)]
+    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+    assert all(7.5 <= order <= 8.5 for order in orders), orders
+
+
+def test_eighth_order_stepper_builds_no_dense_output():
+    k = ParamVector(2, 3, 3, 2)
+    stepper = DormandPrince45(_field3(k), (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14, _pair=_DOP853)
+    stepper.step()
+    with pytest.raises(ValueError, match="no dense output"):
+        stepper.segment()
+    # a drift run that asks to keep dense segments is rejected the same way
+    with pytest.raises(ValueError, match="no dense output"):
+        _drive(k, _field3(k), (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14, _violation3, "simplex", {},
+               True, _DOP853)
 
 
 @cpython311_only
@@ -284,21 +413,32 @@ def test_step_size_sequence_is_pinned(tols):
 # --- simplex flow contracts ---------------------------------------------------
 
 
-@pytest.mark.parametrize("k", [(1, 1, 1, 1), (2, 3, 3, 2)])
-def test_endpoints_agree_with_scipy_dop853(k):
-    # an independent integrator at much tighter tolerances; the bound is the
-    # benchmark's reference tolerance
+# integrate at its default tolerances is held to the benchmark's reference
+# tolerance.  The drift run (analysis.orbit_integral_drift's eighth-order
+# pair at 1e-12/1e-14) measured at most 1.4e-12 on these starts (the
+# fifth-order pair at the same tolerances: 2.9e-12); its bound is 1e-11.
+@pytest.mark.parametrize("k, drift_run, bound", [
+    ((1, 1, 1, 1), False, 1e-6),
+    ((2, 3, 3, 2), False, 1e-6),
+    ((2, 3, 3, 2), True, 1e-11),
+], ids=["k0", "k1", "drift-run"])
+def test_endpoints_agree_with_scipy_dop853(k, drift_run, bound):
+    # an independent integrator at much tighter tolerances
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     k = ParamVector(*k)
     fun = _field3(k)
     rng = SplitMix64(4100)
     for _ in range(3):
         p0 = rand_interior_point(rng, margin=0.05)
-        end = integrate(k, p0, 50.0, keep_dense=False).terminal_state
+        if drift_run:
+            end = _drive(k, fun, p0, 50.0, 1e-12, 1e-14, _violation3, "simplex", {}, False,
+                         _DOP853).terminal_state
+        else:
+            end = integrate(k, p0, 50.0, keep_dense=False).terminal_state
         ref = solve_ivp(lambda t, y: fun(tuple(y)), (0.0, 50.0), p0, method="DOP853",
                         rtol=1e-13, atol=1e-15)
         assert ref.status == 0
-        assert max(abs(a - b) for a, b in zip(end, ref.y[:, -1])) <= 1e-6
+        assert max(abs(a - b) for a, b in zip(end, ref.y[:, -1])) <= bound
 
 
 def test_equilibrium_stays_fixed():

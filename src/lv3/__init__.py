@@ -35,34 +35,28 @@ from .darboux import (
     Poly,
     PolySurface,
     builtin_surfaces,
-    c_star,
     certify_named_integrals,
     integral_value,
-    lie_derivative,
     log_integral_value,
     named_integral_specs,
     solve_darboux,
     verify_invariance,
 )
 from .flow import (
-    Crossing,
     SectionSpec,
     StepSizeUnderflow,
     Trajectory,
     field4,
-    find_crossings,
     integrate,
     integrate4,
 )
 from .analysis import (
-    FaceLeaf,
     HeteroclinicMatch,
     LimitSetReport,
     PeriodicOrbit,
     alpha_limit,
     bifurcation_scan,
     detect_periodic,
-    face_leaf,
     heteroclinic_match,
     omega_limit,
     period_profile,
@@ -93,30 +87,24 @@ __all__ = [
     "Poly",
     "PolySurface",
     "builtin_surfaces",
-    "c_star",
     "certify_named_integrals",
     "integral_value",
-    "lie_derivative",
     "log_integral_value",
     "named_integral_specs",
     "solve_darboux",
     "verify_invariance",
-    "Crossing",
     "SectionSpec",
     "StepSizeUnderflow",
     "Trajectory",
     "field4",
-    "find_crossings",
     "integrate",
     "integrate4",
-    "FaceLeaf",
     "HeteroclinicMatch",
     "LimitSetReport",
     "PeriodicOrbit",
     "alpha_limit",
     "bifurcation_scan",
     "detect_periodic",
-    "face_leaf",
     "heteroclinic_match",
     "omega_limit",
     "period_profile",

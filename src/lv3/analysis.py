@@ -1,5 +1,5 @@
-"""Limit-set classification, periodic-orbit detection, boundary-face
-foliations, heteroclinic matching and the automated verification harnesses.
+"""Limit-set classification, periodic-orbit detection, boundary-face flows,
+heteroclinic matching and the automated verification harnesses.
 
 Numerical policy: "converged to a segment" means terminal speed at or below
 1e-8 AND point-to-segment distance at or below 1e-4.  Two thresholds because
@@ -45,7 +45,7 @@ from .equilibria import (
     limit_segments,
     vector_field,
 )
-from .darboux import c_star, certify_named_integrals
+from .darboux import certify_named_integrals
 from .flow import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
@@ -66,11 +66,9 @@ from .rng import SplitMix64
 __all__ = [
     "LimitSetReport",
     "PeriodicOrbit",
-    "FaceLeaf",
     "HeteroclinicMatch",
     "OnEquilibrium",
     "DegenerateLeaf",
-    "LevelOutOfRange",
     "default_section",
     "sample_interior",
     "boundary_margin",
@@ -79,7 +77,6 @@ __all__ = [
     "detect_periodic",
     "orbit_integral_drift",
     "certified_integral_names",
-    "face_leaf",
     "face_field",
     "face_connection_abscissae",
     "heteroclinic_match",
@@ -106,19 +103,12 @@ FACE_INSET = 1e-6
 MATCH_TOL = 1e-9
 DRIFT_TOL = 1e-8
 
-FACES = ("X", "Y", "Z", "Sigma")
-
-
 class OnEquilibrium(ValueError):
     """Start point sits on (or too close to) the interior equilibrium segment."""
 
 
 class DegenerateLeaf(ValueError):
     """Requested leaf is tangent to the singular edge (critical abscissa)."""
-
-
-class LevelOutOfRange(ValueError):
-    """Leaf level outside (0, C*]."""
 
 
 def default_section(k: ParamVector) -> SectionSpec:
@@ -366,25 +356,7 @@ def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dic
 
 
 # ---------------------------------------------------------------------------
-# Boundary faces: foliations, leaves and heteroclinic matching
-
-
-def _face_params(face: str, k: ParamVector) -> tuple:
-    if face == "Y":
-        return k.k4, k.k3
-    if face == "X":
-        return k.k2, k.k3
-    if face == "Z":
-        return -k.k1, -k.k4
-    if face == "Sigma":
-        return k.k1, k.k2
-    raise ValueError(f"unknown face {face!r}; pick one of {FACES}")
-
-
-def _edge_point(face: str, u: float) -> SimplexPoint:
-    if face in ("Y", "Sigma"):
-        return SimplexPoint(u, 0.0, 1.0 - u)
-    return SimplexPoint(0.0, u, 0.0)
+# Boundary faces: face flows and heteroclinic matching
 
 
 def _leaf_gap(u: float, gamma: float, level: float) -> float:
@@ -408,77 +380,11 @@ def _bisect_leaf_root(gamma: float, level: float, lo: float, hi: float) -> float
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class FaceLeaf:
-    """One leaf of the invariant foliation of a boundary face.
-
-    The leaf meets the face's singular edge in two points for levels below
-    the critical one and in a single tangent point at the critical level.
-    curve(u) gives the second face coordinate; point(u) the simplex state.
-    """
-
-    face: str
-    level: float
-    critical_level: float
-    alpha: float
-    beta: float
-    intersections: tuple
-
-    @property
-    def gamma(self) -> float:
-        return self.beta / self.alpha
-
-    def curve(self, u: float) -> float:
-        w = self.level * u ** (-self.gamma)
-        return w if self.face == "Y" else 1.0 - u - w
-
-    def point(self, u: float) -> SimplexPoint:
-        v = self.curve(u)
-        if self.face == "Y":
-            return SimplexPoint(u, 0.0, v)
-        if self.face == "X":
-            return SimplexPoint(0.0, u, v)
-        if self.face == "Z":
-            return SimplexPoint(v, u, 0.0)
-        return SimplexPoint(u, v, 1.0 - u - v)
-
-
-def face_leaf(face: str, k: ParamVector, level: float) -> FaceLeaf:
-    """Construct the leaf of the face foliation at the given level.
-
-    Raises SignError when the face's exponent pair has mixed signs and
-    LevelOutOfRange outside (0, C*].  Edge intersections are located by
-    bisection driven to machine width.
-    """
-    alpha, beta = _face_params(face, k)
-    critical = c_star(alpha, beta)
-    level = float(level)
-    if not 0.0 < level <= critical:
-        raise LevelOutOfRange(f"level {level} outside (0, {critical}]")
-    gamma = beta / alpha
-    u_star = beta / (alpha + beta)
-    if level == critical:
-        roots = (u_star,)
-    else:
-        roots = (
-            _bisect_leaf_root(gamma, level, 1e-300, u_star),
-            _bisect_leaf_root(gamma, level, u_star, 1.0),
-        )
-    return FaceLeaf(
-        face=face,
-        level=level,
-        critical_level=critical,
-        alpha=alpha,
-        beta=beta,
-        intersections=tuple(_edge_point(face, u) for u in roots),
-    )
-
-
 def face_field(face: str, k: ParamVector):
     """Planar restriction of the flow to an invariant boundary face.
 
-    Face coordinates match the foliation charts: (x, z) on Y, (y, z) on X,
-    (y, x) on Z and (x, y) on the sum face.
+    Face coordinates: (x, z) on Y, (y, z) on X, (y, x) on Z and (x, y) on
+    the sum face.
     """
     if face == "Y":
         def fun(p):

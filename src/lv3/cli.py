@@ -32,15 +32,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _triple(text: str) -> tuple:
-    parts = [float(p) for p in text.split(",")]
+    parts = [_finite(p) for p in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
     return tuple(parts)
 
 
 def _pair(text: str) -> tuple:
-    parts = [float(p) for p in text.split(",")]
+    parts = [_finite(p) for p in text.split(",")]
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo,hi, got {text!r}")
     return tuple(parts)
@@ -55,8 +62,8 @@ def _param_vector(text: str) -> ParamVector:
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0.0 < value < math.inf:  # nan and inf included
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -103,7 +110,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
     p = add("match")
-    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--x0", type=_finite, required=True)
     p = add("period-profile")
     p.add_argument("--base", type=_triple, default=(0.25, 0.25, 0.25))
     p.add_argument("--dir", dest="direction", type=_triple, default=(0.0, -1.0, 0.0))
@@ -500,7 +507,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"lv3: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ZeroParameter, ArithmeticError) as exc:
+    except (ValueError, ZeroParameter, ArithmeticError, flow.StepSizeUnderflow) as exc:
         print(f"lv3: {exc}", file=sys.stderr)
         return EXIT_FAIL
     finally:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ParamVector, discriminant
-from .equilibria import vector_field, _coords
+from .params import ParamVector
+from .equilibria import _coords
 
 __all__ = [
     "Poly",
@@ -23,7 +23,6 @@ __all__ = [
     "DarbouxReport",
     "NamedIntegralStatus",
     "DomainError",
-    "SignError",
     "builtin_surfaces",
     "verify_invariance",
     "cofactor_matrix",
@@ -35,21 +34,14 @@ __all__ = [
     "integral_value",
     "log_integral_series",
     "log_integral_value",
-    "lie_derivative",
-    "c_star",
 ]
 
 PIVOT_REL_TOL = 1e-12
 RESIDUAL_REL_TOL = 1e-12
-LIE_AGREE_TOL = 1e-9
 
 
 class DomainError(ValueError):
     """A surface value vanishes where its exponent does not allow it."""
-
-
-class SignError(ValueError):
-    """Argument pair whose product must be positive is not."""
 
 
 class Poly:
@@ -474,70 +466,3 @@ def log_integral_series(specs, points) -> list:
         out.append([math.nan if i in zero else math.fsum(r) for i, r in enumerate(rows)]
                    if zero else [*map(math.fsum, rows)])
     return out
-
-
-def _closed_form_lie(spec: FirstIntegralSpec, k: ParamVector, p) -> float:
-    x, y, z = _coords(p)
-    w = ((1.0 - x) - y) - z
-    d = discriminant(k)
-    if spec.name == "H":
-        return x**k.k2 * z**k.k1 * w * d
-    if spec.name == "V":
-        return y**k.k3 * w**k.k2 * x * (-d)
-    if spec.name == "Htilde":
-        return x**k.k3 * z**k.k4 * y * d
-    if spec.name == "Vtilde":
-        return y**k.k4 * w**k.k1 * z * (-d)
-    cof = _cofactors(k)
-    combo = math.fsum(e * c(x, y, z) for e, c in zip(spec.exponents, cof) if e != 0.0)
-    return integral_value(spec, p) * combo
-
-
-def _gradient(spec: FirstIntegralSpec, p) -> tuple:
-    vals = surface_values(p)
-    if any(v == 0.0 for v in vals):
-        raise DomainError(f"{spec.name}: gradient needs a strictly interior point")
-    value = integral_value(spec, p)
-    e1, e2, e3, e4 = spec.exponents
-    f1, f2, f3, f4 = vals
-    return (
-        value * (e1 / f1 + e4 / f4),
-        value * (e2 / f2 + e4 / f4),
-        value * (e3 / f3 + e4 / f4),
-    )
-
-
-def lie_derivative(spec: FirstIntegralSpec, k: ParamVector, p) -> float:
-    """Derivative of the product integral along the flow at p.
-
-    Evaluated two independent ways: the factored closed form, and the
-    analytic gradient dotted with the velocity.  The two must agree within
-    LIE_AGREE_TOL relative to the size of the terms involved; disagreement
-    is an internal error, not a data condition.
-    """
-    closed = _closed_form_lie(spec, k, p)
-    grad = _gradient(spec, p)
-    vel = vector_field(k, p)
-    dotted = math.fsum(g * w for g, w in zip(grad, vel))
-    term_scale = math.fsum(abs(g * w) for g, w in zip(grad, vel))
-    allowance = LIE_AGREE_TOL * max(abs(closed), abs(dotted), term_scale, 1e-300)
-    if abs(closed - dotted) > allowance:
-        raise ArithmeticError(
-            f"lie derivative routes disagree: {closed!r} vs {dotted!r}"
-        )
-    return closed
-
-
-def c_star(alpha: float, beta: float) -> float:
-    """Critical leaf level of a boundary-face foliation.
-
-    The level at which the face leaf meets the singular edge in a single
-    tangent point; levels below it meet the edge twice.  Scale-invariant:
-    c_star(c*a, c*b) == c_star(a, b) for c > 0.
-    """
-    alpha = float(alpha)
-    beta = float(beta)
-    if alpha * beta <= 0.0:
-        raise SignError(f"need alpha*beta > 0, got alpha={alpha}, beta={beta}")
-    s = alpha + beta
-    return (alpha / s) * (beta / s) ** (beta / alpha)

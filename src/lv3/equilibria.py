@@ -85,7 +85,7 @@ class SimplexPoint:
         x, y, z = float(self.x), float(self.y), float(self.z)
         lowest = min(x, y, z)
         excess = (x + y + z) - 1.0
-        if lowest < -TOL_GEOM or excess > TOL_GEOM:
+        if not (lowest >= -TOL_GEOM and excess <= TOL_GEOM):  # nan included
             raise SimplexViolation(f"({x}, {y}, {z}) lies outside the simplex")
         if lowest < 0.0 or excess > 0.0:
             x, y, z = max(x, 0.0), max(y, 0.0), max(z, 0.0)

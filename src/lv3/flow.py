@@ -1,10 +1,10 @@
-"""Adaptive integration of the simplex flows with dense output and
-plane-crossing detection.
+"""Adaptive integration of the simplex flows with dense output, and the
+streaming return map that locates an orbit's crossings of a plane section.
 
 The integrator is an explicit Dormand-Prince 5(4) embedded pair (Dormand &
 Prince 1980) with PI stepsize control.  A step builds no dense segment:
 segment() builds the last accepted step's quartic interpolant on demand
-(for keep_dense, or a return map at a sign change), and monitored first
+(for keep_dense, or a return map at a crossing), and monitored first
 integrals are evaluated in one pass after the run.  It operates on plain
 float tuples: state dimensions here are 2 to 4, where numpy array overhead
 would dominate the runtime.  The stepper picks its kernel once, from the
@@ -55,13 +55,10 @@ __all__ = [
     "DenseSegment",
     "Trajectory",
     "SectionSpec",
-    "Crossing",
     "StepSizeUnderflow",
     "integrate",
     "integrate4",
     "field4",
-    "field4_terms",
-    "find_crossings",
     "DEFAULT_TOL_REL",
     "DEFAULT_TOL_ABS",
     "VIOLATION_LIMIT",
@@ -178,14 +175,6 @@ class DenseSegment:
 
     def eval(self, t: float) -> tuple:
         return self.eval_theta((t - self.t0) / self.h)
-
-    def derivative_theta(self, theta: float) -> tuple:
-        """d(state)/d(theta) along the interpolant."""
-        h, q = self.h, self.q
-        return tuple(
-            h * (q[i][0] + theta * (2 * q[i][1] + theta * (3 * q[i][2] + theta * 4 * q[i][3])))
-            for i in range(len(self.y0))
-        )
 
 
 def _rk_step(fun, y, f0, h):
@@ -496,7 +485,9 @@ class DormandPrince45:
     until finished; segment() builds the dense segment of the step last
     accepted, on demand.  The private _pair selects the embedded pair:
     Dormand-Prince 5(4) by default, _DOP853 for the drift re-integration
-    (three-component states only, and without segment()).
+    (three-component states only, and without segment()).  Raises
+    ValueError unless 0 < t_span < inf and both tolerances are finite and
+    nonnegative: a nan there would make every step nan.
     """
 
     SAFETY = 0.9
@@ -505,8 +496,10 @@ class DormandPrince45:
 
     def __init__(self, fun, y0, t_span, rtol=DEFAULT_TOL_REL, atol=DEFAULT_TOL_ABS,
                  _pair=_DP5):
-        if t_span <= 0.0:
-            raise ValueError("t_span must be positive")
+        if not 0.0 < t_span < math.inf:
+            raise ValueError(f"t_span must be positive and finite, got {t_span}")
+        if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
+            raise ValueError(f"tolerances must be finite and nonnegative, got {rtol}, {atol}")
         self.fun = fun
         self.y = tuple(float(v) for v in y0)
         self.t = 0.0
@@ -551,7 +544,7 @@ class DormandPrince45:
             clipped = t + h >= self.t_span
             if clipped:
                 h = self.t_span - t
-            elif h < self.min_step:
+            elif not h >= self.min_step:  # a nan step too, which no retry mends
                 raise StepSizeUnderflow(f"step {h:.3e} below floor at t={t:.6g}")
             y1, f1, err, K = self._kernel(self.fun, y, f0, h)
             err_norm = self._norm(err, y, y1, self.rtol, self.atol)
@@ -607,10 +600,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.t)
-
-    @property
-    def terminal_state(self) -> tuple:
-        return self.states[-1]
 
     def state_at(self, t_req: float) -> tuple:
         """Dense-output state at reported time t_req."""
@@ -769,18 +758,6 @@ def field4(k: ParamVector, q) -> tuple:
     return (t1 - t4, t2 - t1, t3 - t2, t4 - t3)
 
 
-def field4_terms(k: ParamVector, q) -> tuple:
-    """The eight signed bilinear terms of field4; their multiset sums to
-    exactly zero (pairwise cancellation), which is the mass-conservation
-    identity in its sharpest floating-point form."""
-    x, y, z, v = q
-    t1 = k.k1 * x * y
-    t2 = k.k2 * y * z
-    t3 = k.k3 * z * v
-    t4 = k.k4 * x * v
-    return (t1, -t4, t2, -t1, t3, -t2, t4, -t3)
-
-
 def _violation4(q) -> float:
     worst = 0.0
     total = 0.0
@@ -843,21 +820,14 @@ class SectionSpec:
         return total - self.offset
 
 
-@dataclass(frozen=True)
-class Crossing:
-    t: float
-    state: tuple
-    direction: int
-    grazing: bool
-    miss: float
-
-
 REFINE_TOL = 1e-12
-GRAZE_TOL = 1e-10
 
 
-def _refine_crossing(segment, gfun, theta_lo, theta_hi):
-    """Bisect the sign change of gfun(state(theta)) inside the segment."""
+def _refine_crossing(segment, gfun):
+    """Theta in [0, 1] of the sign change of gfun(state(theta)) over the
+    segment, by bisection: the first midpoint within REFINE_TOL of zero,
+    else the evaluated theta of least |gfun|."""
+    theta_lo, theta_hi = 0.0, 1.0
     g_lo = gfun(segment.eval_theta(theta_lo))
     best_theta, best_g = theta_lo, g_lo
     for _ in range(120):
@@ -866,14 +836,14 @@ def _refine_crossing(segment, gfun, theta_lo, theta_hi):
         if abs(g_mid) < abs(best_g):
             best_theta, best_g = mid, g_mid
         if abs(g_mid) <= REFINE_TOL:
-            return mid, g_mid
+            return mid
         if (g_lo < 0.0) == (g_mid < 0.0):
             theta_lo, g_lo = mid, g_mid
         else:
             theta_hi = mid
         if theta_hi - theta_lo < 1e-17:
             break
-    return best_theta, best_g
+    return best_theta
 
 
 def _normal_component(section, v) -> float:
@@ -881,22 +851,6 @@ def _normal_component(section, v) -> float:
     for n, c in zip(section.normal, v):
         total += n * c
     return total
-
-
-def _locate_crossing(segment, section, g_start, g_end, y_end):
-    """(theta, state, miss) of the section crossing inside segment, or None.
-
-    g_start and g_end are the section values at the segment's ends and
-    y_end the stored step end.  A strict sign change is refined on the
-    dense output; an end landing exactly on the plane from off it is the
-    crossing itself.  Theta 1.0 reports y_end, never the interpolant there.
-    """
-    if (g_start < 0.0 and g_end > 0.0) or (g_start > 0.0 and g_end < 0.0):
-        theta, miss = _refine_crossing(segment, section.value, 0.0, 1.0)
-        return theta, y_end if theta == 1.0 else segment.eval_theta(theta), miss
-    if g_end == 0.0 and g_start != 0.0:
-        return 1.0, y_end, 0.0
-    return None
 
 
 def _dist(a, b) -> float:
@@ -937,15 +891,21 @@ class _ReturnMap:
         return True
 
     def advance(self, stepper, y) -> bool:
-        """Take the step stepper last accepted, ending at y; True on a new hit."""
+        """Take the step stepper last accepted, ending at y; True on a new hit.
+
+        A strict sign change of the section value over the step is refined
+        on the step's dense segment; a step end landing exactly on the plane
+        from off it is the crossing itself.  The segment is built only for
+        these two, and theta 1.0 reports y, never the interpolant there.
+        """
         g_start, g_end = self._g, self.section.value(y)
         self._g = g_end
-        # build the segment only where _locate_crossing finds a crossing
-        if not (g_start < 0.0 < g_end or g_start > 0.0 > g_end
-                or (g_end == 0.0 and g_start != 0.0)):
+        crossed = g_start < 0.0 < g_end or g_start > 0.0 > g_end
+        if not crossed and (g_end != 0.0 or g_start == 0.0):
             return False
         segment = stepper.segment()
-        theta, state, _ = _locate_crossing(segment, self.section, g_start, g_end, y)
+        theta = _refine_crossing(segment, self.section.value) if crossed else 1.0
+        state = y if theta == 1.0 else segment.eval_theta(theta)
         return self._keep(segment.t0 + theta * segment.h, state)
 
     def closure(self, tol):
@@ -958,85 +918,3 @@ class _ReturnMap:
         if gap1 <= tol and gap2 <= tol:
             return tb - ta, max(gap1, gap2), cb
         return None
-
-
-def _extremum_theta(segment, section, d_lo):
-    """Theta of the extremum of the section function along the interpolant,
-    assuming the slope changes sign exactly once in (0, 1)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        d_mid = _normal_component(section, segment.derivative_theta(mid))
-        if (d_lo < 0.0) == (d_mid < 0.0):
-            lo, d_lo = mid, d_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def find_crossings(traj: Trajectory, section: SectionSpec) -> list:
-    """Locate crossings of a plane section along a dense simplex trajectory.
-
-    Transversal crossings are refined by bisection on the dense output to
-    |n.p - offset| <= REFINE_TOL.  Tangencies (sign-preserving touches, or
-    crossings with normal velocity within GRAZE_TOL of zero) are reported
-    with the grazing flag set rather than dropped; a trajectory lying in the
-    plane itself yields no crossings.
-    """
-    if traj.dense is None:
-        raise ValueError("trajectory was integrated without dense output")
-    if traj.k is None or len(traj.states[0]) != 3:
-        raise ValueError("crossings are located on trajectories of the 3-D simplex flow")
-    field = _field3(traj.k)
-    out = []
-
-    def emit(tau, state, miss):
-        # crossing direction is measured in physical time (the forward field),
-        # independent of the trajectory's traversal direction
-        gdot = _normal_component(section, field(state))
-        grazing = abs(gdot) <= GRAZE_TOL
-        direction = 0 if grazing else (1 if gdot > 0.0 else -1)
-        if not grazing:
-            if section.direction == "positive" and direction < 0:
-                return
-            if section.direction == "negative" and direction > 0:
-                return
-        out.append(Crossing(t=traj.sign * tau, state=state, direction=direction,
-                            grazing=grazing, miss=abs(miss)))
-
-    g_values = [section.value(state) for state in traj.states]
-    if all(abs(g) <= GRAZE_TOL for g in g_values):
-        return []  # trajectory lies in the plane: nothing transversal to report
-    g_prev = g_values[0]
-    if g_prev == 0.0 and abs(g_values[1]) > GRAZE_TOL:
-        emit(traj.dense[0].t0, traj.dense[0].y0, 0.0)
-    for index, segment in enumerate(traj.dense):
-        g_end = g_values[index + 1]
-        found = _locate_crossing(segment, section, g_prev, g_end, traj.states[index + 1])
-        if found is not None:
-            # landing on the plane from within GRAZE_TOL of it is no crossing
-            if g_end != 0.0 or abs(g_prev) > GRAZE_TOL:
-                theta, state, miss = found
-                # the step end keeps its stored time, which on a clipped
-                # last step can differ from t0 + h
-                tau = (traj.sign * traj.t[index + 1] if theta == 1.0
-                       else segment.t0 + theta * segment.h)
-                emit(tau, state, miss)
-        elif g_end != 0.0 and g_prev != 0.0:
-            # same-sign endpoints: an interior slope reversal may hide a tangency.
-            # In exact arithmetic the interpolant's slope is h*K[0] at theta 0
-            # and h*K[6] at theta 1 (the dense-output weights give every other
-            # stage zero weight there), so the sign test needs no coefficients.
-            d0 = _normal_component(section, segment.K[0])
-            d1 = _normal_component(section, segment.K[6])
-            if d0 * d1 < 0.0:
-                theta = _extremum_theta(segment, section, d0)
-                state = segment.eval_theta(theta)
-                miss = section.value(state)
-                if abs(miss) <= GRAZE_TOL:
-                    out.append(
-                        Crossing(t=traj.sign * (segment.t0 + theta * segment.h),
-                                 state=state, direction=0, grazing=True, miss=abs(miss))
-                    )
-        g_prev = g_end
-    return out

@@ -113,6 +113,37 @@ def test_nonpositive_count_is_a_usage_error(capsys, argv):
     assert "expected a positive count" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    "integrate --k 1,1,1,1 --p0 0.2,0.2,0.2 --t 1 --tol-rel nan",
+    "integrate --k 1,1,1,1 --p0 0.2,0.2,0.2 --t 1 --tol-abs inf",
+    "integrate --k 1,1,1,1 --p0 0.2,0.2,0.2 --t nan",
+    "integrate --k 1,1,1,1 --p0 0.2,0.2,0.2 --t inf",
+    "verify-a --k 2,3,3,2 --samples 2 --horizon nan",
+    "limit-set --k 2,3,3,2 --p0 0.2,0.2,0.2 --horizon inf",
+    "limit-set --k 2,3,3,2 --p0 nan,0.2,0.2",
+    "period-profile --k 2,3,3,2 --dir 0,-inf,0",
+    "scan --slice 2,t,2,t --range nan,2 --steps 2",
+    "match --k 2,1,2,1 --x0 nan",
+])
+def test_nonfinite_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        parse_args(argv.split())
+    assert err.value.code == EXIT_USAGE
+    assert "finite number" in capsys.readouterr().err
+
+
+def test_step_underflow_is_a_failure_not_a_traceback():
+    # the step floor is 1e-14 of the span, so the first step underflows
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = "integrate --k 1,1,1,1 --p0 0.2,0.2,0.2 --t 1e300".split()
+    done = subprocess.run([sys.executable, "-m", "lv3.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == EXIT_FAIL
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("lv3: step ") and "below floor" in done.stderr
+
+
 def test_unknown_monitor_name_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["integrate", "--k", "2,3,3,2", "--p0", "0.2,0.2,0.2", "--t", "1",
@@ -392,6 +423,15 @@ GOLDEN_STDOUT = {
     "equilibria-spectrum": (
         "equilibria --k 2,3,3,2 --spectrum", EXIT_OK,
         "ca31b137073fb700c690c30754b96073dc53162ed935e5d21aedb97855818338"),
+    "darboux": (
+        "darboux --k 2,3,3,2", EXIT_OK,
+        "ca48623e673d1dd24d084ba22ffb72710ccf78ddae45613891fb274e36b32d6e"),
+    "match": (
+        "match --k 2,1,2,1 --x0 0.2", EXIT_OK,
+        "454820ea5f045d5ca40306cc9e17421112ccce29da5c7fd658c241e6b2436ed1"),
+    "classify": (
+        "classify --k 2,1,2,1", EXIT_OK,
+        "2a27c0dce0f002d5f73f3745749187fd18767d9227e528f35e6e56571392aa24"),
 }
 
 

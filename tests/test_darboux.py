@@ -7,14 +7,11 @@ from lv3.darboux import (
     DomainError,
     FirstIntegralSpec,
     Poly,
-    SignError,
     builtin_surfaces,
-    c_star,
     certify_named_integrals,
     cofactor_matrix,
     integral_value,
     kernel_basis,
-    lie_derivative,
     log_integral_series,
     log_integral_value,
     named_integral_specs,
@@ -340,36 +337,6 @@ def test_certification_off_nz():
     assert not status["Htilde"].certified
 
 
-# --- flow derivative of the integrals ----------------------------------------
-
-
-def test_lie_derivative_example_value():
-    k = ParamVector(2, 1, 2, 1)
-    spec = named_integral_specs(k)["H"]
-    value = lie_derivative(spec, k, (0.2, 0.2, 0.2))
-    assert value == pytest.approx(0.0096, rel=1e-12)
-
-
-def test_lie_derivative_vanishes_on_manifold(rng):
-    k = ParamVector(2, 3, 3, 2)
-    specs = named_integral_specs(k)
-    for _ in range(20):
-        p = rand_interior_point(rng, margin=0.02)
-        for spec in specs.values():
-            assert abs(lie_derivative(spec, k, p)) <= 1e-12
-
-
-def test_lie_derivative_sign_tracks_discriminant(rng):
-    for _ in range(50):
-        k = rand_params(rng, signs="positive")
-        d = discriminant(k)
-        if d == 0.0:
-            continue
-        spec = named_integral_specs(k)["H"]
-        p = rand_interior_point(rng, margin=0.02)
-        assert math.copysign(1.0, lie_derivative(spec, k, p)) == math.copysign(1.0, d)
-
-
 # --- the named integrals are Lyapunov functions off the manifold -------------
 
 # d/dt log I is the exponent-weighted sum of the surface cofactors; for each
@@ -417,27 +384,21 @@ def test_log_integrals_move_with_the_sign_of_the_discriminant():
             assert math.copysign(1.0, change) == sign * math.copysign(1.0, d), (k, p0, name)
 
 
-def test_lie_derivative_routes_cross_check_custom_spec(rng):
-    # custom exponent vectors exercise the generic cofactor route
-    for _ in range(20):
-        k = rand_params(rng)
-        spec = FirstIntegralSpec(
-            (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-        )
-        p = rand_interior_point(rng, margin=0.05)
-        lie_derivative(spec, k, p)  # internal two-route agreement must hold
-
-
 def test_gradient_independence_of_h_and_v(rng):
     # rank-2 gradient pair except on the measure-zero coincidence set
     for _ in range(100):
         k = rand_params_on_S_exact(rng)
         specs = named_integral_specs(k)
         p = rand_interior_point(rng, margin=0.02)
-        from lv3.darboux import _gradient
+        f1, f2, f3, f4 = surface_values(p)
 
-        gh = np.array(_gradient(specs["H"], p))
-        gv = np.array(_gradient(specs["V"], p))
+        def log_gradient(spec):
+            # gradient of log|I|: e_i/f_i + e_4/f_4, as f_4 = x+y+z-1
+            e1, e2, e3, e4 = spec.exponents
+            return np.array([e1 / f1 + e4 / f4, e2 / f2 + e4 / f4, e3 / f3 + e4 / f4])
+
+        gh = log_gradient(specs["H"])
+        gv = log_gradient(specs["V"])
         x, y, z = p
         w = 1.0 - x - y - z
         near_coincidence = (
@@ -446,26 +407,3 @@ def test_gradient_independence_of_h_and_v(rng):
         rows = np.array([gh / np.linalg.norm(gh), gv / np.linalg.norm(gv)])
         if not near_coincidence:
             assert np.linalg.matrix_rank(rows, tol=1e-8) == 2
-
-
-# --- critical leaf level ------------------------------------------------------
-
-
-def test_c_star_values():
-    assert c_star(1.0, 1.0) == pytest.approx(0.25)
-    assert c_star(1.0, 2.0) == pytest.approx(4 / 27)
-
-
-def test_c_star_scale_invariance(rng):
-    for _ in range(50):
-        a, b = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
-        c = rng.uniform(0.1, 5.0)
-        assert c_star(c * a, c * b) == pytest.approx(c_star(a, b), rel=1e-12)
-        assert c_star(-a, -b) == pytest.approx(c_star(a, b), rel=1e-12)
-
-
-def test_c_star_sign_error():
-    with pytest.raises(SignError):
-        c_star(1.0, -1.0)
-    with pytest.raises(SignError):
-        c_star(0.0, 1.0)

@@ -35,6 +35,13 @@ def test_simplex_point_clamps_tiny_violations():
         SimplexPoint(0.5, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("coords", [(math.nan, 0.2, 0.2), (0.2, 0.2, math.nan)])
+def test_simplex_point_rejects_nan(coords):
+    # a nan start would give the stepper a nan first step
+    with pytest.raises(SimplexViolation):
+        SimplexPoint(*coords)
+
+
 def test_vector_field_on_interior_segment_point():
     k = ParamVector(1, 1, 1, 1)
     assert vector_field(k, (0.25, 0.25, 0.25)) == (0.0, 0.0, 0.0)

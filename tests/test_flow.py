@@ -18,6 +18,7 @@ from lv3.flow import (
     _E3,
     _E5,
     _P,
+    _ReturnMap,
     _dense_q,
     _dist,
     _drive,
@@ -31,8 +32,6 @@ from lv3.flow import (
     _rk_step8_3,
     _violation3,
     field4,
-    field4_terms,
-    find_crossings,
     integrate,
     integrate4,
 )
@@ -432,9 +431,9 @@ def test_endpoints_agree_with_scipy_dop853(k, drift_run, bound):
         p0 = rand_interior_point(rng, margin=0.05)
         if drift_run:
             end = _drive(k, fun, p0, 50.0, 1e-12, 1e-14, _violation3, "simplex", {}, False,
-                         _DOP853).terminal_state
+                         _DOP853).states[-1]
         else:
-            end = integrate(k, p0, 50.0, keep_dense=False).terminal_state
+            end = integrate(k, p0, 50.0, keep_dense=False).states[-1]
         ref = solve_ivp(lambda t, y: fun(tuple(y)), (0.0, 50.0), p0, method="DOP853",
                         rtol=1e-13, atol=1e-15)
         assert ref.status == 0
@@ -514,19 +513,21 @@ def test_monitored_drift_is_bitwise_the_single_point_form():
 def test_dense_segments_are_built_only_when_read(monkeypatch):
     built = []
     located = []
-    init, locate = DenseSegment.__init__, flow._locate_crossing
+    init, advance = DenseSegment.__init__, flow._ReturnMap.advance
 
     def counted_init(segment, *args, **kwargs):
         built.append(segment)
         init(segment, *args, **kwargs)
 
-    def counted_locate(*args):
-        found = locate(*args)
-        located.append(found is not None)
-        return found
+    def counted_advance(returns, stepper, y):
+        # a crossing: a strict sign change, or a landing on the plane from off it
+        g_start, g_end = returns._g, returns.section.value(y)
+        located.append(min(g_start, g_end) < 0.0 < max(g_start, g_end)
+                       or (g_end == 0.0 and g_start != 0.0))
+        return advance(returns, stepper, y)
 
     monkeypatch.setattr(DenseSegment, "__init__", counted_init)
-    monkeypatch.setattr(flow, "_locate_crossing", counted_locate)
+    monkeypatch.setattr(flow._ReturnMap, "advance", counted_advance)
     k = ParamVector(2, 3, 3, 2)
     traj = integrate(k, (0.2, 0.2, 0.2), 20.0, keep_dense=False)
     assert len(built) == 0 and len(traj) > 100
@@ -535,7 +536,8 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
     built.clear()
     orbit = detect_periodic(k, (0.2, 0.2, 0.2))
     # one segment per located crossing, in either direction
-    assert len(built) == sum(located) == len(located) >= len(orbit.crossings) >= 3
+    assert len(located) > 100
+    assert len(built) == sum(located) >= len(orbit.crossings) >= 3
 
 
 def test_repeated_monitor_name_is_rejected():
@@ -573,6 +575,31 @@ def test_step_size_underflow_on_blowup():
             stepper.step()
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"t_span": math.nan}, {"t_span": math.inf}, {"t_span": 0.0}, {"t_span": -1.0},
+    {"rtol": math.nan}, {"rtol": math.inf}, {"rtol": -1e-10},
+    {"atol": math.nan}, {"atol": math.inf}, {"atol": -1e-12},
+])
+def test_stepper_rejects_nonfinite_span_and_tolerances(kwargs):
+    # a nan span or tolerance gives a nan step, which no rejection shrinks
+    args = {"t_span": 1.0, "rtol": 1e-10, "atol": 1e-12, **kwargs}
+    with pytest.raises(ValueError):
+        DormandPrince45(_field3(ParamVector(1, 1, 1, 1)), (0.2, 0.2, 0.2), **args)
+
+
+def test_nan_step_raises_instead_of_retrying():
+    calls = []
+
+    def fun(y):
+        calls.append(y)
+        assert len(calls) < 1000, "the stepper retries a nan step"
+        return y
+
+    stepper = DormandPrince45(fun, (math.nan,), 1.0)
+    with pytest.raises(StepSizeUnderflow):
+        stepper.step()
+
+
 def test_state_at_matches_samples():
     k = ParamVector(2, 3, 3, 2)
     traj = integrate(k, (0.2, 0.2, 0.2), 5.0)
@@ -582,15 +609,6 @@ def test_state_at_matches_samples():
 
 
 # --- four-species flow ---------------------------------------------------------
-
-
-def test_field4_component_sum_is_exactly_zero(rng):
-    for _ in range(1000):
-        k = rand_params(rng)
-        q = [rng.uniform() for _ in range(4)]
-        total = sum(q)
-        q = tuple(c / total for c in q)
-        assert math.fsum(field4_terms(k, q)) == 0.0
 
 
 def test_field4_matches_componentwise_form(rng):
@@ -643,11 +661,11 @@ def test_integrate4_backward_retraces_forward_run():
     k = ParamVector(2, 3, 3, 2)
     q0 = (0.2, 0.2, 0.2, 0.4)
     forward = integrate4(k, q0, 5.0, keep_dense=False)
-    backward = integrate4(k, forward.terminal_state, -5.0, keep_dense=False)
+    backward = integrate4(k, forward.states[-1], -5.0, keep_dense=False)
     assert all(b < a for a, b in zip(backward.t, backward.t[1:]))
     assert backward.t[-1] == -5.0
     assert backward.mass_error <= 1e-9
-    assert math.dist(backward.terminal_state, q0) <= 1e-7
+    assert math.dist(backward.states[-1], q0) <= 1e-7
 
 
 def test_integrate4_validates_mass():
@@ -667,85 +685,61 @@ def test_section_normalisation():
         SectionSpec((0.0, 0.0, 0.0))
 
 
+def _return_hits(k, p0, t_end, section):
+    """(step-end times, step-end states, hits) of a return map fed every
+    accepted step of the orbit of k from p0, as the probes feed it."""
+    fun = _field3(k)
+    stepper = DormandPrince45(fun, p0, t_end)
+    returns = _ReturnMap(section, fun, stepper.y)
+    times, states = [0.0], [stepper.y]
+    while not stepper.finished:
+        stepper.step()
+        times.append(stepper.t)
+        states.append(stepper.y)
+        returns.advance(stepper, stepper.y)
+    return times, states, returns.hits
+
+
 def test_crossings_on_periodic_orbit():
     k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 16.1)
     sec = SectionSpec((k.k4, 0.0, -k.k3), 0.0, "positive")
-    crossings = find_crossings(traj, sec)
-    assert len(crossings) == 3
-    assert all(c.direction == 1 for c in crossings)
-    assert max(c.miss for c in crossings) <= 1e-12
-    for a, b in zip(crossings, crossings[1:]):
-        assert math.dist(a.state, b.state) <= 1e-6
+    _, _, hits = _return_hits(k, (0.2, 0.2, 0.2), 16.1, sec)
+    assert len(hits) == 3
+    fun = _field3(k)
+    for _, state in hits:
+        assert abs(sec.value(state)) <= 1e-12
+        assert _normal_component(sec, fun(state)) > 0.0
+    for (_, a), (_, b) in zip(hits, hits[1:]):
+        assert math.dist(a, b) <= 1e-6
 
 
 def test_constant_on_plane_trajectory_has_no_crossings():
+    # an equilibrium on the plane: no step leaves it, and the start is no
+    # transversal crossing
     k = ParamVector(1, 1, 1, 1)
-    traj = integrate(k, (0.25, 0.25, 0.25), 5.0)
-    assert find_crossings(traj, SectionSpec((1.0, 0.0, -1.0), 0.0)) == []
+    _, states, hits = _return_hits(k, (0.25, 0.25, 0.25), 5.0, SectionSpec((1.0, 0.0, -1.0)))
+    assert len(states) > 1
+    assert hits == []
 
 
 def test_on_section_start_is_anchored():
     k = ParamVector(1, 1, 1, 1)
-    traj = integrate(k, (0.1, 0.1, 0.1), 5.0)
-    crossings = find_crossings(traj, SectionSpec((1.0, 0.0, -1.0), 0.0, "both"))
-    assert crossings and crossings[0].t == 0.0
-    assert not crossings[0].grazing
+    _, _, hits = _return_hits(k, (0.1, 0.1, 0.1), 5.0, SectionSpec((1.0, 0.0, -1.0)))
+    assert hits and hits[0] == (0.0, (0.1, 0.1, 0.1))
 
 
 def test_step_end_on_section_is_the_stored_sample():
     # a plane through a stored step end that the interpolant misses by an
     # ulp: the crossing is that sample, at exactly its time
     k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 20.0)
+    p0 = (0.2, 0.2, 0.2)
+    traj = integrate(k, p0, 20.0)
     j = next(j for j, seg in enumerate(traj.dense, 1)
              if seg.eval_theta(1.0)[0] != traj.states[j][0])
-    section = SectionSpec((1.0, 0.0, 0.0), traj.states[j][0], "both")
-    assert section.value(traj.states[j]) == 0.0
-    hits = [c for c in find_crossings(traj, section) if c.t == traj.t[j]]
-    assert len(hits) == 1
-    assert hits[0].state == traj.states[j]
-    assert not hits[0].grazing
-
-
-def test_crossing_scan_builds_coefficients_only_where_it_interpolates():
-    # the tangency scan reads end slopes from the stage derivatives; only
-    # refined crossings and extremum searches need the quartic
-    k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 20.0)
-    section = SectionSpec((k.k4, 0.0, -k.k3), 0.0, "both")
-    crossings = find_crossings(traj, section)
-    fun = _field3(k)
-    g = [section.value(y) for y in traj.states]
-    slope = [sum(n * f for n, f in zip(section.normal, fun(y))) for y in traj.states]
-    searches = sum(1 for j in range(len(traj.dense))
-                   if g[j] * g[j + 1] > 0.0 and slope[j] * slope[j + 1] < 0.0)
-    built = sum(1 for segment in traj.dense if "q" in vars(segment))
-    assert len(crossings) == 7
-    assert built <= len(crossings) + searches < len(traj.dense)
-
-
-def test_grazing_touch_is_flagged_not_dropped():
-    k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 16.1)
-    # global maximum of x over the dense output: the plane x = x_max is
-    # tangent to the orbit once per period
-    best = (-1.0, None, 0.0)
-    for seg in traj.dense:
-        for i in range(33):
-            theta = i / 32
-            x = seg.eval_theta(theta)[0]
-            if x > best[0]:
-                best = (x, seg, theta)
-    _, seg, theta = best
-    lo, hi = max(0.0, theta - 1 / 32), min(1.0, theta + 1 / 32)
-    for _ in range(200):
-        m1, m2 = lo + (hi - lo) * 0.382, lo + (hi - lo) * 0.618
-        if seg.eval_theta(m1)[0] < seg.eval_theta(m2)[0]:
-            lo = m1
-        else:
-            hi = m2
-    x_max = seg.eval_theta(0.5 * (lo + hi))[0]
-    crossings = find_crossings(traj, SectionSpec((1.0, 0.0, 0.0), x_max, "both"))
-    assert crossings, "tangency was silently dropped"
-    assert all(c.grazing and c.direction == 0 for c in crossings)
+    y_j = traj.states[j]
+    velocity = _field3(k)(y_j)[0]
+    section = SectionSpec((1.0, 0.0, 0.0), y_j[0], "positive" if velocity > 0.0 else "negative")
+    assert section.value(y_j) == 0.0
+    times, states, hits = _return_hits(k, p0, 20.0, section)
+    assert states[j] == y_j
+    assert [hit for hit in hits if hit[0] == times[j]] == [(times[j], y_j)]

@@ -148,7 +148,9 @@ class LimitSetReport:
     kind is one of periodic, point-on-s_py, point-on-s_xz, point-on-R_py,
     point-on-R_xz, boundary-unclassified, inconclusive.  distance is to the
     named segment for the point kinds; closure_error/period accompany the
-    periodic kind; inconclusive signals horizon exhaustion.
+    periodic kind.  inconclusive means the probe stopped without a verdict:
+    the horizon ran out (horizon), the probe took MAX_ACCEPTED_STEPS steps
+    (step-budget) or the step fell below its floor (step-underflow).
     """
 
     kind: str
@@ -274,10 +276,12 @@ def omega_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
 
     Integrates until the flow speed drops to SPEED_TOL (then classifies the
     terminal state against s_py, s_xz and the singular edges within
-    SEGMENT_DIST_TOL), or until a return map certifies a periodic orbit, or
-    until the horizon runs out (inconclusive).  Next to a singular-edge point
-    off s_py and s_xz it keeps stepping while the orbit can still leave along
-    a repelling transverse direction.  Raises SimplexViolation if the orbit
+    SEGMENT_DIST_TOL), or until a return map certifies a periodic orbit.
+    It reports inconclusive when the horizon runs out (horizon), after
+    MAX_ACCEPTED_STEPS steps (step-budget) or when the step falls below its
+    floor (step-underflow).  Next to a singular-edge point off s_py and
+    s_xz it keeps stepping while the orbit can still leave along a
+    repelling transverse direction.  Raises SimplexViolation if the orbit
     leaves the simplex.
     """
     return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs)
@@ -307,9 +311,12 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
     default, the direction is locked by the first crossing.  Periodicity
     requires two consecutive same-direction returns within CLOSURE_TOL of
     each other and of their predecessor.
-    Returns None when the flow speed collapses (orbit heads to an
-    equilibrium), or when ten first-return estimates or the absolute horizon
-    pass without confirmation.  Raises SimplexViolation like omega_limit.
+    Returns None when k has no default section and none is given, when the
+    flow speed collapses (orbit heads to an equilibrium), when ten
+    first-return estimates (return-budget) or the absolute horizon pass
+    without confirmation, after MAX_ACCEPTED_STEPS steps (step-budget), or
+    when the step falls below its floor (step-underflow).  Raises
+    SimplexViolation like omega_limit.
     """
     start = SimplexPoint(*_coords(p0))
     if start.interior_margin <= 0.0:
@@ -383,24 +390,13 @@ def _bisect_leaf_root(gamma: float, level: float, lo: float, hi: float) -> float
 def face_field(face: str, k: ParamVector):
     """Planar restriction of the flow to an invariant boundary face.
 
-    Face coordinates: (x, z) on Y, (y, z) on X, (y, x) on Z and (x, y) on
-    the sum face.
+    Face coordinates: (x, z) on Y and (x, y) on the sum face Sigma.
     """
     if face == "Y":
         def fun(p):
             x, z = p
             w = (1.0 - x) - z
             return (-k.k4 * x * w, k.k3 * z * w)
-    elif face == "X":
-        def fun(p):
-            y, z = p
-            w = (1.0 - y) - z
-            return (k.k2 * y * z, z * (k.k3 * w - k.k2 * y))
-    elif face == "Z":
-        def fun(p):
-            y, x = p
-            w = (1.0 - x) - y
-            return (-k.k1 * x * y, x * (k.k1 * y - k.k4 * w))
     elif face == "Sigma":
         def fun(p):
             x, y = p

@@ -78,46 +78,48 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lv3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_HANDLERS))
 
-    def add(name, needs_k=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, needs_k=True, seeded=False, integrates=False):
+        p = sub.add_parser(name)
         if needs_k:
             p.add_argument("--k", type=_param_vector, required=True,
                            help="parameter vector k1,k2,k3,k4")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--tol-rel", type=_positive, default=flow.DEFAULT_TOL_REL)
-        p.add_argument("--tol-abs", type=_positive, default=flow.DEFAULT_TOL_ABS)
+        if integrates:
+            p.add_argument("--tol-rel", type=_positive, default=flow.DEFAULT_TOL_REL)
+            p.add_argument("--tol-abs", type=_positive, default=flow.DEFAULT_TOL_ABS)
         return p
 
     add("classify")
     p = add("equilibria")
     p.add_argument("--spectrum", action="store_true")
     add("darboux")
-    p = add("integrate")
+    p = add("integrate", integrates=True)
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--p0", type=_triple, required=True)
     p.add_argument("--t", dest="t_end", type=_positive, required=True)
     p.add_argument("--backward", action="store_true")
     p.add_argument("--monitor", default="", help="comma list of integral names (H,V,Htilde,Vtilde)")
-    p = add("limit-set")
+    p = add("limit-set", integrates=True)
     p.add_argument("--p0", type=_triple, required=True)
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
     p.add_argument("--alpha", action="store_true", help="also probe backward time")
-    p = add("verify-a")
+    p = add("verify-a", seeded=True, integrates=True)
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
-    p = add("verify-b")
+    p = add("verify-b", seeded=True, integrates=True)
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
     p = add("match")
     p.add_argument("--x0", type=_finite, required=True)
-    p = add("period-profile")
+    p = add("period-profile", integrates=True)
     p.add_argument("--base", type=_triple, default=(0.25, 0.25, 0.25))
     p.add_argument("--dir", dest="direction", type=_triple, default=(0.0, -1.0, 0.0))
     p.add_argument("--inner", type=_positive, default=0.01)
     p.add_argument("--outer", type=_positive, default=0.22)
     p.add_argument("--n", type=_count, default=10)
-    p = add("scan", needs_k=False)
+    p = add("scan", needs_k=False, integrates=True)
     p.add_argument("--slice", dest="slice_expr", required=True,
                    help="four expressions in t (and optionally s), e.g. '2,t,2,t'")
     p.add_argument("--range", dest="t_range", type=_pair, required=True)
@@ -126,24 +128,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps2", dest="s_steps", type=_count, default=1)
     p.add_argument("--p0", type=_triple, default=(0.2, 0.2, 0.2))
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
-    p = add("portrait")
+    p = add("portrait", seeded=True, integrates=True)
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--t", dest="t_end", type=_positive, default=50.0)
     return parser
 
 
-# Options whose value is a comma list.  argparse reads a value such as
-# -2,-3,-3,-2 as an option string (only a plain negative number passes as a
-# value), so parse_args first attaches such a value with '='.  No option
-# string contains a comma.
-_LIST_OPTIONS = frozenset(("--k", "--p0", "--base", "--dir", "--range", "--range2", "--slice"))
-
-
 def _attach_list_values(argv) -> list:
-    """argv with each '--opt -a,b' of a list option joined to '--opt=-a,b'."""
+    """argv with each '--opt -a,b' joined to '--opt=-a,b'.
+
+    argparse reads a value such as -2,-3,-3,-2 as an option string (only a
+    plain negative number passes as a value).  No option string contains a
+    comma, so such a token is the value of the option before it, unless that
+    option already has one ('--opt=value').
+    """
     out = []
     for token in argv:
-        if out and out[-1] in _LIST_OPTIONS and token.startswith("-") and "," in token:
+        bare_option = bool(out) and out[-1].startswith("--") and "=" not in out[-1]
+        if bare_option and token.startswith("-") and "," in token:
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -153,13 +155,11 @@ def _attach_list_values(argv) -> list:
 def parse_args(argv) -> argparse.Namespace:
     """Parse argv into the run configuration; usage problems exit with code 64.
 
-    A comma list that starts with a minus sign is the value of the list
-    option before it: --k -2,-3,-3,-2 means --k=-2,-3,-3,-2.
+    A comma list that starts with a minus sign is the value of the option
+    before it: --k -2,-3,-3,-2 means --k=-2,-3,-3,-2.
     """
     parser = _build_parser()
     cfg = parser.parse_args(_attach_list_values(argv))
-    if cfg.fmt is None:
-        cfg.fmt = "csv" if cfg.command in ("integrate", "portrait") else "json"
     if cfg.command == "integrate":
         cfg.monitor = tuple(m.strip() for m in cfg.monitor.split(",") if m.strip())
         if len(set(cfg.monitor)) < len(cfg.monitor):

@@ -449,10 +449,11 @@ class _Pair:
     """An embedded Runge-Kutta pair as the stepper drives it.
 
     kernel3 and norm3 step three-component states, kernel and norm any
-    other (None: three-component states only).  A rejected step shrinks by
-    SAFETY * err**reject_exp, an accepted one grows by the PI factor
-    SAFETY * err**-alpha * err_prev**beta, and the first step is
-    (0.01 / d)**initial_exp.  dense: whether the stages build the quartic
+    other (None: three-component states only).  The controller exponents
+    follow from the pair's order q: a rejected step shrinks by
+    SAFETY * err**(-1/q), an accepted one grows by the PI factor
+    SAFETY * err**(-0.7/q) * err_prev**(0.4/q), and the first step is
+    (0.01 / d)**(1/q).  dense: whether the stages build the quartic
     DenseSegment.
     """
 
@@ -460,21 +461,16 @@ class _Pair:
     norm3: object
     kernel: object
     norm: object
-    reject_exp: float
-    alpha: float
-    beta: float
-    initial_exp: float
+    order: int
     dense: bool
 
 
 # Dormand-Prince 5(4), the pair of every run but the drift re-integration.
-_DP5 = _Pair(_rk_step3, _error_norm3, _rk_step, _error_norm,
-             -0.2, 0.7 / 5.0, 0.4 / 5.0, 0.2, True)
+_DP5 = _Pair(_rk_step3, _error_norm3, _rk_step, _error_norm, 5, True)
 # Dormand-Prince 8(5,3), 3-D only, without dense output: the pair of
 # analysis.orbit_integral_drift at 1e-12/1e-14, where it needs about 4x
 # fewer field evaluations than _DP5.
-_DOP853 = _Pair(_rk_step8_3, _error_norm8_3, None, None,
-                -1 / 8, 0.7 / 8, 0.4 / 8, 1 / 8, False)
+_DOP853 = _Pair(_rk_step8_3, _error_norm8_3, None, None, 8, False)
 
 
 class DormandPrince45:
@@ -513,11 +509,11 @@ class DormandPrince45:
         else:
             self._kernel, self._norm = _pair.kernel, _pair.norm
         self._pair = _pair
-        self._reject_exp, self._alpha, self._beta = _pair.reject_exp, _pair.alpha, _pair.beta
+        q = _pair.order
+        self._reject_exp, self._alpha, self._beta = -1 / q, 0.7 / q, 0.4 / q
         self.f = fun(self.y)
         self.min_step = MIN_STEP_FRACTION * self.t_span
-        h = _initial_step(fun, self.y, self.f, self.rtol, self.atol, self.t_span,
-                          _pair.initial_exp)
+        h = _initial_step(fun, self.y, self.f, self.rtol, self.atol, self.t_span, 1 / q)
         self.h = min(h, self.t_span)
         self._err_prev = 1.0
         self.n_accepted = 0
@@ -779,7 +775,8 @@ def integrate4(k: ParamVector, q0, t_end: float, tol_rel: float = DEFAULT_TOL_RE
     q0 = tuple(float(c) for c in q0)
     if len(q0) != 4:
         raise ValueError("q0 must have four components")
-    if abs(_plain_sum(q0) - 1.0) > VIOLATION_LIMIT or min(q0) < -VIOLATION_LIMIT:
+    # written so that a nan component fails it
+    if not (abs(_plain_sum(q0) - 1.0) <= VIOLATION_LIMIT and min(q0) >= -VIOLATION_LIMIT):
         raise SimplexViolation(f"q0={q0} is not a stochastic state")
 
     def phys(q):

@@ -62,8 +62,48 @@ def test_parse_args_defaults_and_backward():
     assert cfg.monitor == ("H", "V")
     assert cfg.fmt == "csv"
     cfg = parse_args(["limit-set", "--k", "1,1,1,1", "--p0", "0.2,0.2,0.2"])
-    assert cfg.fmt == "json"
-    assert cfg.seed == 42
+    assert not hasattr(cfg, "fmt")
+    assert not hasattr(cfg, "seed")
+
+
+# a valid invocation of each subcommand and the common flags it reads
+COMMON_FLAGS = {"--out": "x.txt", "--seed": "1", "--format": "json", "--tol-rel": "1e-3",
+                "--tol-abs": "1e-3"}
+FLAGS_READ = {
+    "classify --k 2,1,2,1": ("--out",),
+    "equilibria --k 2,1,2,1": ("--out",),
+    "darboux --k 2,1,2,1": ("--out",),
+    "match --k 2,1,2,1 --x0 0.2": ("--out",),
+    "integrate --k 2,1,2,1 --p0 0.2,0.2,0.2 --t 1": ("--out", "--format", "--tol-rel",
+                                                     "--tol-abs"),
+    "limit-set --k 2,1,2,1 --p0 0.2,0.2,0.2": ("--out", "--tol-rel", "--tol-abs"),
+    "period-profile --k 2,3,3,2 --n 1": ("--out", "--tol-rel", "--tol-abs"),
+    "scan --slice 2,t,2,t --range 1,2 --steps 1": ("--out", "--tol-rel", "--tol-abs"),
+    "verify-a --k 2,3,3,2 --samples 1": ("--out", "--seed", "--tol-rel", "--tol-abs"),
+    "verify-b --k 2,1,2,1 --samples 1": ("--out", "--seed", "--tol-rel", "--tol-abs"),
+    "portrait --k 2,3,3,2 --n 1": ("--out", "--seed", "--tol-rel", "--tol-abs"),
+}
+FLAGS_NOT_READ = [(argv, flag, COMMON_FLAGS[flag]) for argv, read in FLAGS_READ.items()
+                  for flag in COMMON_FLAGS if flag not in read]
+
+
+@pytest.mark.parametrize("argv", list(FLAGS_READ))
+def test_each_subcommand_takes_the_common_flags_it_reads(argv):
+    extra = [token for flag in FLAGS_READ[argv] for token in (flag, COMMON_FLAGS[flag])]
+    cfg = parse_args(argv.split() + extra)
+    assert cfg.out == "x.txt"
+
+
+@pytest.mark.parametrize("argv, flag, value", FLAGS_NOT_READ + [
+    ("verify-a --k 2,3,3,2 --samples 1", "--format", "csv"),
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split() + [flag, value])
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 # a negative value of each comma-list option, as two tokens and attached
@@ -93,6 +133,8 @@ def test_negative_base_parses_like_the_attached_spelling():
     # a comma list never passes for an option string, not even after a flag
     cfg = parse_args(["equilibria", "--spectrum", "--k", "-2,-3,-3,-2"])
     assert cfg.spectrum and tuple(cfg.k) == (-2.0, -3.0, -3.0, -2.0)
+    # any option takes such a value, not only the numeric lists
+    assert parse_args(["classify", "--k", "2,1,2,1", "--out", "-a,b"]).out == "-a,b"
 
 
 @pytest.mark.parametrize("argv", [

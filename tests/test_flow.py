@@ -674,6 +674,14 @@ def test_integrate4_validates_mass():
         integrate4(k, (0.5, 0.5, 0.5, 0.5), 1.0)
 
 
+@pytest.mark.parametrize("slot", range(4))
+def test_integrate4_rejects_a_nan_start(slot):
+    q0 = [0.2, 0.2, 0.2, 0.2]
+    q0[slot] = math.nan
+    with pytest.raises(SimplexViolation, match="is not a stochastic state"):
+        integrate4(ParamVector(1, 1, 1, 1), q0, 1.0)
+
+
 # --- section crossings ----------------------------------------------------------
 
 

@@ -55,6 +55,7 @@ from .flow import (
     SectionSpec,
     StepSizeUnderflow,
     _DOP853,
+    _DP5,
     _ReturnMap,
     _drive,
     _negated,
@@ -178,16 +179,18 @@ def _point_kind(k, y) -> tuple:
     return "boundary-unclassified", None
 
 
-def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, settled=None):
+def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, settled=None, k=None):
     """Step the orbit of fun from y0 until it stops: the loop of every probe.
 
     Returns (reason, stepper, return map or None, closure or None); reason
     is periodic (two returns within CLOSURE_TOL), speed-collapse (where
     settled, if given, accepts the state), horizon, return-budget (with
     return_budget: ten first-return estimates passed), step-budget,
-    step-underflow or simplex-violation.
+    step-underflow or simplex-violation.  The pair depends on k alone: 8(5,3)
+    on the center regime (see omega_limit), 5(4) for other k and for None.
     """
-    stepper = DormandPrince45(fun, y0, horizon, tol_rel, tol_abs)
+    pair = _DOP853 if k is not None and classify(k).oscillatory else _DP5
+    stepper = DormandPrince45(fun, y0, horizon, tol_rel, tol_abs, _pair=pair)
     returns = None if section is None else _ReturnMap(section, fun, stepper.y)
     budget = horizon
     while not stepper.finished:
@@ -255,7 +258,7 @@ def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs) -> LimitSetReport:
     except ValueError:
         section = None
     reason, stepper, _, closed = _probe_or_raise(fun, start.coords, section, horizon, tol_rel,
-                                                 tol_abs, False, _settled_test(k, forward))
+                                                 tol_abs, False, _settled_test(k, forward), k)
     if reason == "speed-collapse":
         kind, distance = _point_kind(k, stepper.y)
         return LimitSetReport(kind=kind, direction=label, witness=stepper.y, distance=distance,
@@ -282,7 +285,8 @@ def omega_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
     floor (step-underflow).  Next to a singular-edge point off s_py and
     s_xz it keeps stepping while the orbit can still leave along a
     repelling transverse direction.  Raises SimplexViolation if the orbit
-    leaves the simplex.
+    leaves the simplex.  On the center regime, where it ends on returns, it
+    steps with the 8(5,3) pair; off it, where it ends on speed collapse, 5(4).
     """
     return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs)
 
@@ -316,7 +320,7 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
     first-return estimates (return-budget) or the absolute horizon pass
     without confirmation, after MAX_ACCEPTED_STEPS steps (step-budget), or
     when the step falls below its floor (step-underflow).  Raises
-    SimplexViolation like omega_limit.
+    SimplexViolation like omega_limit, whose choice of pair it shares.
     """
     start = SimplexPoint(*_coords(p0))
     if start.interior_margin <= 0.0:
@@ -330,7 +334,7 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
         except ValueError:
             return None
     reason, _, returns, closed = _probe_or_raise(_field3(k), start.coords, section, horizon,
-                                                 tol_rel, tol_abs, True)
+                                                 tol_rel, tol_abs, True, None, k)
     if reason != "periodic":
         return None
     period, closure_error, _ = closed
@@ -346,18 +350,20 @@ def certified_integral_names(k: ParamVector) -> tuple:
 
 def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dict:
     """Peak log-form drift of the certified integrals along one orbit stretch,
-    integrated at tol_rel 1e-12 and tol_abs 1e-14.
+    integrated at tol_rel 1e-12 with an error control that is relative.
 
     The run takes integrate's argument checks, simplex check and step
     limits, but steps with the eighth-order Dormand-Prince pair: at this
     tolerance it needs about 4x fewer field evaluations than the
     fifth-order one, and the drift is read at every accepted sample, never
-    between them.
+    between them.  tol_abs 1e-300 only keeps a component of exactly 0.0
+    from dividing by zero: log H reads coordinates to relative precision,
+    and next to a face tol_abs 1e-14 left a false drift of 1e-8.
     """
     if names is None:
         names = certified_integral_names(k)
     start, specs = _simplex_run_args(k, p0, duration, list(names))
-    traj = _drive(k, _field3(k), start, duration, 1e-12, 1e-14, _violation3, "simplex", specs,
+    traj = _drive(k, _field3(k), start, duration, 1e-12, 1e-300, _violation3, "simplex", specs,
                   False, _DOP853)
     return {name: traj.drift_range(name) for name in names}
 

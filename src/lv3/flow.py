@@ -3,24 +3,24 @@ streaming return map that locates an orbit's crossings of a plane section.
 
 The integrator is an explicit Dormand-Prince 5(4) embedded pair (Dormand &
 Prince 1980) with PI stepsize control.  A step builds no dense segment:
-segment() builds the last accepted step's quartic interpolant on demand
-(for keep_dense, or a return map at a crossing), and monitored first
-integrals are evaluated in one pass after the run.  It operates on plain
-float tuples: state dimensions here are 2 to 4, where numpy array overhead
-would dominate the runtime.  The stepper picks its kernel once, from the
-state's length: three-component states (the simplex flow, so every orbit
-of integrate, the probes and the harnesses) take a step written over named
+segment() builds the last accepted step's interpolant on demand (for
+keep_dense, or a return map at a crossing), and monitored first integrals
+are evaluated in one pass after the run.  It operates on plain float
+tuples: state dimensions here are 2 to 4, where numpy array overhead would
+dominate the runtime.  The stepper picks its kernel once, from the state's
+length: three-component states (the simplex flow, so every orbit of
+integrate, the probes and the harnesses) take a step written over named
 scalars; the 2-D face flows and the 4-D flow take the generic one.  Both
 give the same bits.
 
-One run takes a second pair: analysis.orbit_integral_drift re-integrates
-each detected period with the Dormand-Prince 8(5,3) pair (DOP853; Prince &
-Dormand 1981) at 1e-12/1e-14, where it needs about 8x fewer steps and 4x
-fewer field evaluations than the 5(4) pair.  The same stepper and driver
-run it (_pair=_DOP853, three-component states only); it builds no dense
-output.  Everything else keeps the 5(4) pair: integrate prints one row per
-accepted step, so a higher order would change its output rather than its
-cost, and return maps read the 5(4) pair's free quartic interpolant.
+Two kinds of run take the Dormand-Prince 8(5,3) pair (DOP853; Prince &
+Dormand 1981), three-component states only: the drift re-integration of
+analysis.orbit_integral_drift, and the probes of a center-regime k, whose
+return maps read its seventh-order dense output (three extra stages per
+crossing) and take about 5x fewer steps.  integrate, integrate4, the face
+flows and the off-manifold probes keep the 5(4) pair: integrate prints one
+row per accepted step, so a higher order would change its output rather
+than its cost, and those probes stop on speed collapse, not on returns.
 Backward time is realised by negating the field, never by negative steps,
 so there is a single stepping code path.
 
@@ -135,6 +135,31 @@ _E3 = (
     -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
     0.02265179219836082,
+)
+# DOP853 dense output (Hairer, Norsett & Wanner, II.6; scipy's A[13:16], D),
+# nonzero entries only: _A8X builds extra stages 13-15 over stages (0, 6-12),
+# (0, 5-7, 10-13) and (0, 5-8, 12-14); _D8 weights stages 0, 5-15 into F3..F6.
+_A8X = (
+    (0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+     0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_D8 = (
+    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
 )
 
 
@@ -351,6 +376,82 @@ def _rk_step8_3(fun, y, f0, h):
     return y_new, k12, err, (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12)
 
 
+class _DenseSegment8:
+    """Seventh-order interpolant over one Dormand-Prince 8(5,3) step of a
+    three-component state (internal clock); treat as immutable.
+
+    Built from the step's stages K (FSAL f1 last) and end state y1: three
+    extra stages, F0 = y1 - y0, F1 = h*f0 - F0, F2 = 2*F0 - h*(f1 + f0) and
+    F3..F6 = h * _D8.K.  With x = theta and u = 1 - x, the state at theta
+    is y0 + x*(F0 + u*(F1 + x*(F2 + u*(F3 + x*(F4 + u*(F5 + x*F6)))))).
+    """
+
+    __slots__ = ("t0", "h", "y0", "_rows")
+
+    def __init__(self, fun, t0, h, y0, K, y1):
+        self.t0, self.h, self.y0 = t0, h, y0
+        ((a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12),
+         (a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13),
+         (a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14)) = _A8X
+        ((c0_0, c0_1, c0_2), _, _, _, _, (c5_0, c5_1, c5_2), (c6_0, c6_1, c6_2),
+         (c7_0, c7_1, c7_2), (c8_0, c8_1, c8_2), (c9_0, c9_1, c9_2), (c10_0, c10_1, c10_2),
+         (c11_0, c11_1, c11_2), (c12_0, c12_1, c12_2)) = K
+        u0, u1, u2 = y0
+        c13_0, c13_1, c13_2 = fun((
+            u0 + h * (0.0 + a13_0 * c0_0 + a13_6 * c6_0 + a13_7 * c7_0 + a13_8 * c8_0
+                        + a13_9 * c9_0 + a13_10 * c10_0 + a13_11 * c11_0 + a13_12 * c12_0),
+            u1 + h * (0.0 + a13_0 * c0_1 + a13_6 * c6_1 + a13_7 * c7_1 + a13_8 * c8_1
+                        + a13_9 * c9_1 + a13_10 * c10_1 + a13_11 * c11_1 + a13_12 * c12_1),
+            u2 + h * (0.0 + a13_0 * c0_2 + a13_6 * c6_2 + a13_7 * c7_2 + a13_8 * c8_2
+                        + a13_9 * c9_2 + a13_10 * c10_2 + a13_11 * c11_2 + a13_12 * c12_2)))
+        c14_0, c14_1, c14_2 = fun((
+            u0 + h * (0.0 + a14_0 * c0_0 + a14_5 * c5_0 + a14_6 * c6_0 + a14_7 * c7_0
+                        + a14_10 * c10_0 + a14_11 * c11_0 + a14_12 * c12_0 + a14_13 * c13_0),
+            u1 + h * (0.0 + a14_0 * c0_1 + a14_5 * c5_1 + a14_6 * c6_1 + a14_7 * c7_1
+                        + a14_10 * c10_1 + a14_11 * c11_1 + a14_12 * c12_1 + a14_13 * c13_1),
+            u2 + h * (0.0 + a14_0 * c0_2 + a14_5 * c5_2 + a14_6 * c6_2 + a14_7 * c7_2
+                        + a14_10 * c10_2 + a14_11 * c11_2 + a14_12 * c12_2 + a14_13 * c13_2)))
+        c15_0, c15_1, c15_2 = fun((
+            u0 + h * (0.0 + a15_0 * c0_0 + a15_5 * c5_0 + a15_6 * c6_0 + a15_7 * c7_0
+                        + a15_8 * c8_0 + a15_12 * c12_0 + a15_13 * c13_0 + a15_14 * c14_0),
+            u1 + h * (0.0 + a15_0 * c0_1 + a15_5 * c5_1 + a15_6 * c6_1 + a15_7 * c7_1
+                        + a15_8 * c8_1 + a15_12 * c12_1 + a15_13 * c13_1 + a15_14 * c14_1),
+            u2 + h * (0.0 + a15_0 * c0_2 + a15_5 * c5_2 + a15_6 * c6_2 + a15_7 * c7_2
+                        + a15_8 * c8_2 + a15_12 * c12_2 + a15_13 * c13_2 + a15_14 * c14_2)))
+        d0, d1, d2 = y1[0] - u0, y1[1] - u1, y1[2] - u2
+        rows = [(d0, d1, d2), (h * c0_0 - d0, h * c0_1 - d1, h * c0_2 - d2),
+                (2.0 * d0 - h * (c12_0 + c0_0), 2.0 * d1 - h * (c12_1 + c0_1),
+                 2.0 * d2 - h * (c12_2 + c0_2))]
+        for e0, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15 in _D8:
+            rows.append((
+                h * (0.0 + e0 * c0_0 + e5 * c5_0 + e6 * c6_0 + e7 * c7_0 + e8 * c8_0 + e9 * c9_0
+                       + e10 * c10_0 + e11 * c11_0 + e12 * c12_0 + e13 * c13_0 + e14 * c14_0
+                       + e15 * c15_0),
+                h * (0.0 + e0 * c0_1 + e5 * c5_1 + e6 * c6_1 + e7 * c7_1 + e8 * c8_1 + e9 * c9_1
+                       + e10 * c10_1 + e11 * c11_1 + e12 * c12_1 + e13 * c13_1 + e14 * c14_1
+                       + e15 * c15_1),
+                h * (0.0 + e0 * c0_2 + e5 * c5_2 + e6 * c6_2 + e7 * c7_2 + e8 * c8_2 + e9 * c9_2
+                       + e10 * c10_2 + e11 * c11_2 + e12 * c12_2 + e13 * c13_2 + e14 * c14_2
+                       + e15 * c15_2)))
+        self._rows = tuple(zip(*rows))  # (F0, ..., F6) of each component
+
+    @property
+    def t1(self) -> float:
+        return self.t0 + self.h
+
+    def eval_theta(self, theta: float) -> tuple:
+        x, u = theta, 1.0 - theta
+        (p0, p1, p2, p3, p4, p5, p6), (q0, q1, q2, q3, q4, q5, q6), \
+            (r0, r1, r2, r3, r4, r5, r6) = self._rows
+        y0, y1, y2 = self.y0
+        return (y0 + x * (p0 + u * (p1 + x * (p2 + u * (p3 + x * (p4 + u * (p5 + x * p6)))))),
+                y1 + x * (q0 + u * (q1 + x * (q2 + u * (q3 + x * (q4 + u * (q5 + x * q6)))))),
+                y2 + x * (r0 + u * (r1 + x * (r2 + u * (r3 + x * (r4 + u * (r5 + x * r6)))))))
+
+    def eval(self, t: float) -> tuple:
+        return self.eval_theta((t - self.t0) / self.h)
+
+
 def _plain_sum(values):
     """sum(values) as CPython 3.11 adds floats: left to right from 0.0 (its
     int start 0 meets the first term as 0.0)."""
@@ -453,8 +554,7 @@ class _Pair:
     follow from the pair's order q: a rejected step shrinks by
     SAFETY * err**(-1/q), an accepted one grows by the PI factor
     SAFETY * err**(-0.7/q) * err_prev**(0.4/q), and the first step is
-    (0.01 / d)**(1/q).  dense: whether the stages build the quartic
-    DenseSegment.
+    (0.01 / d)**(1/q).
     """
 
     kernel3: object
@@ -462,15 +562,16 @@ class _Pair:
     kernel: object
     norm: object
     order: int
-    dense: bool
+    segment: object  # (fun, t0, h, y0, K, y1) -> dense segment of that step
 
 
-# Dormand-Prince 5(4), the pair of every run but the drift re-integration.
-_DP5 = _Pair(_rk_step3, _error_norm3, _rk_step, _error_norm, 5, True)
-# Dormand-Prince 8(5,3), 3-D only, without dense output: the pair of
-# analysis.orbit_integral_drift at 1e-12/1e-14, where it needs about 4x
-# fewer field evaluations than _DP5.
-_DOP853 = _Pair(_rk_step8_3, _error_norm8_3, None, None, 8, False)
+# Dormand-Prince 5(4): integrate, integrate4, the face flows and the probes
+# off the center regime; its quartic interpolant needs no extra stage.
+_DP5 = _Pair(_rk_step3, _error_norm3, _rk_step, _error_norm, 5,
+             lambda fun, t0, h, y0, K, y1: DenseSegment(t0, h, y0, K))
+# Dormand-Prince 8(5,3), 3-D only: the drift run and the center-regime probes,
+# where it takes about 5x fewer steps; a segment costs three extra stages.
+_DOP853 = _Pair(_rk_step8_3, _error_norm8_3, None, None, 8, _DenseSegment8)
 
 
 class DormandPrince45:
@@ -480,8 +581,8 @@ class DormandPrince45:
     (RMS-normed); acceptance feeds a PI controller.  Use step() repeatedly
     until finished; segment() builds the dense segment of the step last
     accepted, on demand.  The private _pair selects the embedded pair:
-    Dormand-Prince 5(4) by default, _DOP853 for the drift re-integration
-    (three-component states only, and without segment()).  Raises
+    Dormand-Prince 5(4) by default, _DOP853 (three-component states only)
+    for the drift re-integration and the center-regime probes.  Raises
     ValueError unless 0 < t_span < inf and both tolerances are finite and
     nonnegative: a nan there would make every step nan.
     """
@@ -565,15 +666,9 @@ class DormandPrince45:
         self.f = f1
         self.n_accepted += 1
 
-    def segment(self) -> DenseSegment:
-        """Dense segment of the step last accepted (a new one on every call).
-
-        Raises ValueError on an eighth-order stepper: its stages do not
-        build the fifth-order pair's quartic.
-        """
-        if not self._pair.dense:
-            raise ValueError("the eighth-order pair has no dense output")
-        return DenseSegment(*self._last)
+    def segment(self):
+        """Dense segment of the step last accepted (a new one on every call)."""
+        return self._pair.segment(self.fun, *self._last, self.y)
 
 
 @dataclass
@@ -675,8 +770,7 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
     at every sample; its running maximum beyond VIOLATION_LIMIT raises
     SimplexViolation, labelled by what.  specs maps monitored names to
     their specs, evaluated over all samples once the run is done.  pair is
-    the embedded pair the stepper runs; keep_dense needs one with dense
-    output (segment() raises ValueError otherwise).
+    the embedded pair the stepper runs.
     """
     sign = 1 if t_end > 0.0 else -1
     stepper = DormandPrince45(fun if sign > 0 else _negated(fun), y0, abs(t_end), tol_rel, tol_abs,

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from lv3.analysis import (
+    DRIFT_TOL,
     DegenerateLeaf,
     OnEquilibrium,
     alpha_limit,
@@ -26,8 +27,8 @@ from lv3.analysis import (
     _probe,
 )
 from lv3.equilibria import SimplexViolation, interior_segment_R, limit_segments
-from lv3.flow import DormandPrince45, SectionSpec, _field3
-from lv3.params import ParamVector
+from lv3.flow import DormandPrince45, SectionSpec, _DOP853, _DP5, _field3
+from lv3.params import ParamVector, classify
 from lv3.rng import SplitMix64
 from conftest import rand_params
 
@@ -50,7 +51,8 @@ def test_detect_periodic_keeps_step_end_on_section():
     # on the plane, and the crossing there must lock the return direction
     k = ParamVector(2, 3, 3, 2)
     p0 = (0.2, 0.2, 0.2)
-    stepper = DormandPrince45(_field3(k), p0, 1e4)
+    # the probe steps a center-regime k with the eighth-order pair
+    stepper = DormandPrince45(_field3(k), p0, 1e4, _pair=_DOP853)
     for _ in range(5):
         stepper.step()
     section = SectionSpec((1.0, 0.0, 0.0), stepper.y[0], "both")
@@ -66,7 +68,8 @@ def test_detect_periodic_keeps_step_end_on_section_reached_from_below():
     # plane from its negative side
     k = ParamVector(2, 3, 3, 2)
     p0 = (0.2, 0.2, 0.2)
-    stepper = DormandPrince45(_field3(k), p0, 1e4)
+    # the probe steps a center-regime k with the eighth-order pair
+    stepper = DormandPrince45(_field3(k), p0, 1e4, _pair=_DOP853)
     for _ in range(5):
         stepper.step()
     section = SectionSpec((-1.0, 0.0, 0.0), -stepper.y[0], "both")
@@ -184,6 +187,12 @@ PROBE_STOPS = [
 ]
 
 
+# the stops of the center-regime cases above when _probe is given k, which
+# picks the eighth-order pair: 66 steps to the periodic verdict, not 383
+PROBE_STOPS_CENTER = {"periodic": ("periodic", 12.935942526323291, 66),
+                      "horizon": ("horizon", 0.5, 5)}
+
+
 @pytest.mark.parametrize("case, expected", PROBE_STOPS, ids=[e[0] for _, e in PROBE_STOPS])
 def test_probe_stop_reasons(case, expected):
     k, p0, horizon, tol_rel, tol_abs, return_budget = case
@@ -192,6 +201,29 @@ def test_probe_stop_reasons(case, expected):
                                         tol_rel, tol_abs, return_budget)
     assert (reason, stepper.t, stepper.n_accepted) == expected
     assert (closed is not None) == (reason == "periodic")
+    # given k, the pair depends on k alone: off the center regime the same
+    # stop, bit for bit; on it the eighth-order pair's
+    reason, stepper, _, _ = _probe(_field3(k), p0, default_section(k), horizon,
+                                   tol_rel, tol_abs, return_budget, None, k)
+    center = classify(k).oscillatory
+    assert stepper._pair is (_DOP853 if center else _DP5)
+    if center:
+        expected = PROBE_STOPS_CENTER[expected[0]]
+    assert (reason, stepper.t, stepper.n_accepted) == expected
+
+
+def test_drift_run_controls_the_relative_error_next_to_a_face():
+    # start 3 of this sample passes within 3.1e-9 of a face.  At tol_abs
+    # 1e-14 its log H drifted 1.17e-8 over one period, above DRIFT_TOL, and
+    # verify-a failed; with relative error control the drift is 9.9e-12
+    k = ParamVector(0.5, 3, 6, 1)
+    p = sample_interior(k, 10, SplitMix64(1))[2]
+    orbit = detect_periodic(k, p)
+    assert max(orbit_integral_drift(k, p, orbit.period).values()) <= 1e-10
+    report = verify_theorem_a(k, 10, seed=1)
+    assert report["passed"] and report["worst_drift"] <= DRIFT_TOL
+    # a coordinate that is exactly 0.0 divides nothing by zero
+    assert orbit_integral_drift(k, (0.3, 0.0, 0.4), 5.0, names=()) == {}
 
 
 # starts of SplitMix64(7) samples whose omega probe stopped next to a

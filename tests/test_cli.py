@@ -428,24 +428,29 @@ GOLDEN_STDOUT = {
     "limit-set-alpha": (
         "limit-set --k 2,1,2,1 --p0 0.2,0.2,0.2 --alpha", EXIT_OK,
         "3db7fbfa3b93b2005fd1ca761327b0ce0eb7af432d8d12be80b9a3217b89dd1f"),
+    # center-regime probes step with the eighth-order pair and locate
+    # crossings on its seventh-order interpolant: the same kinds and
+    # verdicts as the fifth-order probes, other digits (the period of
+    # limit-set-omega was 5.333659910622081, now 5.333659910644775)
     "limit-set-omega": (
         "limit-set --k 2,3,3,2 --p0 0.2,0.2,0.2", EXIT_OK,
-        "c18edf5c85a566c9c333f4d3f573bf7f282e1aeaad8b6dfa3b47dde06825ace7"),
+        "57b961431f34d913a4ec08b38c7ef7e4572b66bb7b8d46cd5a10fff8d2bd7a6a"),
     "scan": (
         "scan --slice 2,t,2,t --range 1.5,2.5 --steps 5", EXIT_OK,
-        "58788286cdf55e27dae57c6070130153921252ecaf7b1c8e0086b1342815fd4e"),
+        "826beca62f782ad469dcfd815b105268d9c65a15f8f7d1321b67d2f029f2fe20"),
     "period-profile": (
         "period-profile --k 2,3,3,2 --n 5", EXIT_OK,
-        "b14ddb3a7ee0c9ec9486406fcc4b978c9eb2aeabb4759904c6ae949f1b9854d4"),
+        "68601e3dbcab99c058ecaf63767e55e5f679b0c6c7d57aae29c194ce9100747b"),
     "portrait": (
         "portrait --k 1,1,1,1 --n 5 --t 20", EXIT_OK,
         "7f12f5547dcdd93c8d6e7184f49b602c4a0daee84ed84bd91f4a83220c832207"),
-    # worst_drift is measured by the eighth-order pair (1.1795009413617663e-12;
-    # the fifth-order pair read 2.2737367544323206e-11); every other field
-    # is the fifth-order run's
+    # the periods come from eighth-order probes (worst_closure_error
+    # 1.4531247723612617e-11, was 3.093128215147697e-11) and the drift from
+    # an eighth-order run with relative error control (worst_drift
+    # 7.425171588693047e-13, was 1.1795009413617663e-12 at tol_abs 1e-14)
     "verify-a": (
         "verify-a --k 2,3,3,2 --samples 8 --seed 5", EXIT_OK,
-        "3368421b8dae0de9023c1019d9be23b2d98ac783671e2d14621a4e4ee8a0ce62"),
+        "75e8856d950d00a47404cee13056b2d4d1c30cd1cf055e161a28fa5c34ef4e8c"),
     "verify-b": (
         "verify-b --k 2,1,2,1 --samples 4 --seed 9", EXIT_OK,
         "f4869f94d9e171caad8377b10660a8ac4454d7b6de48ec9e413e4d2166d3acc2"),

@@ -11,9 +11,12 @@ from lv3.flow import (
     StepSizeUnderflow,
     _A,
     _A8,
+    _A8X,
     _B,
     _B8,
+    _D8,
     _DOP853,
+    _DenseSegment8,
     _E,
     _E3,
     _E5,
@@ -36,7 +39,7 @@ from lv3.flow import (
     integrate4,
 )
 from lv3 import flow
-from lv3.analysis import detect_periodic
+from lv3.analysis import default_section, detect_periodic
 from lv3.darboux import log_integral_value, named_integral_specs
 from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector
@@ -242,16 +245,98 @@ def test_eighth_order_convergence():
     assert all(7.5 <= order <= 8.5 for order in orders), orders
 
 
-def test_eighth_order_stepper_builds_no_dense_output():
+def _segment8(fun, y0, h):
+    """The dense segment of one eighth-order step of size h from y0."""
+    y1, _, _, K = _rk_step8_3(fun, y0, fun(y0), h)
+    return _DenseSegment8(fun, 0.0, h, y0, K, y1), y1, K
+
+
+def test_eighth_order_segment_ends_at_the_step_ends():
+    for fun, y, h in _kernel_cases(3):
+        segment, y1, _ = _segment8(fun, y, h)
+        assert segment.eval_theta(0.0) == y
+        end = segment.eval_theta(1.0)
+        # y0 + (y1 - y0) is within an ulp of y1, or of y0 where y1 - y0
+        # itself rounds
+        assert all(abs(a - b) <= 2 * math.ulp(max(abs(b), abs(c)))
+                   for a, b, c in zip(end, y1, y))
+        assert (segment.t1, segment.eval(0.5 * h)) == (h, segment.eval_theta(0.5))
+
+
+def test_eighth_order_segment_convergence():
+    # local error at theta 0.5 of one step from (0.2, 0.2, 0.2), against 64
+    # eighth-order steps to h/2.  A seventh-order interpolant has local
+    # error O(h**8): measured 2.5e-7, 8.1e-10, 2.7e-12 and 1.0e-14 for
+    # h = 0.8, 0.4, 0.2 and 0.1, i.e. orders 8.26, 8.20 and 8.08; h = 0.05
+    # reaches the rounding floor (2.8e-16)
+    fun = _field3(ParamVector(2, 3, 3, 2))
+    y0 = (0.2, 0.2, 0.2)
+    errors = []
+    for h in (0.8, 0.4, 0.2, 0.1):
+        segment, _, _ = _segment8(fun, y0, h)
+        ref = _fixed_step_end(_rk_step8_3, fun, y0, 0.5 * h, 64)
+        errors.append(max(abs(a - b) for a, b in zip(segment.eval_theta(0.5), ref)))
+    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
+    assert all(7.8 <= order <= 8.6 for order in orders), orders
+
+
+def test_eighth_order_segment_is_scipys_interpolant():
+    # scipy's extra stages and coefficient rows over the same K, evaluated
+    # by its Dop853DenseOutput
+    np = pytest.importorskip("numpy")
+    d = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    rk = pytest.importorskip("scipy.integrate._ivp.rk")
+    # the tables keep scipy's nonzero entries, in order
+    assert [_A8X[s - 13] for s in range(13, 16)] == [
+        tuple(float(v) for v in d.A[s, :s] if v != 0.0) for s in range(13, 16)]
+    assert list(_D8) == [tuple(float(v) for v in row if v != 0.0) for row in d.D]
+    for fun, y, h in _kernel_cases(3):
+        segment, y1, K = _segment8(fun, y, h)
+        K = np.vstack([np.array(K), np.zeros((3, 3))])
+        for s in range(13, 16):
+            K[s] = fun(tuple(np.array(y) + np.dot(K[:s].T, d.A[s, :s]) * h))
+        delta = np.array(y1) - np.array(y)
+        F = np.vstack([delta, h * K[0] - delta, 2 * delta - h * (K[12] + K[0]),
+                       h * np.dot(d.D, K)])
+        reference = rk.Dop853DenseOutput(0.0, h, np.array(y), F)
+        for theta in (0.0, 0.1, 0.5, 0.77, 1.0):
+            want = reference(theta * h)
+            got = segment.eval_theta(theta)
+            assert all(abs(a - b) <= 1e-14 * max(abs(b), 1e-300) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("k, p0", [((2, 3, 3, 2), (0.2, 0.2, 0.2)),
+                                   ((1, 1, 1, 1), (0.1, 0.1, 0.1))])
+def test_located_crossings_agree_with_scipy_dop853_events(k, p0):
+    # the probe locates center-regime crossings on the eighth-order
+    # segment; measured against scipy: states within 1.7e-12, times within
+    # 5.0e-11
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    k = ParamVector(*k)
+    orbit = detect_periodic(k, p0)
+    section, fun = default_section(k), _field3(k)
+    sol = solve_ivp(lambda t, y: fun(tuple(y)), (0.0, orbit.crossings[-1][0] + 0.1), p0,
+                    method="DOP853", rtol=1e-13, atol=1e-15,
+                    events=lambda t, y: section.value(y))
+    times, states = list(sol.t_events[0]), list(sol.y_events[0])
+    for t, state in orbit.crossings:
+        i = min(range(len(times)), key=lambda j: abs(times[j] - t))
+        assert abs(times[i] - t) <= 3e-10
+        assert max(abs(a - b) for a, b in zip(state, states[i])) <= 1e-11
+
+
+def test_eighth_order_stepper_keeps_dense_segments():
+    # a drift run that keeps segments reads them like a fifth-order run's
     k = ParamVector(2, 3, 3, 2)
-    stepper = DormandPrince45(_field3(k), (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14, _pair=_DOP853)
-    stepper.step()
-    with pytest.raises(ValueError, match="no dense output"):
-        stepper.segment()
-    # a drift run that asks to keep dense segments is rejected the same way
-    with pytest.raises(ValueError, match="no dense output"):
-        _drive(k, _field3(k), (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14, _violation3, "simplex", {},
-               True, _DOP853)
+    traj = _drive(k, _field3(k), (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14, _violation3, "simplex", {},
+                  True, _DOP853)
+    assert all(type(seg) is _DenseSegment8 for seg in traj.dense)
+    assert len(traj.dense) == len(traj) - 1
+    for seg, state in zip(traj.dense, traj.states[1:]):
+        assert traj.state_at(seg.t1) == seg.eval_theta(1.0)
+        assert norm3(tuple(a - b for a, b in zip(seg.eval_theta(1.0), state))) <= 1e-15
+    ref = integrate(k, (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14)
+    assert norm3(tuple(a - b for a, b in zip(traj.state_at(0.37), ref.state_at(0.37)))) <= 1e-11
 
 
 @cpython311_only
@@ -513,11 +598,13 @@ def test_monitored_drift_is_bitwise_the_single_point_form():
 def test_dense_segments_are_built_only_when_read(monkeypatch):
     built = []
     located = []
-    init, advance = DenseSegment.__init__, flow._ReturnMap.advance
+    advance = flow._ReturnMap.advance
 
-    def counted_init(segment, *args, **kwargs):
-        built.append(segment)
-        init(segment, *args, **kwargs)
+    def counting(init):
+        def counted_init(segment, *args, **kwargs):
+            built.append(segment)
+            init(segment, *args, **kwargs)
+        return counted_init
 
     def counted_advance(returns, stepper, y):
         # a crossing: a strict sign change, or a landing on the plane from off it
@@ -526,7 +613,8 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
                        or (g_end == 0.0 and g_start != 0.0))
         return advance(returns, stepper, y)
 
-    monkeypatch.setattr(DenseSegment, "__init__", counted_init)
+    for cls in (DenseSegment, _DenseSegment8):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     monkeypatch.setattr(flow._ReturnMap, "advance", counted_advance)
     k = ParamVector(2, 3, 3, 2)
     traj = integrate(k, (0.2, 0.2, 0.2), 20.0, keep_dense=False)
@@ -535,8 +623,10 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
     assert len(built) == len(traj.dense) == len(traj) - 1
     built.clear()
     orbit = detect_periodic(k, (0.2, 0.2, 0.2))
-    # one segment per located crossing, in either direction
-    assert len(located) > 100
+    # one segment per located crossing, in either direction; the probe
+    # takes 66 eighth-order steps here, 5 of which cross
+    assert len(located) > 50
+    assert all(type(seg) is _DenseSegment8 for seg in built)
     assert len(built) == sum(located) >= len(orbit.crossings) >= 3
 
 

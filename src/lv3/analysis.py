@@ -179,7 +179,7 @@ def _point_kind(k, y) -> tuple:
     return "boundary-unclassified", None
 
 
-def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, settled=None, k=None):
+def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, k, settled=None):
     """Step the orbit of fun from y0 until it stops: the loop of every probe.
 
     Returns (reason, stepper, return map or None, closure or None); reason
@@ -187,9 +187,9 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, settled=N
     settled, if given, accepts the state), horizon, return-budget (with
     return_budget: ten first-return estimates passed), step-budget,
     step-underflow or simplex-violation.  The pair depends on k alone: 8(5,3)
-    on the center regime (see omega_limit), 5(4) for other k and for None.
+    on the center regime, 5(4) off it (see omega_limit).
     """
-    pair = _DOP853 if k is not None and classify(k).oscillatory else _DP5
+    pair = _DOP853 if classify(k).oscillatory else _DP5
     stepper = DormandPrince45(fun, y0, horizon, tol_rel, tol_abs, _pair=pair)
     returns = None if section is None else _ReturnMap(section, fun, stepper.y)
     budget = horizon
@@ -258,7 +258,7 @@ def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs) -> LimitSetReport:
     except ValueError:
         section = None
     reason, stepper, _, closed = _probe_or_raise(fun, start.coords, section, horizon, tol_rel,
-                                                 tol_abs, False, _settled_test(k, forward), k)
+                                                 tol_abs, False, k, _settled_test(k, forward))
     if reason == "speed-collapse":
         kind, distance = _point_kind(k, stepper.y)
         return LimitSetReport(kind=kind, direction=label, witness=stepper.y, distance=distance,
@@ -285,8 +285,8 @@ def omega_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
     floor (step-underflow).  Next to a singular-edge point off s_py and
     s_xz it keeps stepping while the orbit can still leave along a
     repelling transverse direction.  Raises SimplexViolation if the orbit
-    leaves the simplex.  On the center regime, where it ends on returns, it
-    steps with the 8(5,3) pair; off it, where it ends on speed collapse, 5(4).
+    leaves the simplex.  On the center regime it steps with the 8(5,3) pair;
+    off it with 5(4), which keeps those outputs as they were.
     """
     return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs)
 
@@ -334,7 +334,7 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
         except ValueError:
             return None
     reason, _, returns, closed = _probe_or_raise(_field3(k), start.coords, section, horizon,
-                                                 tol_rel, tol_abs, True, None, k)
+                                                 tol_rel, tol_abs, True, k)
     if reason != "periodic":
         return None
     period, closure_error, _ = closed

@@ -20,7 +20,7 @@ return maps read its seventh-order dense output (three extra stages per
 crossing) and take about 5x fewer steps.  integrate, integrate4, the face
 flows and the off-manifold probes keep the 5(4) pair: integrate prints one
 row per accepted step, so a higher order would change its output rather
-than its cost, and those probes stop on speed collapse, not on returns.
+than its cost; the off-manifold probes keep their outputs bit for bit.
 Backward time is realised by negating the field, never by negative steps,
 so there is a single stepping code path.
 

@@ -24,8 +24,8 @@ DERANDOMIZED = settings(max_examples=40, derandomize=True, database=None, deadli
 # Relative error control (tol_abs 1e-300): starts within 1e-3 of the
 # boundary run within 1e-8 of a face, where the default tol_abs of 1e-12
 # lets a period move by up to 4.4e-7 relative (k = (1, 6, 12, 2) under
-# time reversal).  With it, 600 periods of 200 seeded cases agreed within
-# 1.6e-9.
+# time reversal; pinned at the defaults in test_analysis.py).  With it, 600
+# periods of 200 seeded cases agreed within 1.6e-9.
 TOLS = (1e-10, 1e-300)
 BOUND = 1e-8
 

@@ -33,7 +33,6 @@ from .equilibria import (
     OutOfRange,
     Segment,
     SimplexPoint,
-    SimplexViolation,
     _coords,
     _field3,
     boundary_margin,
@@ -49,17 +48,15 @@ from .darboux import certify_named_integrals
 from .flow import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
-    MAX_ACCEPTED_STEPS,
-    VIOLATION_LIMIT,
     DormandPrince45,
     SectionSpec,
-    StepSizeUnderflow,
     _DOP853,
     _DP5,
     _ReturnMap,
     _drive,
     _negated,
     _simplex_run_args,
+    _steps,
     _violation3,
 )
 from .rng import SplitMix64
@@ -150,8 +147,8 @@ class LimitSetReport:
     point-on-R_xz, boundary-unclassified, inconclusive.  distance is to the
     named segment for the point kinds; closure_error/period accompany the
     periodic kind.  inconclusive means the probe stopped without a verdict:
-    the horizon ran out (horizon), the probe took MAX_ACCEPTED_STEPS steps
-    (step-budget) or the step fell below its floor (step-underflow).
+    the horizon ran out (horizon) or the probe took MAX_ACCEPTED_STEPS steps
+    (step-budget).
     """
 
     kind: str
@@ -184,27 +181,19 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, k, settle
 
     Returns (reason, stepper, return map or None, closure or None); reason
     is periodic (two returns within CLOSURE_TOL), speed-collapse (where
-    settled, if given, accepts the state), horizon, return-budget (with
-    return_budget: ten first-return estimates passed), step-budget,
-    step-underflow or simplex-violation.  The pair depends on k alone: 8(5,3)
-    on the center regime, 5(4) off it (see omega_limit).
+    settled, if given, accepts the state), return-budget (with
+    return_budget: ten first-return estimates passed), horizon or
+    step-budget.  It steps through flow's _steps, so a state off the
+    simplex raises SimplexViolation and a step below its floor
+    StepSizeUnderflow, as in integrate.  The pair depends on k alone:
+    8(5,3) on the center regime, 5(4) off it (see omega_limit).
     """
     pair = _DOP853 if classify(k).oscillatory else _DP5
     stepper = DormandPrince45(fun, y0, horizon, tol_rel, tol_abs, _pair=pair)
     returns = None if section is None else _ReturnMap(section, fun, stepper.y)
     budget = horizon
-    while not stepper.finished:
-        if stepper.t > budget:
-            return "return-budget", stepper, returns, None
-        if stepper.n_accepted >= MAX_ACCEPTED_STEPS:
-            return "step-budget", stepper, returns, None
-        try:
-            stepper.step()
-        except StepSizeUnderflow:
-            return "step-underflow", stepper, returns, None
+    for _ in _steps(stepper, _violation3, "simplex"):
         y = stepper.y
-        if _violation3(y) > VIOLATION_LIMIT:
-            return "simplex-violation", stepper, returns, None
         if stepper.speed <= SPEED_TOL and (settled is None or settled(y)):
             return "speed-collapse", stepper, returns, None
         if returns is not None and returns.advance(stepper, y):
@@ -214,16 +203,9 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, k, settle
             closed = returns.closure(CLOSURE_TOL)
             if closed is not None:
                 return "periodic", stepper, returns, closed
-    return "horizon", stepper, returns, None
-
-
-def _probe_or_raise(*args):
-    """_probe, raising SimplexViolation where it stops on one, as integrate does."""
-    reason, stepper, returns, closed = _probe(*args)
-    if reason == "simplex-violation":
-        raise SimplexViolation(f"simplex violation {_violation3(stepper.y):.3e} beyond "
-                               f"{VIOLATION_LIMIT} at t={stepper.t:.6g}")
-    return reason, stepper, returns, closed
+        if stepper.t > budget:
+            return "return-budget", stepper, returns, None
+    return "horizon" if stepper.finished else "step-budget", stepper, returns, None
 
 
 def _settled_test(k, forward):
@@ -257,8 +239,8 @@ def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs) -> LimitSetReport:
         section = default_section(k)
     except ValueError:
         section = None
-    reason, stepper, _, closed = _probe_or_raise(fun, start.coords, section, horizon, tol_rel,
-                                                 tol_abs, False, k, _settled_test(k, forward))
+    reason, stepper, _, closed = _probe(fun, start.coords, section, horizon, tol_rel, tol_abs,
+                                        False, k, _settled_test(k, forward))
     if reason == "speed-collapse":
         kind, distance = _point_kind(k, stepper.y)
         return LimitSetReport(kind=kind, direction=label, witness=stepper.y, distance=distance,
@@ -280,13 +262,13 @@ def omega_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
     Integrates until the flow speed drops to SPEED_TOL (then classifies the
     terminal state against s_py, s_xz and the singular edges within
     SEGMENT_DIST_TOL), or until a return map certifies a periodic orbit.
-    It reports inconclusive when the horizon runs out (horizon), after
-    MAX_ACCEPTED_STEPS steps (step-budget) or when the step falls below its
-    floor (step-underflow).  Next to a singular-edge point off s_py and
-    s_xz it keeps stepping while the orbit can still leave along a
-    repelling transverse direction.  Raises SimplexViolation if the orbit
-    leaves the simplex.  On the center regime it steps with the 8(5,3) pair;
-    off it with 5(4), which keeps those outputs as they were.
+    It reports inconclusive when the horizon runs out (horizon) or after
+    MAX_ACCEPTED_STEPS steps (step-budget).  Next to a singular-edge point
+    off s_py and s_xz it keeps stepping while the orbit can still leave
+    along a repelling transverse direction.  Raises SimplexViolation if the
+    orbit leaves the simplex and StepSizeUnderflow if the step falls below
+    its floor.  On the center regime it steps with the 8(5,3) pair; off it
+    with 5(4), which reads more of those stops right (see lv3.flow).
     """
     return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs)
 
@@ -318,9 +300,9 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
     Returns None when k has no default section and none is given, when the
     flow speed collapses (orbit heads to an equilibrium), when ten
     first-return estimates (return-budget) or the absolute horizon pass
-    without confirmation, after MAX_ACCEPTED_STEPS steps (step-budget), or
-    when the step falls below its floor (step-underflow).  Raises
-    SimplexViolation like omega_limit, whose choice of pair it shares.
+    without confirmation, or after MAX_ACCEPTED_STEPS steps (step-budget).
+    Raises SimplexViolation and StepSizeUnderflow like omega_limit, whose
+    choice of pair it shares.
     """
     start = SimplexPoint(*_coords(p0))
     if start.interior_margin <= 0.0:
@@ -333,8 +315,8 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
             section = default_section(k)
         except ValueError:
             return None
-    reason, _, returns, closed = _probe_or_raise(_field3(k), start.coords, section, horizon,
-                                                 tol_rel, tol_abs, True, k)
+    reason, _, returns, closed = _probe(_field3(k), start.coords, section, horizon, tol_rel,
+                                        tol_abs, True, k)
     if reason != "periodic":
         return None
     period, closure_error, _ = closed

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import lv3.flow
 from lv3.analysis import (
     DRIFT_TOL,
     DegenerateLeaf,
@@ -27,7 +28,8 @@ from lv3.analysis import (
     _probe,
 )
 from lv3.equilibria import SimplexViolation, interior_segment_R, limit_segments
-from lv3.flow import DormandPrince45, SectionSpec, _DOP853, _DP5, _field3
+from lv3.flow import (DormandPrince45, SectionSpec, StepSizeUnderflow, _DOP853, _DP5, _field3,
+                      integrate)
 from lv3.params import ParamVector, classify
 from lv3.rng import SplitMix64
 from conftest import rand_params
@@ -181,7 +183,8 @@ PROBE_STOPS = [
      ("horizon", 0.5, 20)),
     (((2, 3, 3, 2.01), (0.2, 0.2, 0.2), 1e4, 1e-10, 1e-12, True),
      ("return-budget", 55.541378287227964, 1620)),
-    # loose tolerances carry this orbit off the simplex (as in test_flow)
+    # loose tolerances carry this orbit off the simplex (as in test_flow): a
+    # defect that raises where the probe stops, not a stop reason
     (((2, 1, 2, 1), (0.001, 0.5, 0.3), 1e4, 1e-3, 1e-3, False),
      ("simplex-violation", 20.815254030551124, 18)),
 ]
@@ -197,8 +200,12 @@ PROBE_STOPS_CENTER = {"periodic": ("periodic", 12.935942526323291, 66),
 def test_probe_stop_reasons(case, expected):
     k, p0, horizon, tol_rel, tol_abs, return_budget = case
     k = ParamVector(*k)
-    reason, stepper, _, closed = _probe(_field3(k), p0, default_section(k), horizon,
-                                        tol_rel, tol_abs, return_budget, k)
+    args = (_field3(k), p0, default_section(k), horizon, tol_rel, tol_abs, return_budget, k)
+    if expected[0] == "simplex-violation":
+        with pytest.raises(SimplexViolation, match=rf"at t={expected[1]:.6g}$"):
+            _probe(*args)
+        return
+    reason, stepper, _, closed = _probe(*args)
     # the pair depends on k alone: off the center regime the 5(4) stop, bit
     # for bit; on it the eighth-order pair's
     center = classify(k).oscillatory
@@ -286,6 +293,54 @@ def test_probe_raises_on_a_simplex_violation(probe):
     # an orbit carried off the simplex is a defect, as in integrate, not a timeout
     with pytest.raises(SimplexViolation, match=r"simplex violation .* beyond 1e-09 at t=20\.8153"):
         probe(ParamVector(2, 1, 2, 1), (0.001, 0.5, 0.3), tol_rel=1e-3, tol_abs=1e-3)
+
+
+def test_an_exhausted_step_budget_stops_every_run(monkeypatch):
+    # integrate raises, a probe reports it stopped without a verdict
+    monkeypatch.setattr(lv3.flow, "MAX_ACCEPTED_STEPS", 5)
+    with pytest.raises(RuntimeError, match=r"^accepted-step budget 5 exhausted$"):
+        integrate(ParamVector(2, 1, 2, 1), (0.2, 0.2, 0.2), 100.0)
+    rep = omega_limit(ParamVector(2, 1, 2, 1), (0.2, 0.2, 0.2), horizon=1e4)
+    assert rep.kind == "inconclusive" and rep.horizon_used < 1e4
+    assert detect_periodic(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2)) is None
+
+
+@pytest.mark.parametrize("probe", [omega_limit, alpha_limit, detect_periodic],
+                         ids=lambda f: f.__name__)
+def test_probe_raises_on_a_step_underflow(probe):
+    # the step floor is 1e-14 of the horizon, so the first step underflows:
+    # a defect, as in integrate, not an inconclusive probe
+    with pytest.raises(StepSizeUnderflow, match="below floor"):
+        probe(ParamVector(2, 1, 2, 1), (0.2, 0.2, 0.2), horizon=1e300)
+
+
+def test_off_manifold_probes_keep_the_fifth_order_pair():
+    # with the eighth-order pair this omega probe stops at a false
+    # point-on-R_py and its alpha probe reports a periodic orbit (period
+    # 45.54, witness x = -4.7e-13); the 5(4) pair finds both segments
+    k = ParamVector(2.2013936404772143, 2.085734254504342, 0.597437532076472, 0.3727293027344224)
+    p = sample_interior(k, 30, SplitMix64(23))[29]
+    assert (omega_limit(k, p).kind, alpha_limit(k, p).kind) == ("point-on-s_py", "point-on-s_xz")
+
+
+# ROADMAP item 1: probes whose state sinks onto the face x+y+z = 1 next to s_py
+# and misread the stop (the first two as point-on-R_py, the last as
+# inconclusive at the horizon): (k, number sampled, seed, start index, probe)
+FACE_SINK_CASES = [
+    ((3, 1, 1, 2), 20, 5, 13, omega_limit),
+    ((0.8670270256236003, 1.7579010466743341, 2.6826314883834907, 2.0246875888614504), 30, 23, 12,
+     alpha_limit),
+    ((3, 1, 1, 2), 60, 11, 7, omega_limit),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="w = 1-x-y-z is not resolved below rounding level; "
+                   "mending it must remove this mark")
+@pytest.mark.parametrize("k, n, seed, index, probe", FACE_SINK_CASES,
+                         ids=[f"{c[4].__name__}-{c[2]}-{c[3]}" for c in FACE_SINK_CASES])
+def test_limit_probe_reaches_s_py_from_the_face(k, n, seed, index, probe):
+    k = ParamVector(*k)
+    assert probe(k, sample_interior(k, n, SplitMix64(seed))[index]).kind == "point-on-s_py"
 
 
 # --- boundary faces -----------------------------------------------------------

@@ -186,6 +186,20 @@ def test_step_underflow_is_a_failure_not_a_traceback():
     assert done.stderr.startswith("lv3: step ") and "below floor" in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "limit-set --k 2,1,2,1 --p0 0.2,0.2,0.2 --horizon 1e300",
+    "scan --slice 2,t,2,t --range 1,2 --steps 2 --horizon 1e300",
+    "verify-b --k 2,1,2,1 --samples 2 --horizon 1e300",
+], ids=lambda argv: argv.split()[0])
+def test_probe_step_underflow_is_a_failure(capsys, argv):
+    # a probe's step underflow fails as integrate's does, not as inconclusive
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    assert captured.err.startswith("lv3: step ") and "below floor" in captured.err
+
+
 def test_unknown_monitor_name_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["integrate", "--k", "2,3,3,2", "--p0", "0.2,0.2,0.2", "--t", "1",

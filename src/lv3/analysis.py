@@ -54,7 +54,6 @@ from .flow import (
     _DP5,
     _ReturnMap,
     _drive,
-    _negated,
     _simplex_run_args,
     _steps,
     _violation3,
@@ -176,8 +175,8 @@ def _point_kind(k, y) -> tuple:
     return "boundary-unclassified", None
 
 
-def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, k, settled=None):
-    """Step the orbit of fun from y0 until it stops: the loop of every probe.
+def _probe(k, y0, section, horizon, tol_rel, tol_abs, return_budget, settled=None):
+    """Step the orbit of k from y0 until it stops: the loop of every probe.
 
     Returns (reason, stepper, return map or None, closure or None); reason
     is periodic (two returns within CLOSURE_TOL), speed-collapse (where
@@ -188,6 +187,7 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, k, settle
     StepSizeUnderflow, as in integrate.  The pair depends on k alone:
     8(5,3) on the center regime, 5(4) off it (see omega_limit).
     """
+    fun = _field3(k)
     pair = _DOP853 if classify(k).oscillatory else _DP5
     stepper = DormandPrince45(fun, y0, horizon, tol_rel, tol_abs, _pair=pair)
     returns = None if section is None else _ReturnMap(section, fun, stepper.y)
@@ -208,14 +208,13 @@ def _probe(fun, y0, section, horizon, tol_rel, tol_abs, return_budget, k, settle
     return "horizon" if stepper.finished else "step-budget", stepper, returns, None
 
 
-def _settled_test(k, forward):
+def _settled_test(k):
     """Stop test of a limit probe whose speed collapsed at y.  Next to a
     point of R_py or R_xz off s_py and s_xz the orbit may only slow down
     while it slides past, so the probe goes on while a transverse direction
-    repels in the probe's time direction and the state still lies off the
-    face it leaves by: x or z on R_xz; y or w = 1-x-y-z on R_py, where w
-    sinks to rounding level next to the face x+y+z = 1."""
-    sign = 1.0 if forward else -1.0
+    repels and the state still lies off the face it leaves by: x or z on
+    R_xz; y or w = 1-x-y-z on R_py, where w sinks to rounding level next to
+    the face x+y+z = 1."""
 
     def settled(y):
         kind, _ = _point_kind(k, y)
@@ -226,21 +225,19 @@ def _settled_test(k, forward):
             pairs = zip(edge_eigenvalues(k, "R_py", x), (((1.0 - x) - yy) - z, yy))
         else:
             pairs = zip(edge_eigenvalues(k, "R_xz", yy), (x, z))
-        return not any(sign * lam > 0.0 and c > 0.0 for lam, c in pairs)
+        return not any(lam > 0.0 and c > 0.0 for lam, c in pairs)
 
     return settled
 
 
-def _limit_probe(k, p0, horizon, forward, tol_rel, tol_abs) -> LimitSetReport:
-    label = "omega" if forward else "alpha"
+def _limit_probe(k, p0, horizon, label, tol_rel, tol_abs) -> LimitSetReport:
     start = SimplexPoint(*_coords(p0))
-    fun = _field3(k) if forward else _negated(_field3(k))
     try:
         section = default_section(k)
     except ValueError:
         section = None
-    reason, stepper, _, closed = _probe(fun, start.coords, section, horizon, tol_rel, tol_abs,
-                                        False, k, _settled_test(k, forward))
+    reason, stepper, _, closed = _probe(k, start.coords, section, horizon, tol_rel, tol_abs,
+                                        False, _settled_test(k))
     if reason == "speed-collapse":
         kind, distance = _point_kind(k, stepper.y)
         return LimitSetReport(kind=kind, direction=label, witness=stepper.y, distance=distance,
@@ -270,14 +267,15 @@ def omega_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
     its floor.  On the center regime it steps with the 8(5,3) pair; off it
     with 5(4), which reads more of those stops right (see lv3.flow).
     """
-    return _limit_probe(k, p0, horizon, True, tol_rel, tol_abs)
+    return _limit_probe(k, p0, horizon, "omega", tol_rel, tol_abs)
 
 
 def alpha_limit(k: ParamVector, p0, horizon: float = DEFAULT_HORIZON,
                 tol_rel: float = DEFAULT_TOL_REL,
                 tol_abs: float = DEFAULT_TOL_ABS) -> LimitSetReport:
-    """Backward-time counterpart of omega_limit (field negated, one code path)."""
-    return _limit_probe(k, p0, horizon, False, tol_rel, tol_abs)
+    """Backward-time counterpart of omega_limit: the forward probe of the
+    flow of -k (the field is odd in k), reported as the alpha limit."""
+    return _limit_probe(-k, p0, horizon, "alpha", tol_rel, tol_abs)
 
 
 @dataclass(frozen=True)
@@ -315,8 +313,8 @@ def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
             section = default_section(k)
         except ValueError:
             return None
-    reason, _, returns, closed = _probe(_field3(k), start.coords, section, horizon, tol_rel,
-                                        tol_abs, True, k)
+    reason, _, returns, closed = _probe(k, start.coords, section, horizon, tol_rel, tol_abs,
+                                        True)
     if reason != "periodic":
         return None
     period, closure_error, _ = closed
@@ -408,10 +406,9 @@ def face_connection_abscissae(k: ParamVector, face: str, x0: float) -> tuple:
         start = (x0, FACE_INSET)
     else:
         raise ValueError("connection abscissae are defined on faces Y and Sigma")
-    fun = face_field(face, k)
     out = []
-    for direction in (_negated(fun), fun):
-        stepper = DormandPrince45(direction, start, DEFAULT_HORIZON)
+    for kk in (-k, k):
+        stepper = DormandPrince45(face_field(face, kk), start, DEFAULT_HORIZON)
         while not stepper.finished and stepper.speed > SPEED_TOL:
             stepper.step()
         out.append(stepper.y[0])

@@ -428,25 +428,14 @@ def log_integral_value(spec: FirstIntegralSpec, p) -> float:
 
     The log form is the representation of choice for drift monitoring: it
     stays well-conditioned for large exponents and near the boundary, where
-    the product form over- or underflows.
+    the product form over- or underflows.  It is log_integral_series at
+    one point.
     """
     x, y, z = _coords(p)
     w = ((x + y) + z) - 1.0
     if x == 0.0 or y == 0.0 or z == 0.0 or w == 0.0:
         raise DomainError(f"{spec.name}: log form needs all four surface values nonzero")
-    # unrolled over the four surfaces of surface_values
-    e1, e2, e3, e4 = spec.exponents
-    log = math.log
-    terms = []
-    if e1 != 0.0:
-        terms.append(e1 * log(abs(x)))
-    if e2 != 0.0:
-        terms.append(e2 * log(abs(y)))
-    if e3 != 0.0:
-        terms.append(e3 * log(abs(z)))
-    if e4 != 0.0:
-        terms.append(e4 * log(abs(w)))
-    return math.fsum(terms)
+    return log_integral_series((spec,), ((x, y, z),))[0][0]
 
 
 def log_integral_series(specs, points) -> list:

@@ -25,7 +25,8 @@ read more stops wrong: on 300 seeded starts over ten S+- vectors it got 294
 (omega, alpha) pairs right where 5(4) gets 299, with a false periodic
 verdict, false point-on-R_py stops and three simplex violations of 1.1e-9
 to 2.2e-9.  Every simplex and 4-D run steps through one loop, _steps;
-backward time is realised by negating the field, never by negative steps.
+backward time is realised as the forward flow of -k (the field is odd in
+k), never by negative steps.
 
 Float sums that set output bits are added left to right from 0.0, through
 _plain_sum or, in code that runs on every step, as explicit loops; never
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords, _field3
@@ -718,13 +719,6 @@ class Trajectory:
         return max(abs(v - base) for v in series)
 
 
-def _negated(fun):
-    def neg(p):
-        return tuple(-v for v in fun(p))
-
-    return neg
-
-
 def _violation3(y) -> float:
     """max(0.0, -x, -y, -z, ((x + y) + z) - 1.0), folded left to right with
     the compare max() makes, so the same operand wins (nan and ties too)."""
@@ -791,15 +785,15 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
     """The run behind integrate, integrate4 and the drift run: samples every
     accepted step of _steps.
 
-    Negative t_end negates the physical field fun.  violation and what go
+    For negative t_end fun is the flow of -k and only the reported times
+    carry the sign.  violation and what go
     to _steps; the run keeps the largest violation.  An exhausted step
     budget raises RuntimeError.  specs maps monitored names to their specs,
     evaluated over all samples once the run is done.  pair is the embedded
     pair the stepper runs.
     """
     sign = 1 if t_end > 0.0 else -1
-    stepper = DormandPrince45(fun if sign > 0 else _negated(fun), y0, abs(t_end), tol_rel, tol_abs,
-                              _pair=pair)
+    stepper = DormandPrince45(fun, y0, abs(t_end), tol_rel, tol_abs, _pair=pair)
     times = [0.0]
     states = [stepper.y]
     dense = [] if keep_dense else None
@@ -832,15 +826,16 @@ def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL
               keep_dense: bool = True) -> Trajectory:
     """Integrate the 3-D simplex flow from p0 for time t_end.
 
-    Negative t_end integrates backward (the field is negated; steps stay
-    positive internally).  Monitored first integrals are recorded in log
-    form at every accepted sample (nan where a surface value is zero).  A
-    simplex violation beyond 1e-9 raises SimplexViolation; smaller ones are
-    only recorded.
+    Negative t_end integrates backward, as the flow of -k (the field is
+    odd in k; steps stay positive internally); Trajectory.k and the
+    monitors stay those of k.  Monitored first integrals are recorded in
+    log form at every accepted sample (nan where a surface value is zero).
+    A simplex violation beyond 1e-9 raises SimplexViolation; smaller ones
+    are only recorded.
     """
     start, specs = _simplex_run_args(k, p0, t_end, monitor)
-    return _drive(k, _field3(k), start, t_end, tol_rel, tol_abs, _violation3,
-                  "simplex", specs, keep_dense)
+    return _drive(k, _field3(k if t_end > 0.0 else -k), start, t_end, tol_rel, tol_abs,
+                  _violation3, "simplex", specs, keep_dense)
 
 
 def _simplex_run_args(k, p0, t_end, monitor) -> tuple:
@@ -888,12 +883,8 @@ def integrate4(k: ParamVector, q0, t_end: float, tol_rel: float = DEFAULT_TOL_RE
     # written so that a nan component fails it
     if not (abs(_plain_sum(q0) - 1.0) <= VIOLATION_LIMIT and min(q0) >= -VIOLATION_LIMIT):
         raise SimplexViolation(f"q0={q0} is not a stochastic state")
-
-    def phys(q):
-        return field4(k, q)
-
-    traj = _drive(k, phys, q0, t_end, tol_rel, tol_abs, _violation4, "mass-conservation",
-                  {}, keep_dense)
+    traj = _drive(k, partial(field4, k if t_end > 0.0 else -k), q0, t_end, tol_rel, tol_abs,
+                  _violation4, "mass-conservation", {}, keep_dense)
     return replace(traj, mass_error=traj.max_violation)
 
 

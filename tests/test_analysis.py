@@ -200,7 +200,7 @@ PROBE_STOPS_CENTER = {"periodic": ("periodic", 12.935942526323291, 66),
 def test_probe_stop_reasons(case, expected):
     k, p0, horizon, tol_rel, tol_abs, return_budget = case
     k = ParamVector(*k)
-    args = (_field3(k), p0, default_section(k), horizon, tol_rel, tol_abs, return_budget, k)
+    args = (k, p0, default_section(k), horizon, tol_rel, tol_abs, return_budget)
     if expected[0] == "simplex-violation":
         with pytest.raises(SimplexViolation, match=rf"at t={expected[1]:.6g}$"):
             _probe(*args)

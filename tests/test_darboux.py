@@ -225,7 +225,7 @@ def test_integral_zero_conventions():
 
 
 def _log_integral_reference(spec, p):
-    """The generator form that log_integral_value unrolls."""
+    """The generator form: an independent reference for log_integral_value."""
     vals = surface_values(p)
     if any(v == 0.0 for v in vals):
         raise DomainError(f"{spec.name}: log form needs all four surface values nonzero")

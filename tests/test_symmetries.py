@@ -1,14 +1,24 @@
-"""Symmetries of the simplex flow as properties of the period detector on
-the center regime: k -> c*k (c > 0) runs the same orbits at time t/c, and
-k -> -k runs them backward, so neither changes a period beyond the
-integration error."""
+"""Symmetries of the simplex flow as exact properties and as properties of
+the period detector.  The field is odd in k, and IEEE rounding is
+sign-symmetric, so the field of -k is the negated field of k bit for bit
+(up to the sign of a zero): a backward run is the forward run of -k, state
+for state, and an alpha limit is the omega limit of -k.  On the center
+regime k -> c*k (c > 0) runs the same orbits at time t/c, and k -> -k runs
+them backward, so neither changes a period beyond the integration error.
+The cyclic relabelling of the 4-D flow holds to within rounding."""
+
+import math
+from dataclasses import replace
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from lv3.analysis import detect_periodic, sample_interior
+from lv3.analysis import (alpha_limit, detect_periodic, face_field, omega_limit,
+                          sample_interior)
+from lv3.equilibria import SimplexViolation, _field3
+from lv3.flow import StepSizeUnderflow, field4, integrate, integrate4
 from lv3.params import ParamVector, classify
 from lv3.rng import SplitMix64
 
@@ -52,3 +62,109 @@ def test_time_reversal_keeps_the_period(k, seed):
     p = sample_interior(k, 1, SplitMix64(seed))[0]
     period = _period(k, p)
     assert abs(_period(-k, p) - period) <= BOUND * period
+
+
+# --- time reversal: the flow of -k, exactly ------------------------------------
+
+# every regime: any sign pattern, not-PS and zero components included
+COMPONENT = st.one_of(st.just(0.0), st.floats(-8.0, 8.0, allow_nan=False))
+ANY_K = st.one_of(CENTER_K, st.builds(ParamVector, COMPONENT, COMPONENT, COMPONENT, COMPONENT))
+# the probes' k, with small dyadic components: the center regime, same-sign
+# k (mostly off the manifold) and any other nonzero k
+HALVES = st.integers(1, 6).map(lambda n: n / 2)
+SAME_SIGN_K = st.builds(lambda s, *k: ParamVector(*(s * c for c in k)),
+                        st.sampled_from((1, -1)), HALVES, HALVES, HALVES, HALVES)
+DYADIC = st.integers(-6, 6).map(lambda n: n / 2)
+PROBE_K = st.one_of(CENTER_K, SAME_SIGN_K, st.builds(ParamVector, DYADIC, DYADIC, DYADIC, DYADIC)
+                    .filter(lambda k: not k.is_zero))
+DURATIONS = st.sampled_from((0.5, 1.0, 2.5, 5.0))
+
+
+def _cuts(n):
+    """Sorted draws from [0, 1] (0 and 1 included), as n + 1 gaps of [0, 1]:
+    points of the closed n-simplex, faces and vertices included."""
+    return st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(sorted).map(
+        lambda c: tuple(b - a for a, b in zip([0.0, *c], [*c, 1.0])))
+
+
+SIMPLEX3 = _cuts(3).map(lambda q: q[:3])  # (x, y, z) in T
+SIMPLEX4 = _cuts(3)                       # (x, y, z, v), summing to 1
+FACE = _cuts(2).map(lambda q: q[:2])      # face coordinates
+
+
+def _minus(v):
+    return tuple(-c for c in v)
+
+
+def _bits(states):
+    """Exact float identity, the sign of a zero included."""
+    return [[c.hex() for c in state] for state in states]
+
+
+@DERANDOMIZED
+@given(k=ANY_K, p=SIMPLEX3, q=SIMPLEX4, f=FACE)
+def test_the_field_of_minus_k_is_the_negated_field(k, p, q, f):
+    # == lets a zero of either sign match, as a stage sum from 0.0 does
+    assert _field3(-k)(p) == _minus(_field3(k)(p))
+    assert field4(-k, q) == _minus(field4(k, q))
+    for face in ("Y", "Sigma"):
+        assert face_field(face, -k)(f) == _minus(face_field(face, k)(f))
+
+
+def _outcome(call):
+    """call(), or the error it raised (a run carried off the simplex)."""
+    try:
+        return call()
+    except (SimplexViolation, StepSizeUnderflow) as exc:
+        return repr(exc)
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(k=PROBE_K, seed=SEEDS)
+def test_an_alpha_limit_is_the_omega_limit_of_minus_k(k, seed):
+    p = sample_interior(k, 1, SplitMix64(seed))[0]
+    alpha = _outcome(lambda: alpha_limit(k, p))
+    omega = _outcome(lambda: omega_limit(-k, p))
+    if not isinstance(omega, str):
+        assert (alpha.direction, omega.direction) == ("alpha", "omega")
+        alpha, omega = repr(replace(alpha, direction=None)), repr(replace(omega, direction=None))
+    assert alpha == omega
+
+
+@DERANDOMIZED
+@given(k=ANY_K, p=SIMPLEX3, q=SIMPLEX4, t=DURATIONS)
+def test_a_backward_run_is_the_forward_run_of_minus_k(k, p, q, t):
+    for run, start in ((integrate, p), (integrate4, q)):
+        back = _outcome(lambda: run(k, start, -t, keep_dense=False))
+        fwd = _outcome(lambda: run(-k, start, t, keep_dense=False))
+        if isinstance(fwd, str):
+            assert back == fwd
+            continue
+        assert back.k is k and back.sign == -1
+        assert _bits(back.states) == _bits(fwd.states)
+        assert back.t == _minus(fwd.t)
+        assert back.max_violation == fwd.max_violation
+
+
+# --- cyclic relabelling of the 4-D flow ------------------------------------------
+
+# (x, y, z, v) -> (y, z, v, x) with k -> (k2, k3, k4, k1) maps field4 to itself.
+# Two of the four bilinear terms then multiply in another order, so the
+# relabelled field agrees only to within rounding.  Measured on these 20000
+# cases: at most 4.0 ulp of the largest term.
+CYCLIC_ULPS = 4.0
+
+
+def test_field4_is_cyclically_equivariant():
+    rng = SplitMix64(5)
+    worst = 0.0
+    for _ in range(20000):
+        k = ParamVector(*(rng.uniform(-3.0, 3.0) for _ in range(4)))
+        a, b, c = sorted(rng.uniform() for _ in range(3))
+        x, y, z, v = q = (a, b - a, c - b, 1.0 - c)
+        f1, f2, f3, f4 = field4(k, q)
+        shifted = field4(ParamVector(k.k2, k.k3, k.k4, k.k1), (y, z, v, x))
+        largest = max(abs(k.k1 * x * y), abs(k.k2 * y * z), abs(k.k3 * z * v), abs(k.k4 * x * v))
+        gap = max(abs(s - r) for s, r in zip(shifted, (f2, f3, f4, f1)))
+        worst = max(worst, gap / math.ulp(largest))
+    assert worst <= CYCLIC_ULPS

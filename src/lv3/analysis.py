@@ -397,7 +397,9 @@ def face_connection_abscissae(k: ParamVector, face: str, x0: float) -> tuple:
 
     Starts FACE_INSET inside the face next to (x0 on the singular edge) and
     integrates the planar restriction both ways until the motion stalls at
-    the edge; returns the two terminal abscissae (backward, forward).
+    the edge, through flow's _steps: a state off the face raises
+    SimplexViolation; the horizon or the step budget ends a run that does
+    not stall.  Returns the two terminal abscissae (backward, forward).
     One of them reproduces x0, the other is the matching connection end.
     """
     if face == "Y":
@@ -409,10 +411,18 @@ def face_connection_abscissae(k: ParamVector, face: str, x0: float) -> tuple:
     out = []
     for kk in (-k, k):
         stepper = DormandPrince45(face_field(face, kk), start, DEFAULT_HORIZON)
-        while not stepper.finished and stepper.speed > SPEED_TOL:
-            stepper.step()
+        if stepper.speed > SPEED_TOL:
+            for _ in _steps(stepper, _violation_face, "face"):
+                if stepper.speed <= SPEED_TOL:
+                    break
         out.append(stepper.y[0])
     return tuple(out)
+
+
+def _violation_face(p) -> float:
+    """How far face coordinates p = (a, b) lie outside a, b >= 0, a + b <= 1."""
+    a, b = p
+    return max(0.0, -a, -b, (a + b) - 1.0)
 
 
 @dataclass(frozen=True)

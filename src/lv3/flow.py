@@ -7,35 +7,34 @@ segment() builds the last accepted step's interpolant on demand (for
 keep_dense, or a return map at a crossing), and monitored first integrals
 are evaluated in one pass after the run.  It operates on plain float
 tuples: state dimensions here are 2 to 4, where numpy array overhead would
-dominate the runtime.  The stepper picks its kernel once, from the state's
-length: three-component states (the simplex flow, so every orbit of
-integrate, the probes and the harnesses) take a step written over named
-scalars; the 2-D face flows and the 4-D flow take the generic one.  Both
-give the same bits.
+dominate the runtime.  _kernels writes each pair's step, error norm and
+dense-segment arithmetic out over named scalars from its tableau, once per
+(pair, state length) on first use: the 2-D face flows, the 3-D simplex
+flow and the 4-D flow run one code path.
 
 Two kinds of run take the Dormand-Prince 8(5,3) pair (DOP853; Prince &
-Dormand 1981), three-component states only: the drift re-integration of
-analysis.orbit_integral_drift, and the probes of a center-regime k, whose
-return maps read its seventh-order dense output (three extra stages per
-crossing) and take about 5x fewer steps.  integrate, integrate4, the face
-flows and the off-manifold probes keep the 5(4) pair: integrate prints one
-row per accepted step, so a higher order would change its output rather
-than its cost.  On the off-manifold probes 8(5,3) took 5x fewer steps but
-read more stops wrong: on 300 seeded starts over ten S+- vectors it got 294
-(omega, alpha) pairs right where 5(4) gets 299, with a false periodic
-verdict, false point-on-R_py stops and three simplex violations of 1.1e-9
-to 2.2e-9.  Every simplex and 4-D run steps through one loop, _steps;
-backward time is realised as the forward flow of -k (the field is odd in
-k), never by negative steps.
+Dormand 1981): the drift re-integration of analysis.orbit_integral_drift,
+and the probes of a center-regime k, whose return maps read its
+seventh-order dense output (three extra stages per crossing) and take about
+5x fewer steps.  integrate, integrate4, the face flows and the off-manifold
+probes keep the 5(4) pair: integrate prints one row per accepted step, so a
+higher order would change its output rather than its cost.  On the
+off-manifold probes 8(5,3) took 5x fewer steps but read more stops wrong:
+on 300 seeded starts over ten S+- vectors it got 294 (omega, alpha) pairs
+right where 5(4) gets 299, with a false periodic verdict, false
+point-on-R_py stops and three simplex violations of 1.1e-9 to 2.2e-9.
+Every simplex, face and 4-D run steps through one loop, _steps; backward
+time is realised as the forward flow of -k (the field is odd in k), never
+by negative steps.
 
 Float sums that set output bits are added left to right from 0.0, through
-_plain_sum or, in code that runs on every step, as explicit loops; never
-with sum(), which from CPython 3.12 on compensates float sums and rounds
-differently.  These are the float operations of 3.11's sum(), which adds its
-int start 0 to the first term as 0.0, so the output bits are 3.11's on every
-interpreter.  The three-component per-step path (kernel, error norm,
-controller, simplex check) calls no min() or max() either: each is spelled
-as a compare that returns the operand the builtin returns.
+_plain_sum, as explicit loops or, in the generated code, written out term
+by term; never with sum(), which from CPython 3.12 on compensates float
+sums and rounds differently.  These are the float operations of 3.11's
+sum(), which adds its int start 0 to the first term as 0.0, so the output
+bits are 3.11's on every interpreter.  The generated step and error norm,
+the controller and the simplex check call no min() or max() either: each
+is spelled as a compare that returns the operand the builtin returns.
 
 States are never projected back onto the simplex.  Violations are watched
 and bounded instead, because projection would mask integrator defects and
@@ -45,10 +44,12 @@ measure.
 
 from __future__ import annotations
 
+import linecache
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from types import MappingProxyType
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords, _field3
@@ -141,29 +142,36 @@ _E3 = (
     0.02265179219836082,
 )
 # DOP853 dense output (Hairer, Norsett & Wanner, II.6; scipy's A[13:16], D),
-# nonzero entries only: _A8X builds extra stages 13-15 over stages (0, 6-12),
-# (0, 5-7, 10-13) and (0, 5-8, 12-14); _D8 weights stages 0, 5-15 into F3..F6.
+# zeros included like _A8: _A8X builds extra stages 13-15 from stages 0 to
+# 12, 13 and 14; _D8 weights stages 0-15 into F3..F6.
 _A8X = (
-    (0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
-     0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298),
-    (0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
-     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
-    (-0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
-     0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
 )
 _D8 = (
-    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
-     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
-     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
-    (10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
-     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
-     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
-    (19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
-     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
-     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
-    (-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
-     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
-     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
 )
 
 
@@ -206,251 +214,128 @@ class DenseSegment:
         return self.eval_theta((t - self.t0) / self.h)
 
 
-def _rk_step(fun, y, f0, h):
-    """One Dormand-Prince step from y with derivative f0; returns (y1, f1, err, K).
-
-    The stages are unrolled over the tableau, in any dimension; the stepper
-    uses this for states that are not three-component (see _rk_step3).
-    Each stage sum starts from 0.0, keeps the zero tableau entries and
-    scales by h last (h * (a * k), never (h * a) * k), so the float
-    operations are exactly those of the plain loop over stages adding
-    a[j] * K[j][i] left to right from 0.0 (or, the same, 3.11's sum()):
-    results are bit-identical to it.
-    """
-    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
-    e0, e1, e2, e3, e4, e5, e6 = _E
-    k0 = f0
-    k1 = fun(tuple(yi + h * (0.0 + a10 * c0) for yi, c0 in zip(y, k0)))
-    k2 = fun(tuple(yi + h * (0.0 + a20 * c0 + a21 * c1) for yi, c0, c1 in zip(y, k0, k1)))
-    k3 = fun(tuple(yi + h * (0.0 + a30 * c0 + a31 * c1 + a32 * c2)
-                   for yi, c0, c1, c2 in zip(y, k0, k1, k2)))
-    k4 = fun(tuple(yi + h * (0.0 + a40 * c0 + a41 * c1 + a42 * c2 + a43 * c3)
-                   for yi, c0, c1, c2, c3 in zip(y, k0, k1, k2, k3)))
-    k5 = fun(tuple(yi + h * (0.0 + a50 * c0 + a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
-                   for yi, c0, c1, c2, c3, c4 in zip(y, k0, k1, k2, k3, k4)))
-    # stage 7 state is the 5th-order solution, its derivative seeds the next step
-    y1 = tuple(yi + h * (0.0 + a60 * c0 + a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
-               for yi, c0, c1, c2, c3, c4, c5 in zip(y, k0, k1, k2, k3, k4, k5))
-    k6 = fun(y1)
-    err = tuple(h * (0.0 + e0 * c0 + e1 * c1 + e2 * c2 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6)
-                for c0, c1, c2, c3, c4, c5, c6 in zip(k0, k1, k2, k3, k4, k5, k6))
-    return y1, k6, err, (k0, k1, k2, k3, k4, k5, k6)
+def _terms(row, i):
+    """Source of the stage sum of weight row for component i: from 0.0, in
+    stage order, over the nonzero weights as repr literals (the same
+    doubles); 0.0 * k added to a sum from 0.0 changes no bit of it."""
+    return " + ".join(["0.0", *(f"{w!r} * c{j}_{i}" for j, w in enumerate(row) if w != 0.0)])
 
 
-def _rk_step3(fun, y, f0, h):
-    """_rk_step for a three-component state, over named scalars.
-
-    Same stages and, component by component, the same float operations as
-    _rk_step (0.0 start, zero tableau entries kept, h scaling last), so
-    every output bit agrees; only the generators and zips are gone.
-    """
-    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
-    e0, e1, e2, e3, e4, e5, e6 = _E
-    y0, y1, y2 = y
-    c00, c01, c02 = k0 = f0
-    c10, c11, c12 = k1 = fun((y0 + h * (0.0 + a10 * c00),
-                              y1 + h * (0.0 + a10 * c01),
-                              y2 + h * (0.0 + a10 * c02)))
-    c20, c21, c22 = k2 = fun((y0 + h * (0.0 + a20 * c00 + a21 * c10),
-                              y1 + h * (0.0 + a20 * c01 + a21 * c11),
-                              y2 + h * (0.0 + a20 * c02 + a21 * c12)))
-    c30, c31, c32 = k3 = fun((y0 + h * (0.0 + a30 * c00 + a31 * c10 + a32 * c20),
-                              y1 + h * (0.0 + a30 * c01 + a31 * c11 + a32 * c21),
-                              y2 + h * (0.0 + a30 * c02 + a31 * c12 + a32 * c22)))
-    c40, c41, c42 = k4 = fun((y0 + h * (0.0 + a40 * c00 + a41 * c10 + a42 * c20 + a43 * c30),
-                              y1 + h * (0.0 + a40 * c01 + a41 * c11 + a42 * c21 + a43 * c31),
-                              y2 + h * (0.0 + a40 * c02 + a41 * c12 + a42 * c22 + a43 * c32)))
-    c50, c51, c52 = k5 = fun((
-        y0 + h * (0.0 + a50 * c00 + a51 * c10 + a52 * c20 + a53 * c30 + a54 * c40),
-        y1 + h * (0.0 + a50 * c01 + a51 * c11 + a52 * c21 + a53 * c31 + a54 * c41),
-        y2 + h * (0.0 + a50 * c02 + a51 * c12 + a52 * c22 + a53 * c32 + a54 * c42)))
-    y_new = (
-        y0 + h * (0.0 + a60 * c00 + a61 * c10 + a62 * c20 + a63 * c30 + a64 * c40 + a65 * c50),
-        y1 + h * (0.0 + a60 * c01 + a61 * c11 + a62 * c21 + a63 * c31 + a64 * c41 + a65 * c51),
-        y2 + h * (0.0 + a60 * c02 + a61 * c12 + a62 * c22 + a63 * c32 + a64 * c42 + a65 * c52))
-    c60, c61, c62 = k6 = fun(y_new)
-    err = (
-        h * (0.0 + e0 * c00 + e1 * c10 + e2 * c20 + e3 * c30 + e4 * c40 + e5 * c50 + e6 * c60),
-        h * (0.0 + e0 * c01 + e1 * c11 + e2 * c21 + e3 * c31 + e4 * c41 + e5 * c51 + e6 * c61),
-        h * (0.0 + e0 * c02 + e1 * c12 + e2 * c22 + e3 * c32 + e4 * c42 + e5 * c52 + e6 * c62))
-    return y_new, k6, err, (k0, k1, k2, k3, k4, k5, k6)
+def _seq(items, sep=", "):
+    """items joined as the body of a tuple; a single item keeps its comma."""
+    return sep.join(items) + ("," if len(items) == 1 else "")
 
 
-def _rk_step8_3(fun, y, f0, h):
-    """One Dormand-Prince 8(5,3) step of a three-component state; returns
-    (y1, f1, err, K).
+def _display(items):
+    """A tuple display of the source expressions items, one to a line."""
+    return "(\n        " + _seq(items, ",\n        ") + ")"
 
-    Written over named scalars like _rk_step3: each stage sum starts from
-    0.0 and scales by h last, and the tableau's zero entries are left out
-    (adding 0.0 * k to a sum started from 0.0 changes no bit of a finite
-    sum).  Twelve stages; the thirteenth evaluation, at y1, is the next
-    step's first (FSAL).  err holds the h-scaled 5th-order then 3rd-order
-    error estimates, the operands of _error_norm8_3.
-    """
-    (_, (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3), (a5_0, _, _, a5_3, a5_4),
-     (a6_0, _, _, a6_3, a6_4, a6_5), (a7_0, _, _, a7_3, a7_4, a7_5, a7_6),
-     (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7), (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
-     (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-     (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10)) = _A8
-    b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = _B8
-    e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _E5
-    e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3
-    y0, y1, y2 = y
-    c0_0, c0_1, c0_2 = k0 = f0
-    c1_0, c1_1, c1_2 = k1 = fun((
-        y0 + h * (0.0 + a1_0 * c0_0),
-        y1 + h * (0.0 + a1_0 * c0_1),
-        y2 + h * (0.0 + a1_0 * c0_2)))
-    c2_0, c2_1, c2_2 = k2 = fun((
-        y0 + h * (0.0 + a2_0 * c0_0 + a2_1 * c1_0),
-        y1 + h * (0.0 + a2_0 * c0_1 + a2_1 * c1_1),
-        y2 + h * (0.0 + a2_0 * c0_2 + a2_1 * c1_2)))
-    c3_0, c3_1, c3_2 = k3 = fun((
-        y0 + h * (0.0 + a3_0 * c0_0 + a3_2 * c2_0),
-        y1 + h * (0.0 + a3_0 * c0_1 + a3_2 * c2_1),
-        y2 + h * (0.0 + a3_0 * c0_2 + a3_2 * c2_2)))
-    c4_0, c4_1, c4_2 = k4 = fun((
-        y0 + h * (0.0 + a4_0 * c0_0 + a4_2 * c2_0 + a4_3 * c3_0),
-        y1 + h * (0.0 + a4_0 * c0_1 + a4_2 * c2_1 + a4_3 * c3_1),
-        y2 + h * (0.0 + a4_0 * c0_2 + a4_2 * c2_2 + a4_3 * c3_2)))
-    c5_0, c5_1, c5_2 = k5 = fun((
-        y0 + h * (0.0 + a5_0 * c0_0 + a5_3 * c3_0 + a5_4 * c4_0),
-        y1 + h * (0.0 + a5_0 * c0_1 + a5_3 * c3_1 + a5_4 * c4_1),
-        y2 + h * (0.0 + a5_0 * c0_2 + a5_3 * c3_2 + a5_4 * c4_2)))
-    c6_0, c6_1, c6_2 = k6 = fun((
-        y0 + h * (0.0 + a6_0 * c0_0 + a6_3 * c3_0 + a6_4 * c4_0 + a6_5 * c5_0),
-        y1 + h * (0.0 + a6_0 * c0_1 + a6_3 * c3_1 + a6_4 * c4_1 + a6_5 * c5_1),
-        y2 + h * (0.0 + a6_0 * c0_2 + a6_3 * c3_2 + a6_4 * c4_2 + a6_5 * c5_2)))
-    c7_0, c7_1, c7_2 = k7 = fun((
-        y0 + h * (0.0 + a7_0 * c0_0 + a7_3 * c3_0 + a7_4 * c4_0 + a7_5 * c5_0 + a7_6 * c6_0),
-        y1 + h * (0.0 + a7_0 * c0_1 + a7_3 * c3_1 + a7_4 * c4_1 + a7_5 * c5_1 + a7_6 * c6_1),
-        y2 + h * (0.0 + a7_0 * c0_2 + a7_3 * c3_2 + a7_4 * c4_2 + a7_5 * c5_2 + a7_6 * c6_2)))
-    c8_0, c8_1, c8_2 = k8 = fun((
-        y0 + h * (0.0 + a8_0 * c0_0 + a8_3 * c3_0 + a8_4 * c4_0 + a8_5 * c5_0 + a8_6 * c6_0
-                    + a8_7 * c7_0),
-        y1 + h * (0.0 + a8_0 * c0_1 + a8_3 * c3_1 + a8_4 * c4_1 + a8_5 * c5_1 + a8_6 * c6_1
-                    + a8_7 * c7_1),
-        y2 + h * (0.0 + a8_0 * c0_2 + a8_3 * c3_2 + a8_4 * c4_2 + a8_5 * c5_2 + a8_6 * c6_2
-                    + a8_7 * c7_2)))
-    c9_0, c9_1, c9_2 = k9 = fun((
-        y0 + h * (0.0 + a9_0 * c0_0 + a9_3 * c3_0 + a9_4 * c4_0 + a9_5 * c5_0 + a9_6 * c6_0
-                    + a9_7 * c7_0 + a9_8 * c8_0),
-        y1 + h * (0.0 + a9_0 * c0_1 + a9_3 * c3_1 + a9_4 * c4_1 + a9_5 * c5_1 + a9_6 * c6_1
-                    + a9_7 * c7_1 + a9_8 * c8_1),
-        y2 + h * (0.0 + a9_0 * c0_2 + a9_3 * c3_2 + a9_4 * c4_2 + a9_5 * c5_2 + a9_6 * c6_2
-                    + a9_7 * c7_2 + a9_8 * c8_2)))
-    c10_0, c10_1, c10_2 = k10 = fun((
-        y0 + h * (0.0 + a10_0 * c0_0 + a10_3 * c3_0 + a10_4 * c4_0 + a10_5 * c5_0 + a10_6 * c6_0
-                    + a10_7 * c7_0 + a10_8 * c8_0 + a10_9 * c9_0),
-        y1 + h * (0.0 + a10_0 * c0_1 + a10_3 * c3_1 + a10_4 * c4_1 + a10_5 * c5_1 + a10_6 * c6_1
-                    + a10_7 * c7_1 + a10_8 * c8_1 + a10_9 * c9_1),
-        y2 + h * (0.0 + a10_0 * c0_2 + a10_3 * c3_2 + a10_4 * c4_2 + a10_5 * c5_2 + a10_6 * c6_2
-                    + a10_7 * c7_2 + a10_8 * c8_2 + a10_9 * c9_2)))
-    c11_0, c11_1, c11_2 = k11 = fun((
-        y0 + h * (0.0 + a11_0 * c0_0 + a11_3 * c3_0 + a11_4 * c4_0 + a11_5 * c5_0 + a11_6 * c6_0
-                    + a11_7 * c7_0 + a11_8 * c8_0 + a11_9 * c9_0 + a11_10 * c10_0),
-        y1 + h * (0.0 + a11_0 * c0_1 + a11_3 * c3_1 + a11_4 * c4_1 + a11_5 * c5_1 + a11_6 * c6_1
-                    + a11_7 * c7_1 + a11_8 * c8_1 + a11_9 * c9_1 + a11_10 * c10_1),
-        y2 + h * (0.0 + a11_0 * c0_2 + a11_3 * c3_2 + a11_4 * c4_2 + a11_5 * c5_2 + a11_6 * c6_2
-                    + a11_7 * c7_2 + a11_8 * c8_2 + a11_9 * c9_2 + a11_10 * c10_2)))
-    # the 8th-order solution; its derivative seeds the next step (FSAL)
-    y_new = (
-        y0 + h * (0.0 + b0 * c0_0 + b5 * c5_0 + b6 * c6_0 + b7 * c7_0 + b8 * c8_0 + b9 * c9_0
-                    + b10 * c10_0 + b11 * c11_0),
-        y1 + h * (0.0 + b0 * c0_1 + b5 * c5_1 + b6 * c6_1 + b7 * c7_1 + b8 * c8_1 + b9 * c9_1
-                    + b10 * c10_1 + b11 * c11_1),
-        y2 + h * (0.0 + b0 * c0_2 + b5 * c5_2 + b6 * c6_2 + b7 * c7_2 + b8 * c8_2 + b9 * c9_2
-                    + b10 * c10_2 + b11 * c11_2))
-    k12 = fun(y_new)
-    err = (
-        h * (0.0 + e5_0 * c0_0 + e5_5 * c5_0 + e5_6 * c6_0 + e5_7 * c7_0 + e5_8 * c8_0
-               + e5_9 * c9_0 + e5_10 * c10_0 + e5_11 * c11_0),
-        h * (0.0 + e5_0 * c0_1 + e5_5 * c5_1 + e5_6 * c6_1 + e5_7 * c7_1 + e5_8 * c8_1
-               + e5_9 * c9_1 + e5_10 * c10_1 + e5_11 * c11_1),
-        h * (0.0 + e5_0 * c0_2 + e5_5 * c5_2 + e5_6 * c6_2 + e5_7 * c7_2 + e5_8 * c8_2
-               + e5_9 * c9_2 + e5_10 * c10_2 + e5_11 * c11_2),
-        h * (0.0 + e3_0 * c0_0 + e3_5 * c5_0 + e3_6 * c6_0 + e3_7 * c7_0 + e3_8 * c8_0
-               + e3_9 * c9_0 + e3_10 * c10_0 + e3_11 * c11_0),
-        h * (0.0 + e3_0 * c0_1 + e3_5 * c5_1 + e3_6 * c6_1 + e3_7 * c7_1 + e3_8 * c8_1
-               + e3_9 * c9_1 + e3_10 * c10_1 + e3_11 * c11_1),
-        h * (0.0 + e3_0 * c0_2 + e3_5 * c5_2 + e3_6 * c6_2 + e3_7 * c7_2 + e3_8 * c8_2
-               + e3_9 * c9_2 + e3_10 * c10_2 + e3_11 * c11_2))
-    return y_new, k12, err, (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12)
+
+def _source(pair, n):
+    """Source of pair's step, norm and, with dense-output stages, dense
+    segment for n components: stage j is c{j}_0, ..., the start u0, ...."""
+    comps = range(n)
+    fsal = len(pair.stages) + 1  # f(y1) is this stage and the next step's first
+
+    def names(prefix):
+        return _seq([f"{prefix}{i}" for i in comps])
+
+    def reads(rows):
+        return {j for row in rows for j, w in enumerate(row) if w != 0.0}
+
+    def stage(j, value, used):
+        return f"    {names(f'c{j}_')} = k{j} = {value}" if j in used else f"    k{j} = {value}"
+
+    def state(row):  # the start plus h times the weighted stages
+        return _display([f"u{i} + h * ({_terms(row, i)})" for i in comps])
+
+    used = reads((*pair.stages, pair.weights, *pair.errors))
+    out = [f"# lv3.flow._kernels: the {pair.name} pair for n={n}",
+           "def step(fun, y, f0, h):", f"    {names('u')} = y", stage(0, "f0", used)]
+    out += [stage(s, f"fun({state(row)})", used) for s, row in enumerate(pair.stages, 1)]
+    out += [f"    y1 = {state(pair.weights)}", stage(fsal, "fun(y1)", used),
+            "    err = " + _display([f"h * ({_terms(row, i)})" for row in pair.errors
+                                     for i in comps]),
+            f"    return y1, k{fsal}, err, ({_seq([f'k{j}' for j in range(fsal + 1)])})"]
+
+    rows = range(len(pair.errors))
+    out += ["", "def norm(err, y, y1, rtol, atol):",
+            f"    {_seq([f'e{r}_{i}' for r in rows for i in comps])} = err",
+            f"    {names('a')} = y", f"    {names('b')} = y1"]
+    for i in comps:  # max(a, b) as the compare that returns the same operand
+        out += [f"    a{i}, b{i} = abs(a{i}), abs(b{i})",
+                f"    s{i} = atol + rtol * (b{i} if b{i} > a{i} else a{i})",
+                *(f"    e{r}_{i} = e{r}_{i} / s{i}" for r in rows)]
+    sums = ["0.0 + " + " + ".join(f"e{r}_{i} * e{r}_{i}" for i in comps) for r in rows]
+    if len(sums) == 1:
+        out.append(f"    return sqrt(({sums[0]}) / {n})")
+    else:
+        out += [f"    sq = {sums[0]}", "    if sq == 0.0:", "        return 0.0",
+                f"    return sq / sqrt({n} * (sq + 0.01 * ({sums[1]})))"]
+
+    if pair.dense_stages:
+        used = reads((*pair.dense_stages, *pair.dense_weights)) | {0, fsal}
+        unpack = [f"({names(f'c{j}_')})" if j in used else "_" for j in range(fsal + 1)]
+        out += ["", "def dense(fun, h, y, K, y1):", f"    {names('u')} = y",
+                f"    {_seq(unpack)} = K", *(f"    d{i} = y1[{i}] - u{i}" for i in comps)]
+        out += [f"    {names(f'c{s}_')} = fun({state(row)})"
+                for s, row in enumerate(pair.dense_stages, fsal + 1)]
+        out.append("    return " + _display([
+            item for i in comps for item in (
+                f"d{i}", f"h * c0_{i} - d{i}", f"2.0 * d{i} - h * (c{fsal}_{i} + c0_{i})",
+                *(f"h * ({_terms(row, i)})" for row in pair.dense_weights))]))
+        m = 3 + len(pair.dense_weights)
+
+        def horner(i):  # u + x*(F0 + w*(F1 + x*(F2 + ...))), w = 1 - x
+            expr = f"p{i}_{m - 1}"
+            for j in range(m - 2, -2, -1):
+                expr = f"{f'p{i}_{j}' if j >= 0 else f'u{i}'} + {'x' if j % 2 else 'w'} * ({expr})"
+            return expr
+
+        out += ["", "def dense_eval(y, rows, x):", "    w = 1.0 - x",
+                f"    {_seq([f'p{i}_{j}' for i in comps for j in range(m)])} = rows",
+                f"    {names('u')} = y", f"    return {_display([horner(i) for i in comps])}"]
+    return "\n".join(out) + "\n"
+
+
+@cache
+def _kernels(pair, n):
+    """pair's code for n-component states, compiled on first request: a
+    dict of step(fun, y, f0, h) -> (y1, f1, err, K), norm(err, y, y1, rtol,
+    atol) and, with dense-output stages, dense(fun, h, y0, K, y1) -> rows
+    and dense_eval(y0, rows, theta).  Its source is in linecache under its
+    filename, e.g. <lv3.flow DOP853 n=3>, for tracebacks and profiles."""
+    source = _source(pair, n)
+    filename = f"<lv3.flow {pair.name} n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    code = {"sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), code)
+    return MappingProxyType(code)  # read-only: every caller shares it
 
 
 class _DenseSegment8:
-    """Seventh-order interpolant over one Dormand-Prince 8(5,3) step of a
-    three-component state (internal clock); treat as immutable.
+    """Seventh-order interpolant over one Dormand-Prince 8(5,3) step
+    (internal clock); treat as immutable.
 
     Built from the step's stages K (FSAL f1 last) and end state y1: three
     extra stages, F0 = y1 - y0, F1 = h*f0 - F0, F2 = 2*F0 - h*(f1 + f0) and
     F3..F6 = h * _D8.K.  With x = theta and u = 1 - x, the state at theta
-    is y0 + x*(F0 + u*(F1 + x*(F2 + u*(F3 + x*(F4 + u*(F5 + x*F6)))))).
-    """
+    is y0 + x*(F0 + u*(F1 + x*(F2 + u*(F3 + x*(F4 + u*(F5 + x*F6)))))),
+    both written out by _kernels for the state's length."""
 
-    __slots__ = ("t0", "h", "y0", "_rows")
+    __slots__ = ("t0", "h", "y0", "_rows", "_eval")
 
     def __init__(self, fun, t0, h, y0, K, y1):
-        self.t0, self.h, self.y0 = t0, h, y0
-        ((a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12),
-         (a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13),
-         (a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14)) = _A8X
-        ((c0_0, c0_1, c0_2), _, _, _, _, (c5_0, c5_1, c5_2), (c6_0, c6_1, c6_2),
-         (c7_0, c7_1, c7_2), (c8_0, c8_1, c8_2), (c9_0, c9_1, c9_2), (c10_0, c10_1, c10_2),
-         (c11_0, c11_1, c11_2), (c12_0, c12_1, c12_2)) = K
-        u0, u1, u2 = y0
-        c13_0, c13_1, c13_2 = fun((
-            u0 + h * (0.0 + a13_0 * c0_0 + a13_6 * c6_0 + a13_7 * c7_0 + a13_8 * c8_0
-                        + a13_9 * c9_0 + a13_10 * c10_0 + a13_11 * c11_0 + a13_12 * c12_0),
-            u1 + h * (0.0 + a13_0 * c0_1 + a13_6 * c6_1 + a13_7 * c7_1 + a13_8 * c8_1
-                        + a13_9 * c9_1 + a13_10 * c10_1 + a13_11 * c11_1 + a13_12 * c12_1),
-            u2 + h * (0.0 + a13_0 * c0_2 + a13_6 * c6_2 + a13_7 * c7_2 + a13_8 * c8_2
-                        + a13_9 * c9_2 + a13_10 * c10_2 + a13_11 * c11_2 + a13_12 * c12_2)))
-        c14_0, c14_1, c14_2 = fun((
-            u0 + h * (0.0 + a14_0 * c0_0 + a14_5 * c5_0 + a14_6 * c6_0 + a14_7 * c7_0
-                        + a14_10 * c10_0 + a14_11 * c11_0 + a14_12 * c12_0 + a14_13 * c13_0),
-            u1 + h * (0.0 + a14_0 * c0_1 + a14_5 * c5_1 + a14_6 * c6_1 + a14_7 * c7_1
-                        + a14_10 * c10_1 + a14_11 * c11_1 + a14_12 * c12_1 + a14_13 * c13_1),
-            u2 + h * (0.0 + a14_0 * c0_2 + a14_5 * c5_2 + a14_6 * c6_2 + a14_7 * c7_2
-                        + a14_10 * c10_2 + a14_11 * c11_2 + a14_12 * c12_2 + a14_13 * c13_2)))
-        c15_0, c15_1, c15_2 = fun((
-            u0 + h * (0.0 + a15_0 * c0_0 + a15_5 * c5_0 + a15_6 * c6_0 + a15_7 * c7_0
-                        + a15_8 * c8_0 + a15_12 * c12_0 + a15_13 * c13_0 + a15_14 * c14_0),
-            u1 + h * (0.0 + a15_0 * c0_1 + a15_5 * c5_1 + a15_6 * c6_1 + a15_7 * c7_1
-                        + a15_8 * c8_1 + a15_12 * c12_1 + a15_13 * c13_1 + a15_14 * c14_1),
-            u2 + h * (0.0 + a15_0 * c0_2 + a15_5 * c5_2 + a15_6 * c6_2 + a15_7 * c7_2
-                        + a15_8 * c8_2 + a15_12 * c12_2 + a15_13 * c13_2 + a15_14 * c14_2)))
-        d0, d1, d2 = y1[0] - u0, y1[1] - u1, y1[2] - u2
-        rows = [(d0, d1, d2), (h * c0_0 - d0, h * c0_1 - d1, h * c0_2 - d2),
-                (2.0 * d0 - h * (c12_0 + c0_0), 2.0 * d1 - h * (c12_1 + c0_1),
-                 2.0 * d2 - h * (c12_2 + c0_2))]
-        for e0, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15 in _D8:
-            rows.append((
-                h * (0.0 + e0 * c0_0 + e5 * c5_0 + e6 * c6_0 + e7 * c7_0 + e8 * c8_0 + e9 * c9_0
-                       + e10 * c10_0 + e11 * c11_0 + e12 * c12_0 + e13 * c13_0 + e14 * c14_0
-                       + e15 * c15_0),
-                h * (0.0 + e0 * c0_1 + e5 * c5_1 + e6 * c6_1 + e7 * c7_1 + e8 * c8_1 + e9 * c9_1
-                       + e10 * c10_1 + e11 * c11_1 + e12 * c12_1 + e13 * c13_1 + e14 * c14_1
-                       + e15 * c15_1),
-                h * (0.0 + e0 * c0_2 + e5 * c5_2 + e6 * c6_2 + e7 * c7_2 + e8 * c8_2 + e9 * c9_2
-                       + e10 * c10_2 + e11 * c11_2 + e12 * c12_2 + e13 * c13_2 + e14 * c14_2
-                       + e15 * c15_2)))
-        self._rows = tuple(zip(*rows))  # (F0, ..., F6) of each component
+        code = _kernels(_DOP853, len(y0))
+        self.t0, self.h, self.y0, self._eval = t0, h, y0, code["dense_eval"]
+        self._rows = code["dense"](fun, h, y0, K, y1)
 
     @property
     def t1(self) -> float:
         return self.t0 + self.h
 
     def eval_theta(self, theta: float) -> tuple:
-        x, u = theta, 1.0 - theta
-        (p0, p1, p2, p3, p4, p5, p6), (q0, q1, q2, q3, q4, q5, q6), \
-            (r0, r1, r2, r3, r4, r5, r6) = self._rows
-        y0, y1, y2 = self.y0
-        return (y0 + x * (p0 + u * (p1 + x * (p2 + u * (p3 + x * (p4 + u * (p5 + x * p6)))))),
-                y1 + x * (q0 + u * (q1 + x * (q2 + u * (q3 + x * (q4 + u * (q5 + x * q6)))))),
-                y2 + x * (r0 + u * (r1 + x * (r2 + u * (r3 + x * (r4 + u * (r5 + x * r6)))))))
+        return self._eval(self.y0, self._rows, theta)
 
     def eval(self, t: float) -> tuple:
         return self.eval_theta((t - self.t0) / self.h)
@@ -470,59 +355,6 @@ def _dense_q(K, n):
         tuple(_plain_sum(K[s][i] * _P[s][j] for s in range(7)) for j in range(4))
         for i in range(n)
     )
-
-
-def _error_norm(err, y, y1, rtol, atol):
-    total = 0.0
-    for i in range(len(y)):
-        scale = atol + rtol * max(abs(y[i]), abs(y1[i]))
-        r = err[i] / scale
-        total += r * r
-    return math.sqrt(total / len(y))
-
-
-def _error_norm3(err, y, y1, rtol, atol):
-    """_error_norm for a three-component state, unrolled; bit-identical.
-
-    max(a, b) is spelled b if b > a else a: the operand max() returns, nan
-    and ties included.
-    """
-    e0, e1, e2 = err
-    a0, a1, a2 = y
-    b0, b1, b2 = y1
-    a0, b0 = abs(a0), abs(b0)
-    a1, b1 = abs(a1), abs(b1)
-    a2, b2 = abs(a2), abs(b2)
-    r0 = e0 / (atol + rtol * (b0 if b0 > a0 else a0))
-    r1 = e1 / (atol + rtol * (b1 if b1 > a1 else a1))
-    r2 = e2 / (atol + rtol * (b2 if b2 > a2 else a2))
-    return math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
-
-
-def _error_norm8_3(err, y, y1, rtol, atol):
-    """Hairer's combined DOP853 error norm of a three-component step.
-
-    err holds h*e5 and h*e3 (see _rk_step8_3).  With the RMS norms of e5
-    and e3 over the scale atol + rtol*max(|y|, |y1|), the norm is
-    |h|*|e5|**2 / sqrt(|e5|**2 + 0.01*|e3|**2): the 3rd-order estimate
-    keeps a 5th-order error that is small by cancellation from passing.
-    Written here with the h-scaled sums, which is the same expression.
-    """
-    e0, e1, e2, d0, d1, d2 = err
-    a0, a1, a2 = y
-    b0, b1, b2 = y1
-    a0, b0 = abs(a0), abs(b0)
-    a1, b1 = abs(a1), abs(b1)
-    a2, b2 = abs(a2), abs(b2)
-    s0 = atol + rtol * (b0 if b0 > a0 else a0)
-    s1 = atol + rtol * (b1 if b1 > a1 else a1)
-    s2 = atol + rtol * (b2 if b2 > a2 else a2)
-    e0, e1, e2 = e0 / s0, e1 / s1, e2 / s2
-    d0, d1, d2 = d0 / s0, d1 / s1, d2 / s2
-    sq5 = 0.0 + e0 * e0 + e1 * e1 + e2 * e2
-    if sq5 == 0.0:
-        return 0.0
-    return sq5 / math.sqrt(3 * (sq5 + 0.01 * (0.0 + d0 * d0 + d1 * d1 + d2 * d2)))
 
 
 def _clamp(v, lo, hi):
@@ -551,32 +383,39 @@ def _initial_step(fun, y0, f0, rtol, atol, t_span, exponent):
 
 @dataclass(frozen=True, eq=False)
 class _Pair:
-    """An embedded Runge-Kutta pair as the stepper drives it.
+    """An embedded Runge-Kutta pair by its tableau, which _kernels writes out.
 
-    kernel3 and norm3 step three-component states, kernel and norm any
-    other (None: three-component states only).  The controller exponents
-    follow from the pair's order q: a rejected step shrinks by
-    SAFETY * err**(-1/q), an accepted one grows by the PI factor
-    SAFETY * err**(-0.7/q) * err_prev**(0.4/q), and the first step is
-    (0.01 / d)**(1/q).
+    stages are the rows of A from stage 1 on; weights give the end state
+    y1, whose derivative is the last stage and the next step's first
+    (FSAL); errors are the embedded-difference rows over all stages.  One
+    error row takes the RMS norm; two (DOP853: e5, e3) take Hairer's
+    |h|*|e5|**2 / sqrt(|e5|**2 + 0.01*|e3|**2) over RMS norms, where the
+    3rd-order estimate keeps a 5th-order error that is small by cancellation
+    from passing.  dense_stages and dense_weights are the extra stages and
+    the rows F3.. of _DenseSegment8.  The controller exponents follow from
+    the order q: a rejected step shrinks by SAFETY * err**(-1/q), an
+    accepted one grows by SAFETY * err**(-0.7/q) * err_prev**(0.4/q), and
+    the first step is (0.01 / d)**(1/q).
     """
 
-    kernel3: object
-    norm3: object
-    kernel: object
-    norm: object
+    name: str  # names the generated code
     order: int
+    stages: tuple
+    weights: tuple
+    errors: tuple
     segment: object  # (fun, t0, h, y0, K, y1) -> dense segment of that step
+    dense_stages: tuple = ()
+    dense_weights: tuple = ()
 
 
 # Dormand-Prince 5(4): integrate, integrate4, the face flows and the probes
 # off the center regime, where 8(5,3) misreads more stops (module docstring);
 # its quartic interpolant needs no extra stage.
-_DP5 = _Pair(_rk_step3, _error_norm3, _rk_step, _error_norm, 5,
+_DP5 = _Pair("DP5", 5, _A[1:-1], _A[-1], (_E,),
              lambda fun, t0, h, y0, K, y1: DenseSegment(t0, h, y0, K))
-# Dormand-Prince 8(5,3), 3-D only: the drift run and the center-regime probes,
-# where it takes about 5x fewer steps; a segment costs three extra stages.
-_DOP853 = _Pair(_rk_step8_3, _error_norm8_3, None, None, 8, _DenseSegment8)
+# Dormand-Prince 8(5,3): the drift run and the center-regime probes, where it
+# takes about 5x fewer steps; a segment costs three extra stages.
+_DOP853 = _Pair("DOP853", 8, _A8[1:], _B8, (_E5, _E3), _DenseSegment8, _A8X, _D8)
 
 
 class DormandPrince45:
@@ -586,10 +425,11 @@ class DormandPrince45:
     (RMS-normed); acceptance feeds a PI controller.  Use step() repeatedly
     until finished; segment() builds the dense segment of the step last
     accepted, on demand.  The private _pair selects the embedded pair:
-    Dormand-Prince 5(4) by default, _DOP853 (three-component states only)
-    for the drift re-integration and the center-regime probes.  Raises
-    ValueError unless 0 < t_span < inf and both tolerances are finite and
-    nonnegative: a nan there would make every step nan.
+    Dormand-Prince 5(4) by default, _DOP853 for the drift re-integration
+    and the center-regime probes; either steps states of any length.
+    Raises ValueError for an empty state, and unless 0 < t_span < inf,
+    0 <= rtol < inf and 0 < atol < inf: a nan there would make every step
+    nan, and atol 0 divides by zero at a zero component.
     """
 
     SAFETY = 0.9
@@ -600,20 +440,19 @@ class DormandPrince45:
                  _pair=_DP5):
         if not 0.0 < t_span < math.inf:
             raise ValueError(f"t_span must be positive and finite, got {t_span}")
-        if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
-            raise ValueError(f"tolerances must be finite and nonnegative, got {rtol}, {atol}")
+        if not (0.0 <= rtol < math.inf and 0.0 < atol < math.inf):
+            raise ValueError("tolerances must be finite, rtol nonnegative and atol positive, "
+                             f"got {rtol}, {atol}")
         self.fun = fun
         self.y = tuple(float(v) for v in y0)
+        if not self.y:
+            raise ValueError("the state has no component")
         self.t = 0.0
         self.t_span = float(t_span)
         self.rtol = float(rtol)
         self.atol = float(atol)
-        if len(self.y) == 3:
-            self._kernel, self._norm = _pair.kernel3, _pair.norm3
-        elif _pair.kernel is None:
-            raise ValueError("this pair steps three-component states only")
-        else:
-            self._kernel, self._norm = _pair.kernel, _pair.norm
+        code = _kernels(_pair, len(self.y))
+        self._kernel, self._norm = code["step"], code["norm"]
         self._pair = _pair
         q = _pair.order
         self._reject_exp, self._alpha, self._beta = -1 / q, 0.7 / q, 0.4 / q
@@ -761,13 +600,14 @@ def _resolve_monitor(k, monitor) -> dict:
 
 
 def _steps(stepper, violation, what):
-    """The stepping loop of every simplex and 4-D run: steps stepper and
-    yields violation(y) of each accepted state y.
+    """The stepping loop of every simplex, face and 4-D run: steps stepper
+    and yields violation(y) of each accepted state y.
 
     It stops when the span ends or after MAX_ACCEPTED_STEPS accepted steps
     (read as the loop starts); stepper.finished tells the two apart.  A
     violation beyond VIOLATION_LIMIT raises SimplexViolation, labelled by
-    what (a nan violation passes); StepSizeUnderflow passes through.
+    what (a nan violation passes); StepSizeUnderflow passes through.  A
+    caller may leave the loop early: the face flows stop where they stall.
     """
     # bound once per run: this loop body runs on every accepted step
     step, t_span, budget = stepper.step, stepper.t_span, MAX_ACCEPTED_STEPS

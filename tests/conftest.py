@@ -79,3 +79,27 @@ def rand_interior_point(rng, margin=1e-3):
 
 def norm3(v) -> float:
     return math.sqrt(sum(c * c for c in v))
+
+
+def rms_norm_reference(err, y, y1, rtol, atol) -> float:
+    """The RMS error norm of a Dormand-Prince 5(4) step in its max() form,
+    which lv3.flow's generated norm spells as compares."""
+    total = 0.0
+    for i in range(len(y)):
+        scale = atol + rtol * max(abs(y[i]), abs(y1[i]))
+        r = err[i] / scale
+        total += r * r
+    return math.sqrt(total / len(y))
+
+
+def hairer_norm_reference(err, y, y1, rtol, atol) -> float:
+    """Hairer's DOP853 error norm in the same form; err holds the h-scaled
+    5th-order estimates, then the 3rd-order ones."""
+    n = len(y)
+    sq5 = sq3 = 0.0
+    for i in range(n):
+        scale = atol + rtol * max(abs(y[i]), abs(y1[i]))
+        e5, e3 = err[i] / scale, err[n + i] / scale
+        sq5 += e5 * e5
+        sq3 += e3 * e3
+    return 0.0 if sq5 == 0.0 else sq5 / math.sqrt(n * (sq5 + 0.01 * sq3))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import lv3.analysis
 import lv3.flow
 from lv3.analysis import (
     DRIFT_TOL,
@@ -385,6 +386,18 @@ def test_heteroclinic_flow_cross_validation():
         back_s, fwd_s = face_connection_abscissae(k, "Sigma", x0)
         flow_x2 = back_s if abs(back_s - x0) > abs(fwd_s - x0) else fwd_s
         assert abs(flow_x2 - match.x2) <= 1e-4
+
+
+def test_face_flows_step_through_the_checked_loop(monkeypatch):
+    k = ParamVector(2, 1, 2, 1)
+    # the step budget ends a run that does not stall: none leaves the start
+    with monkeypatch.context() as m:
+        m.setattr(lv3.flow, "MAX_ACCEPTED_STEPS", 0)
+        assert face_connection_abscissae(k, "Sigma", 0.3) == (0.3, 0.3)
+    # a face state off its triangle raises, as a simplex state does
+    monkeypatch.setattr(lv3.analysis, "face_field", lambda face, k: lambda p: (-1.0, 0.0))
+    with pytest.raises(SimplexViolation, match="^face violation"):
+        face_connection_abscissae(k, "Sigma", 0.3)
 
 
 def test_heteroclinic_degenerate_abscissa():

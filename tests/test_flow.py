@@ -1,5 +1,7 @@
 import hashlib
+import linecache
 import math
+from functools import partial
 
 import pytest
 
@@ -16,6 +18,7 @@ from lv3.flow import (
     _B8,
     _D8,
     _DOP853,
+    _DP5,
     _DenseSegment8,
     _E,
     _E3,
@@ -25,14 +28,9 @@ from lv3.flow import (
     _dense_q,
     _dist,
     _drive,
-    _error_norm,
-    _error_norm3,
-    _error_norm8_3,
     _field3,
+    _kernels,
     _normal_component,
-    _rk_step,
-    _rk_step3,
-    _rk_step8_3,
     _violation3,
     field4,
     integrate,
@@ -44,7 +42,8 @@ from lv3.darboux import log_integral_value, named_integral_specs
 from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
-from conftest import cpython311_only, cpython_only, rand_interior_point, rand_params, norm3
+from conftest import (cpython311_only, cpython_only, hairer_norm_reference, norm3,
+                      rand_interior_point, rand_params, rms_norm_reference)
 
 
 # --- tableau sanity ----------------------------------------------------------
@@ -107,7 +106,8 @@ def _left_sum(values):
 
 
 def _rk_step_reference(fun, y, f0, h):
-    """The plain loop over stages that _rk_step unrolls."""
+    """The plain loop over the Dormand-Prince 5(4) stages, zero tableau
+    entries included."""
     n = len(y)
     K = [f0]
     ys = y
@@ -120,8 +120,7 @@ def _rk_step_reference(fun, y, f0, h):
 
 
 def _rk_step8_reference(fun, y, f0, h):
-    """The plain loop over the DOP853 stages that _rk_step8_3 unrolls, zero
-    tableau entries included."""
+    """The plain loop over the DOP853 stages, zero tableau entries included."""
     n = len(y)
     K = [f0]
     for s in range(1, 12):
@@ -144,7 +143,8 @@ def _bits(value):
 
 def _kernel_cases(n):
     k = ParamVector(2, 3, 3, 2)
-    fun = {2: face_field("Y", k), 3: _field3(k), 4: lambda q: field4(k, q)}[n]
+    fun = {1: lambda y: (2.0 * y[0] * (1.0 - y[0]),), 2: face_field("Y", k), 3: _field3(k),
+           4: partial(field4, k)}[n]
     rng = SplitMix64(1000 + n)
     for case in range(200):
         y = [rng.uniform(0.0, 0.5) for _ in range(n)]
@@ -158,64 +158,65 @@ def _kernel_cases(n):
         yield fun, tuple(y), h
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_unrolled_step_is_bitwise_the_stage_loop(n):
-    # the three-component kernel and error norm must match bit for bit too
-    kernels = (_rk_step, _rk_step3) if n == 3 else (_rk_step,)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("pair", [_DP5, _DOP853], ids=["DP5", "DOP853"])
+def test_unrolled_step_is_bitwise_the_stage_loop(pair, n):
+    # the generated step leaves the zero weights out; the reference adds
+    # them, and must give the same bits
+    code = _kernels(pair, n)
+    reference = _rk_step_reference if pair is _DP5 else _rk_step8_reference
     for fun, y, h in _kernel_cases(n):
         f0 = fun(y)
-        ref = _rk_step_reference(fun, y, f0, h)
-        for kernel in kernels:
-            y1, f1, err, K = kernel(fun, y, f0, h)
-            assert _bits((y1, f1, err)) == _bits(ref[:3])
-            assert _bits(K) == _bits(tuple(ref[3]))
-        if n == 3:
-            for e in (err, (0.0, 0.0, 0.0)):
-                for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-9)):
-                    assert (_error_norm3(e, y, y1, rtol, atol).hex()
-                            == _error_norm(e, y, y1, rtol, atol).hex())
-        segment = DenseSegment(t0=0.0, h=h, y0=y, K=K)
-        assert "q" not in vars(segment)  # built on first use only
-        assert segment.eval_theta(0.0) == y
-        assert _bits(segment.q) == _bits(_dense_q(K, n))
-
-
-def test_stepper_takes_the_three_component_kernel_for_3d_states():
-    k = ParamVector(2, 3, 3, 2)
-    assert DormandPrince45(_field3(k), (0.2, 0.2, 0.2), 1.0)._kernel is _rk_step3
-    assert DormandPrince45(face_field("Y", k), (0.2, 0.2), 1.0)._kernel is _rk_step
-    assert DormandPrince45(lambda q: field4(k, q), (0.2, 0.2, 0.2, 0.4), 1.0)._kernel is _rk_step
-    assert DormandPrince45(_field3(k), (0.2, 0.2, 0.2), 1.0, _pair=_DOP853)._kernel is _rk_step8_3
-    # the eighth-order pair is written for three components only
-    with pytest.raises(ValueError, match="three-component"):
-        DormandPrince45(face_field("Y", k), (0.2, 0.2), 1.0, _pair=_DOP853)
-    with pytest.raises(ValueError, match="three-component"):
-        DormandPrince45(lambda q: field4(k, q), (0.2, 0.2, 0.2, 0.4), 1.0, _pair=_DOP853)
-
-
-def test_eighth_order_step_is_bitwise_the_stage_loop():
-    for fun, y, h in _kernel_cases(3):
-        f0 = fun(y)
-        ref = _rk_step8_reference(fun, y, f0, h)
-        y1, f1, err, K = _rk_step8_3(fun, y, f0, h)
+        ref = reference(fun, y, f0, h)
+        y1, f1, err, K = code["step"](fun, y, f0, h)
         assert _bits((y1, f1, err)) == _bits(ref[:3])
         assert _bits(K) == _bits(tuple(ref[3]))
+        norm = rms_norm_reference if pair is _DP5 else hairer_norm_reference
+        for e in (err, (0.0,) * len(err)):
+            for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-9), (1e-12, 1e-300)):
+                assert code["norm"](e, y, y1, rtol, atol).hex() == norm(e, y, y1, rtol, atol).hex()
+        if pair is _DP5:
+            segment = DenseSegment(t0=0.0, h=h, y0=y, K=K)
+            assert "q" not in vars(segment)  # built on first use only
+            assert segment.eval_theta(0.0) == y
+            assert _bits(segment.q) == _bits(_dense_q(K, n))
 
 
-def test_eighth_order_error_norm_is_hairers_estimate():
-    # |h| |e5|^2 / sqrt(3 (|e5|^2 + 0.01 |e3|^2)) over the scaled estimates
+def test_kernels_are_compiled_once_per_pair_and_length():
+    k = ParamVector(2, 3, 3, 2)
+    runs = ((face_field("Y", k), (0.2, 0.2)), (_field3(k), (0.2, 0.2, 0.2)),
+            (partial(field4, k), (0.2, 0.2, 0.2, 0.4)))
+    for pair in (_DP5, _DOP853):
+        for fun, y in runs:
+            code = _kernels(pair, len(y))
+            assert _kernels(pair, len(y)) is code
+            stepper = DormandPrince45(fun, y, 1.0, _pair=pair)
+            assert (stepper._kernel, stepper._norm) == (code["step"], code["norm"])
+    # the written-out lines read back under the pair's name, for tracebacks
+    step = _kernels(_DOP853, 3)["step"].__code__
+    assert step.co_filename == "<lv3.flow DOP853 n=3>"
+    assert linecache.getline(step.co_filename, step.co_firstlineno) == "def step(fun, y, f0, h):\n"
+    assert "".join(linecache.getlines(step.co_filename)) == flow._source(_DOP853, 3)
+    with pytest.raises(ValueError, match="no component"):
+        DormandPrince45(lambda y: y, (), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eighth_order_error_norm_is_hairers_estimate(n):
+    # |h| |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) over the scaled estimates
     # without their factor h, as scipy's DOP853 writes it; the kernel hands
-    # _error_norm8_3 the h-scaled sums
-    for fun, y, h in _kernel_cases(3):
-        y1, _, err, _ = _rk_step8_3(fun, y, fun(y), h)
+    # the norm the h-scaled sums
+    code = _kernels(_DOP853, n)
+    for fun, y, h in _kernel_cases(n):
+        y1, _, err, _ = code["step"](fun, y, fun(y), h)
         for rtol, atol in ((1e-12, 1e-14), (1e-6, 1e-9)):
             scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y1)]
-            e5 = [err[i] / h / scale[i] for i in range(3)]
-            e3 = [err[3 + i] / h / scale[i] for i in range(3)]
+            e5 = [err[i] / h / scale[i] for i in range(n)]
+            e3 = [err[n + i] / h / scale[i] for i in range(n)]
             sq5, sq3 = math.fsum(v * v for v in e5), math.fsum(v * v for v in e3)
-            want = 0.0 if sq5 == 0.0 else abs(h) * sq5 / math.sqrt(3 * (sq5 + 0.01 * sq3))
-            assert _error_norm8_3(err, y, y1, rtol, atol) == pytest.approx(want, rel=1e-12)
-    assert _error_norm8_3((0.0,) * 6, (0.2,) * 3, (0.2,) * 3, 1e-12, 1e-14) == 0.0
+            want = 0.0 if sq5 == 0.0 else abs(h) * sq5 / math.sqrt(n * (sq5 + 0.01 * sq3))
+            assert code["norm"](err, y, y1, rtol, atol) == pytest.approx(want, rel=1e-12)
+    assert code["norm"]((0.0,) * 2 * n, (0.2,) * n, (0.2,) * n, 1e-12, 1e-14) == 0.0
 
 
 def _fixed_step_end(kernel, fun, y0, t_end, n_steps):
@@ -226,33 +227,39 @@ def _fixed_step_end(kernel, fun, y0, t_end, n_steps):
     return y
 
 
-def test_eighth_order_convergence():
-    # fixed steps on a center orbit of the simplex flow to T = 5, against
-    # 20000 fifth-order steps (within 3e-15 of 40000).  Measured errors for
-    # 8, 16 and 32 steps: 9.5e-9, 4.0e-11 and 1.6e-13, i.e. ratios 237 and
-    # 251 for the 2**8 = 256 of an eighth-order method; 64 steps reach the
-    # rounding floor (2e-15).  Changing one digit of a coefficient that a
-    # low-order condition reads (the 8th significant digit of _A8[8][5], the
-    # 5th of _B8[8] or of _A8[11][10]) leaves this window.  Stage 4 is
+@pytest.mark.parametrize("fun, y0", [
+    (_field3(ParamVector(2, 3, 3, 2)), (0.2, 0.2, 0.2)),
+    (partial(field4, ParamVector(2, 3, 3, 2)), (0.2, 0.2, 0.2, 0.4)),
+], ids=["simplex", "field4"])
+def test_eighth_order_convergence(fun, y0):
+    # fixed steps on a center orbit to T = 5, against 20000 fifth-order
+    # steps (within 3e-15 and 6e-15 of 40000).  Measured errors for 8, 16
+    # and 32 steps: 9.5e-9, 4.0e-11 and 1.6e-13 on the simplex flow, ratios
+    # 237 and 251 for the 2**8 = 256 of an eighth-order method; 1.3e-8,
+    # 4.0e-11 and 1.6e-13 on field4, orders 8.37 and 7.96; 64 steps reach
+    # the rounding floor (2e-15).  Changing one digit of a coefficient that
+    # a low-order condition reads (the 8th significant digit of _A8[8][5],
+    # the 5th of _B8[8] or of _A8[11][10]) leaves this window.  Stage 4 is
     # hidden at low order (b4 = 0 and sum_i b_i a_i4 = 0), so a change in
     # the 7th digit of _A8[4][2] passes here and fails the row sums above.
-    fun = _field3(ParamVector(2, 3, 3, 2))
-    y0 = (0.2, 0.2, 0.2)
-    ref = _fixed_step_end(_rk_step3, fun, y0, 5.0, 20000)
-    errors = [max(abs(a - b) for a, b in zip(_fixed_step_end(_rk_step8_3, fun, y0, 5.0, n), ref))
-              for n in (8, 16, 32)]
+    n = len(y0)
+    ref = _fixed_step_end(_kernels(_DP5, n)["step"], fun, y0, 5.0, 20000)
+    errors = [max(abs(a - b) for a, b in zip(
+        _fixed_step_end(_kernels(_DOP853, n)["step"], fun, y0, 5.0, steps), ref))
+        for steps in (8, 16, 32)]
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert all(7.5 <= order <= 8.5 for order in orders), orders
 
 
 def _segment8(fun, y0, h):
     """The dense segment of one eighth-order step of size h from y0."""
-    y1, _, _, K = _rk_step8_3(fun, y0, fun(y0), h)
+    y1, _, _, K = _kernels(_DOP853, len(y0))["step"](fun, y0, fun(y0), h)
     return _DenseSegment8(fun, 0.0, h, y0, K, y1), y1, K
 
 
-def test_eighth_order_segment_ends_at_the_step_ends():
-    for fun, y, h in _kernel_cases(3):
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eighth_order_segment_ends_at_the_step_ends(n):
+    for fun, y, h in _kernel_cases(n):
         segment, y1, _ = _segment8(fun, y, h)
         assert segment.eval_theta(0.0) == y
         end = segment.eval_theta(1.0)
@@ -274,7 +281,7 @@ def test_eighth_order_segment_convergence():
     errors = []
     for h in (0.8, 0.4, 0.2, 0.1):
         segment, _, _ = _segment8(fun, y0, h)
-        ref = _fixed_step_end(_rk_step8_3, fun, y0, 0.5 * h, 64)
+        ref = _fixed_step_end(_kernels(_DOP853, 3)["step"], fun, y0, 0.5 * h, 64)
         errors.append(max(abs(a - b) for a, b in zip(segment.eval_theta(0.5), ref)))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
     assert all(7.8 <= order <= 8.6 for order in orders), orders
@@ -286,10 +293,9 @@ def test_eighth_order_segment_is_scipys_interpolant():
     np = pytest.importorskip("numpy")
     d = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
     rk = pytest.importorskip("scipy.integrate._ivp.rk")
-    # the tables keep scipy's nonzero entries, in order
-    assert [_A8X[s - 13] for s in range(13, 16)] == [
-        tuple(float(v) for v in d.A[s, :s] if v != 0.0) for s in range(13, 16)]
-    assert list(_D8) == [tuple(float(v) for v in row if v != 0.0) for row in d.D]
+    # the tables are scipy's rows, zeros included
+    assert list(_A8X) == [tuple(float(v) for v in d.A[s, :s]) for s in range(13, 16)]
+    assert list(_D8) == [tuple(float(v) for v in row) for row in d.D]
     for fun, y, h in _kernel_cases(3):
         segment, y1, K = _segment8(fun, y, h)
         K = np.vstack([np.array(K), np.zeros((3, 3))])
@@ -346,7 +352,7 @@ def test_plain_sums_are_bitwise_the_sum_forms(n):
     # CPython 3.11's sum(), which adds its int start 0 to the first term as 0.0
     rng = SplitMix64(3000 + n)
     for fun, y, h in _kernel_cases(n):
-        y1, _, _, K = _rk_step(fun, y, fun(y), h)
+        y1, _, _, K = _kernels(_DP5, n)["step"](fun, y, fun(y), h)
         raw = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
         section = SectionSpec(raw, rng.uniform(-0.5, 0.5))
         norm = math.sqrt(sum(c * c for c in raw))
@@ -364,8 +370,9 @@ def test_plain_sums_are_bitwise_the_sum_forms(n):
             for i in range(n)))
 
 
-# sha256 of repr() of outputs that only the generic kernel produces (the 4-D
-# flow and the 2-D face flows), measured before the 3-D kernel was split off.
+# sha256 of repr() of outputs of the 4-D flow and the 2-D face flows,
+# measured when they took a stage loop of their own, before any kernel was
+# written out over named scalars.
 GOLDEN_GENERIC = {
     "integrate4": "f1aefa96938692b5f24629ff63b69ad637aba2a3bb258947fa81ac05fc2fdde0",
     "face-Y": "5db0df863f0f95359d951280db5762fc5ace17c987f29a7359f0da11b5eb339a",
@@ -395,7 +402,7 @@ def _fixed_step_run(fun, y0, t_end, n_steps):
     f = fun(y)
     segs = []
     for _ in range(n_steps):
-        y, f, _, K = _rk_step(fun, y, f, h)
+        y, f, _, K = _kernels(_DP5, len(y))["step"](fun, y, f, h)
         segs.append(K)
     return y, segs
 
@@ -432,7 +439,7 @@ def test_dense_output_accuracy_order():
         f = fun(y)
         worst = 0.0
         for i in range(n):
-            y1, f, _, K = _rk_step(fun, y, f, h)
+            y1, f, _, K = _kernels(_DP5, 3)["step"](fun, y, f, h)
             q = _dense_q(K, 3)
             for theta in (0.25, 0.5, 0.75):
                 t = (i + theta) * h
@@ -668,13 +675,20 @@ def test_step_size_underflow_on_blowup():
 @pytest.mark.parametrize("kwargs", [
     {"t_span": math.nan}, {"t_span": math.inf}, {"t_span": 0.0}, {"t_span": -1.0},
     {"rtol": math.nan}, {"rtol": math.inf}, {"rtol": -1e-10},
-    {"atol": math.nan}, {"atol": math.inf}, {"atol": -1e-12},
+    {"atol": math.nan}, {"atol": math.inf}, {"atol": -1e-12}, {"atol": 0.0},
 ])
 def test_stepper_rejects_nonfinite_span_and_tolerances(kwargs):
-    # a nan span or tolerance gives a nan step, which no rejection shrinks
+    # a nan span or tolerance gives a nan step, which no rejection shrinks;
+    # atol 0 divides by zero at a zero component
     args = {"t_span": 1.0, "rtol": 1e-10, "atol": 1e-12, **kwargs}
     with pytest.raises(ValueError):
         DormandPrince45(_field3(ParamVector(1, 1, 1, 1)), (0.2, 0.2, 0.2), **args)
+
+
+def test_zero_atol_on_a_face_start_is_a_value_error():
+    # it raised ZeroDivisionError in the first-step estimate
+    with pytest.raises(ValueError, match="atol positive"):
+        integrate(ParamVector(2, 3, 3, 2), (0.0, 0.2, 0.2), 1.0, 1e-10, 0.0)
 
 
 def test_nan_step_raises_instead_of_retrying():

@@ -47,9 +47,9 @@ from __future__ import annotations
 import linecache
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
-from types import MappingProxyType
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords, _field3
@@ -298,37 +298,38 @@ def _source(pair, n):
     return "\n".join(out) + "\n"
 
 
+_Code = namedtuple("_Code", "step norm dense dense_eval")
+
+
 @cache
 def _kernels(pair, n):
-    """pair's code for n-component states, compiled on first request: a
-    dict of step(fun, y, f0, h) -> (y1, f1, err, K), norm(err, y, y1, rtol,
-    atol) and, with dense-output stages, dense(fun, h, y0, K, y1) -> rows
-    and dense_eval(y0, rows, theta).  Its source is in linecache under its
-    filename, e.g. <lv3.flow DOP853 n=3>, for tracebacks and profiles."""
+    """pair's code for n-component states, compiled on first request:
+    step(fun, y, f0, h) -> (y1, f1, err, K), norm(err, y, y1, rtol, atol)
+    and, with dense-output stages (else None), dense(fun, h, y0, K, y1) ->
+    rows and dense_eval(y0, rows, theta).  Its source is in linecache under
+    its filename, e.g. <lv3.flow DOP853 n=3>, for tracebacks and profiles."""
     source = _source(pair, n)
     filename = f"<lv3.flow {pair.name} n={n}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     code = {"sqrt": math.sqrt}
     exec(compile(source, filename, "exec"), code)
-    return MappingProxyType(code)  # read-only: every caller shares it
+    return _Code(*(code.get(name) for name in _Code._fields))
 
 
 class _DenseSegment8:
     """Seventh-order interpolant over one Dormand-Prince 8(5,3) step
     (internal clock); treat as immutable.
 
-    Built from the step's stages K (FSAL f1 last) and end state y1: three
-    extra stages, F0 = y1 - y0, F1 = h*f0 - F0, F2 = 2*F0 - h*(f1 + f0) and
-    F3..F6 = h * _D8.K.  With x = theta and u = 1 - x, the state at theta
-    is y0 + x*(F0 + u*(F1 + x*(F2 + u*(F3 + x*(F4 + u*(F5 + x*F6)))))),
-    both written out by _kernels for the state's length."""
+    The pair's code (_kernels) builds it from the step's stages K (FSAL f1
+    last) and end state y1: the dense stages, F0 = y1 - y0, F1 = h*f0 - F0,
+    F2 = 2*F0 - h*(f1 + f0) and F3..F6 = h * dense_weights.K.  With x = theta
+    and u = 1 - x, it is y0 + x*(F0 + u*(F1 + x*(F2 + u*(F3 + ... x*F6)))."""
 
     __slots__ = ("t0", "h", "y0", "_rows", "_eval")
 
-    def __init__(self, fun, t0, h, y0, K, y1):
-        code = _kernels(_DOP853, len(y0))
-        self.t0, self.h, self.y0, self._eval = t0, h, y0, code["dense_eval"]
-        self._rows = code["dense"](fun, h, y0, K, y1)
+    def __init__(self, code, fun, t0, h, y0, K, y1):
+        self.t0, self.h, self.y0, self._eval = t0, h, y0, code.dense_eval
+        self._rows = code.dense(fun, h, y0, K, y1)
 
     @property
     def t1(self) -> float:
@@ -403,7 +404,7 @@ class _Pair:
     stages: tuple
     weights: tuple
     errors: tuple
-    segment: object  # (fun, t0, h, y0, K, y1) -> dense segment of that step
+    segment: object  # (code, fun, t0, h, y0, K, y1) -> dense segment of that step
     dense_stages: tuple = ()
     dense_weights: tuple = ()
 
@@ -412,7 +413,7 @@ class _Pair:
 # off the center regime, where 8(5,3) misreads more stops (module docstring);
 # its quartic interpolant needs no extra stage.
 _DP5 = _Pair("DP5", 5, _A[1:-1], _A[-1], (_E,),
-             lambda fun, t0, h, y0, K, y1: DenseSegment(t0, h, y0, K))
+             lambda code, fun, t0, h, y0, K, y1: DenseSegment(t0, h, y0, K))
 # Dormand-Prince 8(5,3): the drift run and the center-regime probes, where it
 # takes about 5x fewer steps; a segment costs three extra stages.
 _DOP853 = _Pair("DOP853", 8, _A8[1:], _B8, (_E5, _E3), _DenseSegment8, _A8X, _D8)
@@ -451,9 +452,8 @@ class DormandPrince45:
         self.t_span = float(t_span)
         self.rtol = float(rtol)
         self.atol = float(atol)
-        code = _kernels(_pair, len(self.y))
-        self._kernel, self._norm = code["step"], code["norm"]
-        self._pair = _pair
+        self._code = _kernels(_pair, len(self.y))
+        self._kernel, self._norm, self._pair = self._code.step, self._code.norm, _pair
         q = _pair.order
         self._reject_exp, self._alpha, self._beta = -1 / q, 0.7 / q, 0.4 / q
         self.f = fun(self.y)
@@ -512,7 +512,7 @@ class DormandPrince45:
 
     def segment(self):
         """Dense segment of the step last accepted (a new one on every call)."""
-        return self._pair.segment(self.fun, *self._last, self.y)
+        return self._pair.segment(self._code, self.fun, *self._last, self.y)
 
 
 @dataclass

@@ -168,13 +168,13 @@ def test_unrolled_step_is_bitwise_the_stage_loop(pair, n):
     for fun, y, h in _kernel_cases(n):
         f0 = fun(y)
         ref = reference(fun, y, f0, h)
-        y1, f1, err, K = code["step"](fun, y, f0, h)
+        y1, f1, err, K = code.step(fun, y, f0, h)
         assert _bits((y1, f1, err)) == _bits(ref[:3])
         assert _bits(K) == _bits(tuple(ref[3]))
         norm = rms_norm_reference if pair is _DP5 else hairer_norm_reference
         for e in (err, (0.0,) * len(err)):
             for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-9), (1e-12, 1e-300)):
-                assert code["norm"](e, y, y1, rtol, atol).hex() == norm(e, y, y1, rtol, atol).hex()
+                assert code.norm(e, y, y1, rtol, atol).hex() == norm(e, y, y1, rtol, atol).hex()
         if pair is _DP5:
             segment = DenseSegment(t0=0.0, h=h, y0=y, K=K)
             assert "q" not in vars(segment)  # built on first use only
@@ -190,10 +190,11 @@ def test_kernels_are_compiled_once_per_pair_and_length():
         for fun, y in runs:
             code = _kernels(pair, len(y))
             assert _kernels(pair, len(y)) is code
+            assert (code.dense is None) == (pair is _DP5)  # only DOP853 has dense stages
             stepper = DormandPrince45(fun, y, 1.0, _pair=pair)
-            assert (stepper._kernel, stepper._norm) == (code["step"], code["norm"])
+            assert (stepper._kernel, stepper._norm) == (code.step, code.norm)
     # the written-out lines read back under the pair's name, for tracebacks
-    step = _kernels(_DOP853, 3)["step"].__code__
+    step = _kernels(_DOP853, 3).step.__code__
     assert step.co_filename == "<lv3.flow DOP853 n=3>"
     assert linecache.getline(step.co_filename, step.co_firstlineno) == "def step(fun, y, f0, h):\n"
     assert "".join(linecache.getlines(step.co_filename)) == flow._source(_DOP853, 3)
@@ -208,15 +209,15 @@ def test_eighth_order_error_norm_is_hairers_estimate(n):
     # the norm the h-scaled sums
     code = _kernels(_DOP853, n)
     for fun, y, h in _kernel_cases(n):
-        y1, _, err, _ = code["step"](fun, y, fun(y), h)
+        y1, _, err, _ = code.step(fun, y, fun(y), h)
         for rtol, atol in ((1e-12, 1e-14), (1e-6, 1e-9)):
             scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y1)]
             e5 = [err[i] / h / scale[i] for i in range(n)]
             e3 = [err[n + i] / h / scale[i] for i in range(n)]
             sq5, sq3 = math.fsum(v * v for v in e5), math.fsum(v * v for v in e3)
             want = 0.0 if sq5 == 0.0 else abs(h) * sq5 / math.sqrt(n * (sq5 + 0.01 * sq3))
-            assert code["norm"](err, y, y1, rtol, atol) == pytest.approx(want, rel=1e-12)
-    assert code["norm"]((0.0,) * 2 * n, (0.2,) * n, (0.2,) * n, 1e-12, 1e-14) == 0.0
+            assert code.norm(err, y, y1, rtol, atol) == pytest.approx(want, rel=1e-12)
+    assert code.norm((0.0,) * 2 * n, (0.2,) * n, (0.2,) * n, 1e-12, 1e-14) == 0.0
 
 
 def _fixed_step_end(kernel, fun, y0, t_end, n_steps):
@@ -243,9 +244,9 @@ def test_eighth_order_convergence(fun, y0):
     # hidden at low order (b4 = 0 and sum_i b_i a_i4 = 0), so a change in
     # the 7th digit of _A8[4][2] passes here and fails the row sums above.
     n = len(y0)
-    ref = _fixed_step_end(_kernels(_DP5, n)["step"], fun, y0, 5.0, 20000)
+    ref = _fixed_step_end(_kernels(_DP5, n).step, fun, y0, 5.0, 20000)
     errors = [max(abs(a - b) for a, b in zip(
-        _fixed_step_end(_kernels(_DOP853, n)["step"], fun, y0, 5.0, steps), ref))
+        _fixed_step_end(_kernels(_DOP853, n).step, fun, y0, 5.0, steps), ref))
         for steps in (8, 16, 32)]
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert all(7.5 <= order <= 8.5 for order in orders), orders
@@ -253,8 +254,9 @@ def test_eighth_order_convergence(fun, y0):
 
 def _segment8(fun, y0, h):
     """The dense segment of one eighth-order step of size h from y0."""
-    y1, _, _, K = _kernels(_DOP853, len(y0))["step"](fun, y0, fun(y0), h)
-    return _DenseSegment8(fun, 0.0, h, y0, K, y1), y1, K
+    code = _kernels(_DOP853, len(y0))
+    y1, _, _, K = code.step(fun, y0, fun(y0), h)
+    return _DenseSegment8(code, fun, 0.0, h, y0, K, y1), y1, K
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -281,7 +283,7 @@ def test_eighth_order_segment_convergence():
     errors = []
     for h in (0.8, 0.4, 0.2, 0.1):
         segment, _, _ = _segment8(fun, y0, h)
-        ref = _fixed_step_end(_kernels(_DOP853, 3)["step"], fun, y0, 0.5 * h, 64)
+        ref = _fixed_step_end(_kernels(_DOP853, 3).step, fun, y0, 0.5 * h, 64)
         errors.append(max(abs(a - b) for a, b in zip(segment.eval_theta(0.5), ref)))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
     assert all(7.8 <= order <= 8.6 for order in orders), orders
@@ -352,7 +354,7 @@ def test_plain_sums_are_bitwise_the_sum_forms(n):
     # CPython 3.11's sum(), which adds its int start 0 to the first term as 0.0
     rng = SplitMix64(3000 + n)
     for fun, y, h in _kernel_cases(n):
-        y1, _, _, K = _kernels(_DP5, n)["step"](fun, y, fun(y), h)
+        y1, _, _, K = _kernels(_DP5, n).step(fun, y, fun(y), h)
         raw = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
         section = SectionSpec(raw, rng.uniform(-0.5, 0.5))
         norm = math.sqrt(sum(c * c for c in raw))
@@ -402,7 +404,7 @@ def _fixed_step_run(fun, y0, t_end, n_steps):
     f = fun(y)
     segs = []
     for _ in range(n_steps):
-        y, f, _, K = _kernels(_DP5, len(y))["step"](fun, y, f, h)
+        y, f, _, K = _kernels(_DP5, len(y)).step(fun, y, f, h)
         segs.append(K)
     return y, segs
 
@@ -439,7 +441,7 @@ def test_dense_output_accuracy_order():
         f = fun(y)
         worst = 0.0
         for i in range(n):
-            y1, f, _, K = _kernels(_DP5, 3)["step"](fun, y, f, h)
+            y1, f, _, K = _kernels(_DP5, 3).step(fun, y, f, h)
             q = _dense_q(K, 3)
             for theta in (0.25, 0.5, 0.75):
                 t = (i + theta) * h

@@ -121,18 +121,32 @@ CENTER_K = st.builds(
 
 
 # Measured over 3000 such (k, start) pairs: the worst relative period error
-# is 5.0e-9 with relative error control (tol_abs 1e-300; at tol_rel 1e-12 the
-# same orbit is off by 3.0e-11, so tol_rel 1e-10 sets it), and 4.2e-7 at
-# the default tolerances, where tol_abs 1e-12 sets the error of a
-# coordinate that comes within about 1e-8 of a face.
+# is 5.0e-9 with relative error control (tol_abs 1e-300), where tol_rel 1e-10
+# sets it: at tol_rel 1e-12 it is 3.0e-11.  At the default tolerances it is
+# 4.2e-7, where tol_abs 1e-12 sets the error of a coordinate that comes
+# within about 1e-8 of a face.
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(k=CENTER_K, seed=st.integers(0, 2**32 - 1))
 def test_detect_periodic_agrees_with_the_oracle(k, seed):
     assert classify(k).oscillatory
     p = sample_interior(k, 1, SplitMix64(seed))[0]
     period = oracle_period(tuple(k), p)
+    assert abs(detect_periodic(k, p, 1e-12, 1e-300).period - period) <= 1e-10 * period
     assert abs(detect_periodic(k, p, 1e-10, 1e-300).period - period) <= 1e-8 * period
     assert abs(detect_periodic(k, p).period - period) <= 1e-6 * period
+
+
+# The accuracy gate on small center-regime k at the default tol_rel and
+# tol_abs 1e-300: over these 40 starts of each k the worst relative error is
+# 3.9e-11, on (0.5, 3, 6, 1); at the default tol_abs it is 7.9e-7, on its -k.
+@pytest.mark.parametrize("k", [(2, 3, 3, 2), (1, 1, 1, 1), (0.5, 3, 6, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_detect_periodic_with_relative_control_agrees_with_the_oracle(k, sign):
+    k = ParamVector(*(sign * c for c in k))
+    for seed in range(1, 6):
+        for p in sample_interior(k, 8, SplitMix64(seed)):
+            period = oracle_period(tuple(k), p)
+            assert abs(detect_periodic(k, p, 1e-10, 1e-300).period - period) <= 1e-10 * period
 
 
 @pytest.mark.parametrize("outward", [True, False])

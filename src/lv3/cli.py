@@ -15,6 +15,7 @@ import ast
 import json
 import math
 import sys
+from functools import cache
 
 from . import analysis, darboux, equilibria, flow
 from .params import ParamVector, ZeroParameter, classify, discriminant
@@ -74,7 +75,10 @@ def _count(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The lv3 parser, built on the first parse_args call and reused: a
+    parse reads it and changes none of it."""
     parser = _Parser(prog="lv3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_HANDLERS))
 
@@ -125,7 +129,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--range", dest="t_range", type=_pair, required=True)
     p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--range2", dest="s_range", type=_pair, default=None)
-    p.add_argument("--steps2", dest="s_steps", type=_count, default=1)
+    p.add_argument("--steps2", dest="s_steps", type=_count, default=None)
     p.add_argument("--p0", type=_triple, default=(0.2, 0.2, 0.2))
     p.add_argument("--horizon", type=_positive, default=analysis.DEFAULT_HORIZON)
     p = add("portrait", seeded=True, integrates=True)
@@ -175,8 +179,13 @@ def parse_args(argv) -> argparse.Namespace:
             _, uses_s = parse_slice(cfg.slice_expr)
         except ValueError as exc:
             parser.error(str(exc))
-        if uses_s and cfg.s_range is None:
+        if not uses_s:
+            if cfg.s_range is not None or cfg.s_steps is not None:
+                parser.error("--range2 and --steps2 need a slice that uses the variable s")
+        elif cfg.s_range is None:
             parser.error("slice uses the variable s: provide --range2 (and --steps2)")
+        elif cfg.s_steps is None:
+            cfg.s_steps = 1
     return cfg
 
 

@@ -15,14 +15,15 @@ flow and the 4-D flow run one code path.
 Two kinds of run take the Dormand-Prince 8(5,3) pair (DOP853; Prince &
 Dormand 1981): the drift re-integration of analysis.orbit_integral_drift,
 and the probes of a center-regime k, whose return maps read its
-seventh-order dense output (three extra stages per crossing) and take about
-5x fewer steps.  integrate, integrate4, the face flows and the off-manifold
-probes keep the 5(4) pair: integrate prints one row per accepted step, so a
-higher order would change its output rather than its cost.  On the
-off-manifold probes 8(5,3) took 5x fewer steps but read more stops wrong:
-on 300 seeded starts over ten S+- vectors it got 294 (omega, alpha) pairs
-right where 5(4) gets 299, with a false periodic verdict, false
-point-on-R_py stops and three simplex violations of 1.1e-9 to 2.2e-9.
+seventh-order dense output (three extra stages per crossing the return map
+can keep) and take about 5x fewer steps.  integrate, integrate4, the face
+flows and the off-manifold probes keep the 5(4) pair: integrate prints one
+row per accepted step, so a higher order would change its output rather
+than its cost.  On the off-manifold probes 8(5,3) took 5x fewer steps but
+read more stops wrong: on 300 seeded starts over ten S+- vectors it got 294
+(omega, alpha) pairs right where 5(4) gets 299, with a false periodic
+verdict, false point-on-R_py stops and three simplex violations of 1.1e-9
+to 2.2e-9.
 Every simplex, face and 4-D run steps through one loop, _steps; backward
 time is realised as the forward flow of -k (the field is odd in k), never
 by negative steps.
@@ -832,11 +833,18 @@ class _ReturnMap:
         on the step's dense segment; a step end landing exactly on the plane
         from off it is the crossing itself.  The segment is built only for
         these two, and theta 1.0 reports y, never the interpolant there.
+        Once the direction is locked, a sign change against it (g rising
+        reads +1, falling -1) is skipped before the segment is built: its
+        refined state would cross against the lock, which _keep drops.
+        Only a step whose sign change holds three roots could differ, if
+        bisection landed on the middle root, which crosses with the lock.
         """
         g_start, g_end = self._g, self.section.value(y)
         self._g = g_end
         crossed = g_start < 0.0 < g_end or g_start > 0.0 > g_end
         if not crossed and (g_end != 0.0 or g_start == 0.0):
+            return False
+        if crossed and (1 if g_end > 0.0 else -1) == -self.locked:
             return False
         segment = stepper.segment()
         theta = _refine_crossing(segment, self.section.value) if crossed else 1.0

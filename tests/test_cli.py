@@ -13,6 +13,7 @@ from lv3.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    _build_parser,
     _fmt,
     emit_csv,
     main,
@@ -355,6 +356,20 @@ def test_scan_requires_range2_when_slice_uses_s():
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", ["--range2 1,2 --steps2 3", "--range2 1,2", "--steps2 1"])
+def test_scan_rejects_a_second_range_when_slice_has_no_s(capsys, flags):
+    # without s no second grid is read, so the flags would be ignored
+    with pytest.raises(SystemExit) as err:
+        main(f"scan --slice 2,t,2,t --range 1,2 --steps 2 {flags}".split())
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--range2 and --steps2 need a slice that uses the variable s" in captured.err
+    # with s, --steps2 defaults to 1
+    cfg = parse_args("scan --slice 2,t,2,s --range 1,2 --steps 2 --range2 1,2".split())
+    assert cfg.s_steps == 1
+
+
 def test_parse_slice_rejects_junk():
     with pytest.raises(ValueError):
         parse_slice("1,2,3")
@@ -503,6 +518,33 @@ def test_cli_stdout_is_byte_identical_to_golden(capsys, name):
     code, out = run_cli(capsys, *argv.split())
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert _build_parser() is _build_parser()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import lv3.cli; print(lv3.cli._build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+@cpython_only
+def test_invocations_on_one_parser_carry_no_state(capsys):
+    # a usage error after a backward parse, then a backward and a forward
+    # run, each as its own process would give them
+    _build_parser.cache_clear()
+    with pytest.raises(SystemExit) as err:
+        main("integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 5 --backward --monitor H,H".split())
+    assert err.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    for name in ("integrate-backward", "integrate-forward"):
+        argv, exit_code, digest = GOLDEN_STDOUT[name]
+        code, out = run_cli(capsys, *argv.split())
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_cli_import_does_not_load_numpy():

@@ -1,6 +1,7 @@
 import hashlib
 import linecache
 import math
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -37,10 +38,10 @@ from lv3.flow import (
     integrate4,
 )
 from lv3 import flow
-from lv3.analysis import default_section, detect_periodic
+from lv3.analysis import default_section, detect_periodic, sample_interior
 from lv3.darboux import log_integral_value, named_integral_specs
 from lv3.equilibria import SimplexViolation
-from lv3.params import ParamVector
+from lv3.params import ParamVector, classify
 from lv3.rng import SplitMix64
 from conftest import (cpython311_only, cpython_only, hairer_norm_reference, norm3,
                       rand_interior_point, rand_params, rms_norm_reference)
@@ -606,8 +607,11 @@ def test_monitored_drift_is_bitwise_the_single_point_form():
 
 def test_dense_segments_are_built_only_when_read(monkeypatch):
     built = []
+    refined = []
     located = []
+    skipped = []
     advance = flow._ReturnMap.advance
+    refine = flow._refine_crossing
 
     def counting(init):
         def counted_init(segment, *args, **kwargs):
@@ -615,15 +619,27 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
             init(segment, *args, **kwargs)
         return counted_init
 
+    def counted_refine(segment, gfun):
+        refined.append(segment)
+        return refine(segment, gfun)
+
     def counted_advance(returns, stepper, y):
-        # a crossing: a strict sign change, or a landing on the plane from off it
+        # a crossing: a strict sign change, or a landing on the plane from off
+        # it; a sign change against the locked direction is skipped
         g_start, g_end = returns._g, returns.section.value(y)
-        located.append(min(g_start, g_end) < 0.0 < max(g_start, g_end)
-                       or (g_end == 0.0 and g_start != 0.0))
-        return advance(returns, stepper, y)
+        strict = min(g_start, g_end) < 0.0 < max(g_start, g_end)
+        against = strict and (1 if g_end > 0.0 else -1) == -returns.locked
+        before = len(built), len(refined)
+        kept = advance(returns, stepper, y)
+        if against:
+            skipped.append((kept, len(built) - before[0], len(refined) - before[1]))
+        else:
+            located.append(strict or (g_end == 0.0 and g_start != 0.0))
+        return kept
 
     for cls in (DenseSegment, _DenseSegment8):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    monkeypatch.setattr(flow, "_refine_crossing", counted_refine)
     monkeypatch.setattr(flow._ReturnMap, "advance", counted_advance)
     k = ParamVector(2, 3, 3, 2)
     traj = integrate(k, (0.2, 0.2, 0.2), 20.0, keep_dense=False)
@@ -632,11 +648,13 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
     assert len(built) == len(traj.dense) == len(traj) - 1
     built.clear()
     orbit = detect_periodic(k, (0.2, 0.2, 0.2))
-    # one segment per located crossing, in either direction; the probe
-    # takes 66 eighth-order steps here, 5 of which cross
+    # one segment and one refinement per located crossing before the lock or
+    # in the locked direction; the probe takes 66 eighth-order steps here, 5
+    # of which cross, 2 of them against the lock
     assert len(located) > 50
     assert all(type(seg) is _DenseSegment8 for seg in built)
-    assert len(built) == sum(located) >= len(orbit.crossings) >= 3
+    assert len(built) == len(refined) == sum(located) == len(orbit.crossings) == 3
+    assert skipped == [(False, 0, 0)] * 2
 
 
 def test_repeated_monitor_name_is_rejected():
@@ -812,6 +830,59 @@ def _return_hits(k, p0, t_end, section):
         states.append(stepper.y)
         returns.advance(stepper, stepper.y)
     return times, states, returns.hits
+
+
+class _RefineEveryCrossing(_ReturnMap):
+    """Reference return map that builds a segment for and refines every
+    crossing, against the locked direction too, and leaves _keep to drop
+    those; it counts the crossings it refines."""
+
+    refined = 0
+
+    def advance(self, stepper, y):
+        g_start, g_end = self._g, self.section.value(y)
+        self._g = g_end
+        crossed = g_start < 0.0 < g_end or g_start > 0.0 > g_end
+        if not crossed and (g_end != 0.0 or g_start == 0.0):
+            return False
+        self.refined += crossed
+        segment = stepper.segment()
+        theta = flow._refine_crossing(segment, self.section.value) if crossed else 1.0
+        state = y if theta == 1.0 else segment.eval_theta(theta)
+        return self._keep(segment.t0 + theta * segment.h, state)
+
+
+def _hexed(hits):
+    return [(t.hex(), tuple(c.hex() for c in state)) for t, state in hits]
+
+
+@pytest.mark.parametrize("direction", ["both", "positive", "negative"])
+def test_skipping_crossings_against_the_lock_keeps_every_hit(direction):
+    # both maps read the same eighth-order steps, as a center-regime probe
+    # takes them, of seeded orbits of k and -k
+    rng = SplitMix64(2024)
+    skipped = 0
+    for _ in range(4):
+        # k = s*(a, b, b*r, a*r): same signs and k3 = k2*k4/k1, exactly
+        a, b = rng.choice(range(1, 7)), rng.choice(range(1, 7))
+        r = rng.choice((0.5, 1.0, 1.5, 2.0, 3.0))
+        for s in (1, -1):
+            k = ParamVector(s * a, s * b, s * b * r, s * a * r)
+            assert classify(k).oscillatory
+            fun = _field3(k)
+            section = replace(default_section(k), direction=direction)
+            for start in sample_interior(k, 3, rng):
+                stepper = DormandPrince45(fun, start.coords, 80.0, _pair=_DOP853)
+                returns = _ReturnMap(section, fun, stepper.y)
+                reference = _RefineEveryCrossing(section, fun, stepper.y)
+                while not stepper.finished:
+                    stepper.step()
+                    kept = returns.advance(stepper, stepper.y)
+                    assert reference.advance(stepper, stepper.y) == kept
+                assert len(returns.hits) >= 3
+                assert _hexed(returns.hits) == _hexed(reference.hits)
+                skipped += reference.refined - len(returns.hits)
+    assert skipped > 0
 
 
 def test_crossings_on_periodic_orbit():

@@ -516,7 +516,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"lv3: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ZeroParameter, ArithmeticError, flow.StepSizeUnderflow) as exc:
+    except (ValueError, ZeroParameter, ArithmeticError, flow.StepSizeUnderflow,
+            flow.StepBudgetExhausted) as exc:
         print(f"lv3: {exc}", file=sys.stderr)
         return EXIT_FAIL
     finally:

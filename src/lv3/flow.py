@@ -10,13 +10,14 @@ tuples: state dimensions here are 2 to 4, where numpy array overhead would
 dominate the runtime.  _kernels writes each pair's step, error norm and
 dense-segment arithmetic out over named scalars from its tableau, once per
 (pair, state length) on first use: the 2-D face flows, the 3-D simplex
-flow and the 4-D flow run one code path.
+flow and the 4-D flow run one code path, and one DenseSegment class serves
+both pairs, building its rows on first read.
 
 Two kinds of run take the Dormand-Prince 8(5,3) pair (DOP853; Prince &
 Dormand 1981): the drift re-integration of analysis.orbit_integral_drift,
 and the probes of a center-regime k, whose return maps read its
-seventh-order dense output (three extra stages per crossing the return map
-can keep) and take about 5x fewer steps.  integrate, integrate4, the face
+seventh-order dense output (three extra stages on a segment's first
+read) and take about 5x fewer steps.  integrate, integrate4, the face
 flows and the off-manifold probes keep the 5(4) pair: integrate prints one
 row per accepted step, so a higher order would change its output rather
 than its cost.  On the off-manifold probes 8(5,3) took 5x fewer steps but
@@ -50,7 +51,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cache, partial
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords, _field3
@@ -62,6 +63,7 @@ __all__ = [
     "Trajectory",
     "SectionSpec",
     "StepSizeUnderflow",
+    "StepBudgetExhausted",
     "integrate",
     "integrate4",
     "field4",
@@ -180,39 +182,8 @@ class StepSizeUnderflow(RuntimeError):
     """The controller pushed the step below the resolvable span fraction."""
 
 
-@dataclass(eq=False)
-class DenseSegment:
-    """Quartic interpolant over one accepted step (internal clock); treat as
-    immutable.
-
-    K holds the step's seven stage derivatives; the coefficients q are
-    built from them on first use.  Not frozen (a frozen __init__ costs
-    three times as much); segments compare and hash by identity.
-    """
-
-    t0: float
-    h: float
-    y0: tuple
-    K: tuple
-
-    @cached_property
-    def q(self) -> tuple:
-        return _dense_q(self.K, len(self.y0))
-
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.h
-
-    def eval_theta(self, theta: float) -> tuple:
-        y0, h, q = self.y0, self.h, self.q
-        return tuple(
-            y0[i]
-            + h * theta * (q[i][0] + theta * (q[i][1] + theta * (q[i][2] + theta * q[i][3])))
-            for i in range(len(y0))
-        )
-
-    def eval(self, t: float) -> tuple:
-        return self.eval_theta((t - self.t0) / self.h)
+class StepBudgetExhausted(RuntimeError):
+    """A run took MAX_ACCEPTED_STEPS accepted steps before its span ended."""
 
 
 def _terms(row, i):
@@ -233,8 +204,8 @@ def _display(items):
 
 
 def _source(pair, n):
-    """Source of pair's step, norm and, with dense-output stages, dense
-    segment for n components: stage j is c{j}_0, ..., the start u0, ...."""
+    """Source of pair's step, norm and dense segment for n components:
+    stage j is c{j}_0, ..., the start u0, ...."""
     comps = range(n)
     fsal = len(pair.stages) + 1  # f(y1) is this stage and the next step's first
 
@@ -274,28 +245,42 @@ def _source(pair, n):
         out += [f"    sq = {sums[0]}", "    if sq == 0.0:", "        return 0.0",
                 f"    return sq / sqrt({n} * (sq + 0.01 * ({sums[1]})))"]
 
-    if pair.dense_stages:
-        used = reads((*pair.dense_stages, *pair.dense_weights)) | {0, fsal}
+    def unpack_stages(used):
         unpack = [f"({names(f'c{j}_')})" if j in used else "_" for j in range(fsal + 1)]
-        out += ["", "def dense(fun, h, y, K, y1):", f"    {names('u')} = y",
-                f"    {_seq(unpack)} = K", *(f"    d{i} = y1[{i}] - u{i}" for i in comps)]
+        return f"    {_seq(unpack)} = K"
+
+    out += ["", "def dense(fun, h, y, K, y1):"]
+    if pair.dense_stages:  # F0 = y1 - y0, F1, F2, then F3.. = h * dense_weights.K
+        out += [f"    {names('u')} = y",
+                unpack_stages(reads((*pair.dense_stages, *pair.dense_weights)) | {0, fsal}),
+                *(f"    d{i} = y1[{i}] - u{i}" for i in comps)]
         out += [f"    {names(f'c{s}_')} = fun({state(row)})"
                 for s, row in enumerate(pair.dense_stages, fsal + 1)]
         out.append("    return " + _display([
             item for i in comps for item in (
                 f"d{i}", f"h * c0_{i} - d{i}", f"2.0 * d{i} - h * (c{fsal}_{i} + c0_{i})",
                 *(f"h * ({_terms(row, i)})" for row in pair.dense_weights))]))
-        m = 3 + len(pair.dense_weights)
+        m, head = 3 + len(pair.dense_weights), "w = 1.0 - x"
 
         def horner(i):  # u + x*(F0 + w*(F1 + x*(F2 + ...))), w = 1 - x
             expr = f"p{i}_{m - 1}"
             for j in range(m - 2, -2, -1):
                 expr = f"{f'p{i}_{j}' if j >= 0 else f'u{i}'} + {'x' if j % 2 else 'w'} * ({expr})"
             return expr
+    else:  # q_j = dense_weights[j].K
+        out += [unpack_stages(reads(pair.dense_weights)), "    return " + _display(
+            [_terms(row, i) for i in comps for row in pair.dense_weights])]
+        m, head = len(pair.dense_weights), "hx = h * x"
 
-        out += ["", "def dense_eval(y, rows, x):", "    w = 1.0 - x",
-                f"    {_seq([f'p{i}_{j}' for i in comps for j in range(m)])} = rows",
-                f"    {names('u')} = y", f"    return {_display([horner(i) for i in comps])}"]
+        def horner(i):  # u + h*x*(q0 + x*(q1 + x*(q2 + ...)))
+            expr = f"p{i}_{m - 1}"
+            for j in range(m - 2, -1, -1):
+                expr = f"p{i}_{j} + x * ({expr})"
+            return f"u{i} + hx * ({expr})"
+
+    out += ["", "def dense_eval(y, h, rows, x):", f"    {head}",
+            f"    {_seq([f'p{i}_{j}' for i in comps for j in range(m)])} = rows",
+            f"    {names('u')} = y", f"    return {_display([horner(i) for i in comps])}"]
     return "\n".join(out) + "\n"
 
 
@@ -305,39 +290,44 @@ _Code = namedtuple("_Code", "step norm dense dense_eval")
 @cache
 def _kernels(pair, n):
     """pair's code for n-component states, compiled on first request:
-    step(fun, y, f0, h) -> (y1, f1, err, K), norm(err, y, y1, rtol, atol)
-    and, with dense-output stages (else None), dense(fun, h, y0, K, y1) ->
-    rows and dense_eval(y0, rows, theta).  Its source is in linecache under
-    its filename, e.g. <lv3.flow DOP853 n=3>, for tracebacks and profiles."""
+    step(fun, y, f0, h) -> (y1, f1, err, K), norm(err, y, y1, rtol, atol),
+    dense(fun, h, y0, K, y1) -> rows and dense_eval(y0, h, rows, theta).
+    Its source is in linecache under its filename, e.g. <lv3.flow DOP853
+    n=3>, for tracebacks and profiles."""
     source = _source(pair, n)
     filename = f"<lv3.flow {pair.name} n={n}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     code = {"sqrt": math.sqrt}
     exec(compile(source, filename, "exec"), code)
-    return _Code(*(code.get(name) for name in _Code._fields))
+    return _Code(*(code[name] for name in _Code._fields))
 
 
-class _DenseSegment8:
-    """Seventh-order interpolant over one Dormand-Prince 8(5,3) step
-    (internal clock); treat as immutable.
+class DenseSegment:
+    """Interpolant over one accepted step (internal clock); treat as
+    immutable.
 
-    The pair's code (_kernels) builds it from the step's stages K (FSAL f1
-    last) and end state y1: the dense stages, F0 = y1 - y0, F1 = h*f0 - F0,
-    F2 = 2*F0 - h*(f1 + f0) and F3..F6 = h * dense_weights.K.  With x = theta
-    and u = 1 - x, it is y0 + x*(F0 + u*(F1 + x*(F2 + u*(F3 + ... x*F6)))."""
+    The pair's code (_kernels) writes it from the step's stages K (FSAL f1
+    last) and end state y1.  Its rows are built on the first read, so a
+    segment that is never read costs no arithmetic and an 8(5,3) segment
+    evaluates its three dense stages only then.  Segments compare and hash
+    by identity.
+    """
 
-    __slots__ = ("t0", "h", "y0", "_rows", "_eval")
+    __slots__ = ("t0", "h", "y0", "_code", "_fun", "_K", "_y1", "_rows")
 
     def __init__(self, code, fun, t0, h, y0, K, y1):
-        self.t0, self.h, self.y0, self._eval = t0, h, y0, code.dense_eval
-        self._rows = code.dense(fun, h, y0, K, y1)
+        self.t0, self.h, self.y0 = t0, h, y0
+        self._code, self._fun, self._K, self._y1, self._rows = code, fun, K, y1, None
 
     @property
     def t1(self) -> float:
         return self.t0 + self.h
 
     def eval_theta(self, theta: float) -> tuple:
-        return self._eval(self.y0, self._rows, theta)
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._code.dense(self._fun, self.h, self.y0, self._K, self._y1)
+        return self._code.dense_eval(self.y0, self.h, rows, theta)
 
     def eval(self, t: float) -> tuple:
         return self.eval_theta((t - self.t0) / self.h)
@@ -350,13 +340,6 @@ def _plain_sum(values):
     for v in values:
         total += v
     return total
-
-
-def _dense_q(K, n):
-    return tuple(
-        tuple(_plain_sum(K[s][i] * _P[s][j] for s in range(7)) for j in range(4))
-        for i in range(n)
-    )
 
 
 def _clamp(v, lo, hi):
@@ -393,11 +376,16 @@ class _Pair:
     error row takes the RMS norm; two (DOP853: e5, e3) take Hairer's
     |h|*|e5|**2 / sqrt(|e5|**2 + 0.01*|e3|**2) over RMS norms, where the
     3rd-order estimate keeps a 5th-order error that is small by cancellation
-    from passing.  dense_stages and dense_weights are the extra stages and
-    the rows F3.. of _DenseSegment8.  The controller exponents follow from
-    the order q: a rejected step shrinks by SAFETY * err**(-1/q), an
-    accepted one grows by SAFETY * err**(-0.7/q) * err_prev**(0.4/q), and
-    the first step is (0.01 / d)**(1/q).
+    from passing.  dense_weights are the DenseSegment rows over the stages,
+    with x = theta.  Without dense_stages (5(4)) row j gives q_j = row.K in
+    the quartic y0 + h*x*(q0 + x*(q1 + x*(q2 + x*q3))).  With them (DOP853)
+    row j gives F{3+j} = h*row.K, over the extra stages too, in
+    y0 + x*(F0 + w*(F1 + x*(F2 + w*(F3 + ...)))) with w = 1 - x,
+    F0 = y1 - y0, F1 = h*f0 - F0 and F2 = 2*F0 - h*(f1 + f0).  The
+    controller exponents follow from the order q: a rejected step shrinks
+    by SAFETY * err**(-1/q), an accepted one grows by
+    SAFETY * err**(-0.7/q) * err_prev**(0.4/q), and the first step is
+    (0.01 / d)**(1/q).
     """
 
     name: str  # names the generated code
@@ -405,19 +393,17 @@ class _Pair:
     stages: tuple
     weights: tuple
     errors: tuple
-    segment: object  # (code, fun, t0, h, y0, K, y1) -> dense segment of that step
+    dense_weights: tuple
     dense_stages: tuple = ()
-    dense_weights: tuple = ()
 
 
 # Dormand-Prince 5(4): integrate, integrate4, the face flows and the probes
 # off the center regime, where 8(5,3) misreads more stops (module docstring);
 # its quartic interpolant needs no extra stage.
-_DP5 = _Pair("DP5", 5, _A[1:-1], _A[-1], (_E,),
-             lambda code, fun, t0, h, y0, K, y1: DenseSegment(t0, h, y0, K))
+_DP5 = _Pair("DP5", 5, _A[1:-1], _A[-1], (_E,), tuple(zip(*_P)))
 # Dormand-Prince 8(5,3): the drift run and the center-regime probes, where it
-# takes about 5x fewer steps; a segment costs three extra stages.
-_DOP853 = _Pair("DOP853", 8, _A8[1:], _B8, (_E5, _E3), _DenseSegment8, _A8X, _D8)
+# takes about 5x fewer steps; a segment's first read costs three extra stages.
+_DOP853 = _Pair("DOP853", 8, _A8[1:], _B8, (_E5, _E3), _D8, _A8X)
 
 
 class DormandPrince45:
@@ -513,7 +499,7 @@ class DormandPrince45:
 
     def segment(self):
         """Dense segment of the step last accepted (a new one on every call)."""
-        return self._pair.segment(self._code, self.fun, *self._last, self.y)
+        return DenseSegment(self._code, self.fun, *self._last, self.y)
 
 
 @dataclass
@@ -629,8 +615,8 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
     For negative t_end fun is the flow of -k and only the reported times
     carry the sign.  violation and what go
     to _steps; the run keeps the largest violation.  An exhausted step
-    budget raises RuntimeError.  specs maps monitored names to their specs,
-    evaluated over all samples once the run is done.  pair is the embedded
+    budget raises StepBudgetExhausted.  specs maps monitored names to their
+    specs, evaluated over all samples once the run is done.  pair is the embedded
     pair the stepper runs.
     """
     sign = 1 if t_end > 0.0 else -1
@@ -649,7 +635,7 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_den
         if add_segment is not None:
             add_segment(stepper.segment())
     if not stepper.finished:
-        raise RuntimeError(f"accepted-step budget {MAX_ACCEPTED_STEPS} exhausted")
+        raise StepBudgetExhausted(f"accepted-step budget {MAX_ACCEPTED_STEPS} exhausted")
     drift = dict(zip(specs, log_integral_series(specs.values(), states))) if specs else None
     return Trajectory(
         k=k,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lv3.flow import _P
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
 
@@ -103,3 +104,18 @@ def hairer_norm_reference(err, y, y1, rtol, atol) -> float:
         sq5 += e5 * e5
         sq3 += e3 * e3
     return 0.0 if sq5 == 0.0 else sq5 / math.sqrt(n * (sq5 + 0.01 * sq3))
+
+
+def quartic_rows_reference(K, n) -> tuple:
+    """The rows of a Dormand-Prince 5(4) dense segment over the stages K:
+    q_j = P_j.K for each component in turn, every one of the seven stages
+    added left to right from 0.0, zero weights included, which the
+    generated code leaves out."""
+    rows = []
+    for i in range(n):
+        for j in range(4):
+            total = 0.0
+            for s in range(7):
+                total += K[s][i] * _P[s][j]
+            rows.append(total)
+    return tuple(rows)

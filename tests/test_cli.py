@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from lv3 import flow
 from lv3.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -185,6 +186,19 @@ def test_step_underflow_is_a_failure_not_a_traceback():
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("lv3: step ") and "below floor" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 100",
+    "portrait --k 2,3,3,2 --n 2 --t 100",
+], ids=lambda argv: argv.split()[0])
+def test_an_exhausted_step_budget_is_a_failure_not_a_traceback(capsys, monkeypatch, argv):
+    monkeypatch.setattr(flow, "MAX_ACCEPTED_STEPS", 50)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    assert captured.err == "lv3: accepted-step budget 50 exhausted\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,13 +20,11 @@ from lv3.flow import (
     _D8,
     _DOP853,
     _DP5,
-    _DenseSegment8,
     _E,
     _E3,
     _E5,
     _P,
     _ReturnMap,
-    _dense_q,
     _dist,
     _drive,
     _field3,
@@ -44,7 +42,8 @@ from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector, classify
 from lv3.rng import SplitMix64
 from conftest import (cpython311_only, cpython_only, hairer_norm_reference, norm3,
-                      rand_interior_point, rand_params, rms_norm_reference)
+                      quartic_rows_reference, rand_interior_point, rand_params,
+                      rms_norm_reference)
 
 
 # --- tableau sanity ----------------------------------------------------------
@@ -177,10 +176,18 @@ def test_unrolled_step_is_bitwise_the_stage_loop(pair, n):
             for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-9), (1e-12, 1e-300)):
                 assert code.norm(e, y, y1, rtol, atol).hex() == norm(e, y, y1, rtol, atol).hex()
         if pair is _DP5:
-            segment = DenseSegment(t0=0.0, h=h, y0=y, K=K)
-            assert "q" not in vars(segment)  # built on first use only
-            assert segment.eval_theta(0.0) == y
-            assert _bits(segment.q) == _bits(_dense_q(K, n))
+            # and K of signed zeros, whose products with the zero weights
+            # the reference adds
+            for stages in (K, tuple(tuple(math.copysign(0.0, v) for v in k) for k in K)):
+                segment = DenseSegment(code, fun, 0.0, h, y, stages, y1)
+                assert segment._rows is None  # built on first read only
+                assert segment.eval_theta(0.0) == y
+                rows = quartic_rows_reference(stages, n)
+                assert _bits(segment._rows) == _bits(rows)
+                for x in (0.3, 0.5, 0.77, 1.0):  # y0 + h*x*(q0 + x*(q1 + x*(q2 + x*q3)))
+                    assert _bits(segment.eval_theta(x)) == _bits(tuple(
+                        y[i] + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
+                        for i, q in enumerate(zip(*[iter(rows)] * 4))))
 
 
 def test_kernels_are_compiled_once_per_pair_and_length():
@@ -191,7 +198,7 @@ def test_kernels_are_compiled_once_per_pair_and_length():
         for fun, y in runs:
             code = _kernels(pair, len(y))
             assert _kernels(pair, len(y)) is code
-            assert (code.dense is None) == (pair is _DP5)  # only DOP853 has dense stages
+            assert code.dense is not None and code.dense_eval is not None
             stepper = DormandPrince45(fun, y, 1.0, _pair=pair)
             assert (stepper._kernel, stepper._norm) == (code.step, code.norm)
     # the written-out lines read back under the pair's name, for tracebacks
@@ -257,7 +264,7 @@ def _segment8(fun, y0, h):
     """The dense segment of one eighth-order step of size h from y0."""
     code = _kernels(_DOP853, len(y0))
     y1, _, _, K = code.step(fun, y0, fun(y0), h)
-    return _DenseSegment8(code, fun, 0.0, h, y0, K, y1), y1, K
+    return DenseSegment(code, fun, 0.0, h, y0, K, y1), y1, K
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -339,7 +346,7 @@ def test_eighth_order_stepper_keeps_dense_segments():
     k = ParamVector(2, 3, 3, 2)
     traj = _drive(k, _field3(k), (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14, _violation3, "simplex", {},
                   True, _DOP853)
-    assert all(type(seg) is _DenseSegment8 for seg in traj.dense)
+    assert all(type(seg) is DenseSegment for seg in traj.dense)
     assert len(traj.dense) == len(traj) - 1
     for seg, state in zip(traj.dense, traj.states[1:]):
         assert traj.state_at(seg.t1) == seg.eval_theta(1.0)
@@ -368,9 +375,12 @@ def test_plain_sums_are_bitwise_the_sum_forms(n):
         stepper = DormandPrince45(fun, y1, 1.0)
         assert stepper.speed.hex() == math.sqrt(sum(v * v for v in stepper.f)).hex()
         assert _dist(y, y1).hex() == math.sqrt(sum((u - v) ** 2 for u, v in zip(y, y1))).hex()
-        assert _bits(_dense_q(K, n)) == _bits(tuple(
-            tuple(sum(K[s][i] * _P[s][j] for s in range(7)) for j in range(4))
-            for i in range(n)))
+        rows = quartic_rows_reference(K, n)
+        assert _bits(rows) == _bits(tuple(
+            sum(K[s][i] * _P[s][j] for s in range(7)) for i in range(n) for j in range(4)))
+        segment = DenseSegment(_kernels(_DP5, n), fun, 0.0, h, y, K, y1)
+        segment.eval_theta(0.5)
+        assert _bits(segment._rows) == _bits(rows)
 
 
 # sha256 of repr() of outputs of the 4-D flow and the 2-D face flows,
@@ -443,13 +453,10 @@ def test_dense_output_accuracy_order():
         worst = 0.0
         for i in range(n):
             y1, f, _, K = _kernels(_DP5, 3).step(fun, y, f, h)
-            q = _dense_q(K, 3)
+            segment = DenseSegment(_kernels(_DP5, 3), fun, i * h, h, y, K, y1)
             for theta in (0.25, 0.5, 0.75):
                 t = (i + theta) * h
-                interp = tuple(
-                    y[j] + h * theta * (q[j][0] + theta * (q[j][1] + theta * (q[j][2] + theta * q[j][3])))
-                    for j in range(3)
-                )
+                interp = segment.eval_theta(theta)
                 exact = tuple(v * math.exp(l * t) for v, l in zip(y0, lam))
                 worst = max(worst, norm3([a - b for a, b in zip(interp, exact)]))
             y = y1
@@ -613,11 +620,11 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
     advance = flow._ReturnMap.advance
     refine = flow._refine_crossing
 
-    def counting(init):
-        def counted_init(segment, *args, **kwargs):
-            built.append(segment)
-            init(segment, *args, **kwargs)
-        return counted_init
+    init = DenseSegment.__init__
+
+    def counted_init(segment, *args, **kwargs):
+        built.append(segment)
+        init(segment, *args, **kwargs)
 
     def counted_refine(segment, gfun):
         refined.append(segment)
@@ -637,8 +644,7 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
             located.append(strict or (g_end == 0.0 and g_start != 0.0))
         return kept
 
-    for cls in (DenseSegment, _DenseSegment8):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    monkeypatch.setattr(DenseSegment, "__init__", counted_init)
     monkeypatch.setattr(flow, "_refine_crossing", counted_refine)
     monkeypatch.setattr(flow._ReturnMap, "advance", counted_advance)
     k = ParamVector(2, 3, 3, 2)
@@ -652,9 +658,33 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
     # in the locked direction; the probe takes 66 eighth-order steps here, 5
     # of which cross, 2 of them against the lock
     assert len(located) > 50
-    assert all(type(seg) is _DenseSegment8 for seg in built)
+    assert all(type(seg) is DenseSegment and seg._code is _kernels(_DOP853, 3) for seg in built)
     assert len(built) == len(refined) == sum(located) == len(orbit.crossings) == 3
     assert skipped == [(False, 0, 0)] * 2
+
+
+@pytest.mark.parametrize("pair, extra", [(_DP5, 0), (_DOP853, 3)], ids=["DP5", "DOP853"])
+def test_segment_rows_are_built_on_first_read(pair, extra):
+    # the extra stages of an 8(5,3) segment are field evaluations made on its
+    # first read, not when it is built; 5(4) has none, and builds its rows
+    # on first read too
+    field, calls = _field3(ParamVector(2, 3, 3, 2)), []
+
+    def fun(y):
+        calls.append(y)
+        return field(y)
+
+    stepper = DormandPrince45(fun, (0.2, 0.2, 0.2), 1.0, _pair=pair)
+    stepper.step()
+    before = len(calls)
+    segment = stepper.segment()
+    assert len(calls) == before and segment._rows is None
+    state = segment.eval_theta(0.5)
+    rows = segment._rows
+    assert len(calls) == before + extra and rows is not None
+    assert segment.eval(segment.t0 + 0.5 * segment.h) == state
+    assert segment.eval_theta(0.25) != state
+    assert len(calls) == before + extra and segment._rows is rows
 
 
 def test_repeated_monitor_name_is_rejected():

@@ -501,15 +501,33 @@ _HANDLERS = {
 }
 
 
+class _OutFile:
+    """The --out file, opened (and truncated) at the first write.  Every
+    handler writes only once its run is done, so a run that fails leaves
+    the file as it was, or absent."""
+
+    def __init__(self, path):
+        self._path, self._file = path, None
+
+    def write(self, text):
+        self._file = open(self._path, "w", encoding="utf-8")
+        self.write = self._file.write  # later writes go straight to the file
+        return self.write(text)
+
+    def flush(self):
+        if self._file is not None:
+            self._file.flush()
+
+    def close(self):
+        if self._file is not None:
+            self._file.close()
+
+
 def main(argv=None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
     handler = _HANDLERS[cfg.command]
-    stream = sys.stdout
-    opened = None
+    stream = _OutFile(cfg.out) if cfg.out else sys.stdout
     try:
-        if cfg.out:
-            opened = open(cfg.out, "w", encoding="utf-8")
-            stream = opened
         code = handler(cfg, stream)
         stream.flush()
         return code
@@ -521,8 +539,8 @@ def main(argv=None) -> int:
         print(f"lv3: {exc}", file=sys.stderr)
         return EXIT_FAIL
     finally:
-        if opened is not None:
-            opened.close()
+        if cfg.out:
+            stream.close()
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ dominate the runtime.  _kernels writes each pair's step, error norm and
 dense-segment arithmetic out over named scalars from its tableau, once per
 (pair, state length) on first use: the 2-D face flows, the 3-D simplex
 flow and the 4-D flow run one code path, and one DenseSegment class serves
-both pairs, building its rows on first read.
+both pairs in one form (_Pair), building its rows on first read.
 
 Two kinds of run take the Dormand-Prince 8(5,3) pair (DOP853; Prince &
 Dormand 1981): the drift re-integration of analysis.orbit_integral_drift,
@@ -89,19 +89,11 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Quartic dense-output weights; row sums reproduce _B so the interpolant is
-# consistent with the step endpoint.
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
+# Dense-output weights d1..d7 of Hairer's DOPRI5 (Shampine 1986), scipy's
+# RK45.P[:, 3]: the segment row F3 = h*_D5.K (_Pair).
+_D5 = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+       701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
 
 
 # Dormand-Prince 8(5,3) tableau (Prince & Dormand 1981; Hairer, Norsett &
@@ -249,36 +241,24 @@ def _source(pair, n):
         unpack = [f"({names(f'c{j}_')})" if j in used else "_" for j in range(fsal + 1)]
         return f"    {_seq(unpack)} = K"
 
-    out += ["", "def dense(fun, h, y, K, y1):"]
-    if pair.dense_stages:  # F0 = y1 - y0, F1, F2, then F3.. = h * dense_weights.K
-        out += [f"    {names('u')} = y",
-                unpack_stages(reads((*pair.dense_stages, *pair.dense_weights)) | {0, fsal}),
-                *(f"    d{i} = y1[{i}] - u{i}" for i in comps)]
-        out += [f"    {names(f'c{s}_')} = fun({state(row)})"
-                for s, row in enumerate(pair.dense_stages, fsal + 1)]
-        out.append("    return " + _display([
-            item for i in comps for item in (
-                f"d{i}", f"h * c0_{i} - d{i}", f"2.0 * d{i} - h * (c{fsal}_{i} + c0_{i})",
-                *(f"h * ({_terms(row, i)})" for row in pair.dense_weights))]))
-        m, head = 3 + len(pair.dense_weights), "w = 1.0 - x"
+    m = 3 + len(pair.dense_weights)  # F0, F1, F2 and a row per dense_weights row
+    out += ["", "def dense(fun, h, y, K, y1):", f"    {names('u')} = y",
+            unpack_stages(reads((*pair.dense_stages, *pair.dense_weights)) | {0, fsal}),
+            *(f"    d{i} = y1[{i}] - u{i}" for i in comps)]
+    out += [f"    {names(f'c{s}_')} = fun({state(row)})"
+            for s, row in enumerate(pair.dense_stages, fsal + 1)]
+    out.append("    return " + _display([
+        item for i in comps for item in (
+            f"d{i}", f"h * c0_{i} - d{i}", f"2.0 * d{i} - h * (c{fsal}_{i} + c0_{i})",
+            *(f"h * ({_terms(row, i)})" for row in pair.dense_weights))]))
 
-        def horner(i):  # u + x*(F0 + w*(F1 + x*(F2 + ...))), w = 1 - x
-            expr = f"p{i}_{m - 1}"
-            for j in range(m - 2, -2, -1):
-                expr = f"{f'p{i}_{j}' if j >= 0 else f'u{i}'} + {'x' if j % 2 else 'w'} * ({expr})"
-            return expr
-    else:  # q_j = dense_weights[j].K
-        out += [unpack_stages(reads(pair.dense_weights)), "    return " + _display(
-            [_terms(row, i) for i in comps for row in pair.dense_weights])]
-        m, head = len(pair.dense_weights), "hx = h * x"
+    def horner(i):  # u + x*(F0 + w*(F1 + x*(F2 + w*(F3 + ...)))), w = 1 - x
+        expr = f"p{i}_{m - 1}"
+        for j in range(m - 2, -2, -1):
+            expr = f"{f'p{i}_{j}' if j >= 0 else f'u{i}'} + {'x' if j % 2 else 'w'} * ({expr})"
+        return expr
 
-        def horner(i):  # u + h*x*(q0 + x*(q1 + x*(q2 + ...)))
-            expr = f"p{i}_{m - 1}"
-            for j in range(m - 2, -1, -1):
-                expr = f"p{i}_{j} + x * ({expr})"
-            return f"u{i} + hx * ({expr})"
-
-    out += ["", "def dense_eval(y, h, rows, x):", f"    {head}",
+    out += ["", "def dense_eval(y, rows, x):", "    w = 1.0 - x",
             f"    {_seq([f'p{i}_{j}' for i in comps for j in range(m)])} = rows",
             f"    {names('u')} = y", f"    return {_display([horner(i) for i in comps])}"]
     return "\n".join(out) + "\n"
@@ -291,7 +271,7 @@ _Code = namedtuple("_Code", "step norm dense dense_eval")
 def _kernels(pair, n):
     """pair's code for n-component states, compiled on first request:
     step(fun, y, f0, h) -> (y1, f1, err, K), norm(err, y, y1, rtol, atol),
-    dense(fun, h, y0, K, y1) -> rows and dense_eval(y0, h, rows, theta).
+    dense(fun, h, y0, K, y1) -> rows and dense_eval(y0, rows, theta).
     Its source is in linecache under its filename, e.g. <lv3.flow DOP853
     n=3>, for tracebacks and profiles."""
     source = _source(pair, n)
@@ -307,10 +287,10 @@ class DenseSegment:
     immutable.
 
     The pair's code (_kernels) writes it from the step's stages K (FSAL f1
-    last) and end state y1.  Its rows are built on the first read, so a
-    segment that is never read costs no arithmetic and an 8(5,3) segment
-    evaluates its three dense stages only then.  Segments compare and hash
-    by identity.
+    last) and end state y1 in _Pair's form: theta 1 gives y0 + (y1 - y0).
+    Its rows are built on the first read, so a segment that is never read
+    costs no arithmetic and an 8(5,3) segment evaluates its three dense
+    stages only then.  Segments compare and hash by identity.
     """
 
     __slots__ = ("t0", "h", "y0", "_code", "_fun", "_K", "_y1", "_rows")
@@ -327,7 +307,7 @@ class DenseSegment:
         rows = self._rows
         if rows is None:
             rows = self._rows = self._code.dense(self._fun, self.h, self.y0, self._K, self._y1)
-        return self._code.dense_eval(self.y0, self.h, rows, theta)
+        return self._code.dense_eval(self.y0, rows, theta)
 
     def eval(self, t: float) -> tuple:
         return self.eval_theta((t - self.t0) / self.h)
@@ -376,14 +356,14 @@ class _Pair:
     error row takes the RMS norm; two (DOP853: e5, e3) take Hairer's
     |h|*|e5|**2 / sqrt(|e5|**2 + 0.01*|e3|**2) over RMS norms, where the
     3rd-order estimate keeps a 5th-order error that is small by cancellation
-    from passing.  dense_weights are the DenseSegment rows over the stages,
-    with x = theta.  Without dense_stages (5(4)) row j gives q_j = row.K in
-    the quartic y0 + h*x*(q0 + x*(q1 + x*(q2 + x*q3))).  With them (DOP853)
-    row j gives F{3+j} = h*row.K, over the extra stages too, in
-    y0 + x*(F0 + w*(F1 + x*(F2 + w*(F3 + ...)))) with w = 1 - x,
-    F0 = y1 - y0, F1 = h*f0 - F0 and F2 = 2*F0 - h*(f1 + f0).  The
-    controller exponents follow from the order q: a rejected step shrinks
-    by SAFETY * err**(-1/q), an accepted one grows by
+    from passing.  dense_weights are the DenseSegment rows: row j gives
+    F{3+j} = h*row.K over the stages and dense_stages (DOP853's three extra
+    stages; 5(4) has none) in Hairer's continuous extension
+    y0 + x*(F0 + w*(F1 + x*(F2 + w*(F3 + ...)))), x = theta, w = 1 - x,
+    F0 = y1 - y0, F1 = h*f0 - F0 and F2 = 2*F0 - h*(f1 + f0): DOPRI5's
+    fourth-order CONTD5 with one row, DOP853's seventh-order one with four.
+    The controller exponents follow from the order q: a rejected step
+    shrinks by SAFETY * err**(-1/q), an accepted one grows by
     SAFETY * err**(-0.7/q) * err_prev**(0.4/q), and the first step is
     (0.01 / d)**(1/q).
     """
@@ -399,8 +379,8 @@ class _Pair:
 
 # Dormand-Prince 5(4): integrate, integrate4, the face flows and the probes
 # off the center regime, where 8(5,3) misreads more stops (module docstring);
-# its quartic interpolant needs no extra stage.
-_DP5 = _Pair("DP5", 5, _A[1:-1], _A[-1], (_E,), tuple(zip(*_P)))
+# its fourth-order interpolant (Hairer's CONTD5) needs no extra stage.
+_DP5 = _Pair("DP5", 5, _A[1:-1], _A[-1], (_E,), (_D5,))
 # Dormand-Prince 8(5,3): the drift run and the center-regime probes, where it
 # takes about 5x fewer steps; a segment's first read costs three extra stages.
 _DOP853 = _Pair("DOP853", 8, _A8[1:], _B8, (_E5, _E3), _D8, _A8X)
@@ -524,18 +504,20 @@ class Trajectory:
         return len(self.t)
 
     def state_at(self, t_req: float) -> tuple:
-        """Dense-output state at reported time t_req."""
+        """Dense-output state at reported time t_req, which must lie in the
+        closed span from 0 to t[-1]: ValueError outside it or for nan."""
         if self.dense is None:
             raise ValueError("trajectory was integrated without dense output")
         tau = self.sign * t_req
-        if tau <= 0.0:
+        if not 0.0 <= tau <= self.sign * self.t[-1]:
+            raise ValueError(f"t_req={t_req!r} is outside the run, from 0 to {self.t[-1]!r}")
+        if tau == 0.0:
             return self.states[0]
         starts = getattr(self, "_starts", None)
         if starts is None:
             starts = [seg.t0 for seg in self.dense]
             self._starts = starts
-        idx = min(bisect_right(starts, tau) - 1, len(self.dense) - 1)
-        seg = self.dense[idx]
+        seg = self.dense[bisect_right(starts, tau) - 1]
         return seg.eval(min(tau, seg.t1))
 
     def drift_range(self, name: str) -> float:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lv3.flow import _P
+from lv3.flow import _D5
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
 
@@ -106,16 +106,18 @@ def hairer_norm_reference(err, y, y1, rtol, atol) -> float:
     return 0.0 if sq5 == 0.0 else sq5 / math.sqrt(n * (sq5 + 0.01 * sq3))
 
 
-def quartic_rows_reference(K, n) -> tuple:
-    """The rows of a Dormand-Prince 5(4) dense segment over the stages K:
-    q_j = P_j.K for each component in turn, every one of the seven stages
+def contd5_rows_reference(y0, h, K, y1) -> tuple:
+    """The rows of a Dormand-Prince 5(4) dense segment, Hairer's DOPRI5
+    continuous extension, for the step from y0 to y1 over the stages K:
+    F0 = y1 - y0, F1 = h*f0 - F0, F2 = 2*F0 - h*(f1 + f0) and
+    F3 = h * d.K for each component in turn, every one of the seven stages
     added left to right from 0.0, zero weights included, which the
     generated code leaves out."""
     rows = []
-    for i in range(n):
-        for j in range(4):
-            total = 0.0
-            for s in range(7):
-                total += K[s][i] * _P[s][j]
-            rows.append(total)
+    for i in range(len(y0)):
+        delta = y1[i] - y0[i]
+        total = 0.0
+        for s in range(7):
+            total += K[s][i] * _D5[s]
+        rows += [delta, h * K[0][i] - delta, 2.0 * delta - h * (K[6][i] + K[0][i]), h * total]
     return tuple(rows)

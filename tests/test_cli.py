@@ -426,6 +426,39 @@ def test_io_error_exit_code(tmp_path, capsys):
     code = main(["classify", "--k", "2,1,2,1", "--out", str(tmp_path)])  # a directory
     capsys.readouterr()
     assert code == EXIT_IO
+    code = main(["classify", "--k", "2,1,2,1", "--out", str(tmp_path / "no" / "x.txt")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("lv3: i/o error: ")
+
+
+@pytest.mark.parametrize("argv, budget", [
+    # loose tolerances carry this orbit off the simplex at t=20.8153
+    ("integrate --k 2,1,2,1 --p0 0.001,0.5,0.3 --t 50 --tol-rel 1e-3 --tol-abs 1e-3", None),
+    ("portrait --k 2,3,3,2 --n 2 --t 100", 50),
+], ids=["integrate", "portrait"])
+def test_a_failed_run_leaves_the_out_file_as_it_was(tmp_path, capsys, monkeypatch, argv, budget):
+    if budget is not None:
+        monkeypatch.setattr(flow, "MAX_ACCEPTED_STEPS", budget)
+    kept, absent = tmp_path / "q.csv", tmp_path / "new.csv"
+    kept.write_bytes(b"keep")
+    for target in (kept, absent):
+        assert main([*argv.split(), "--out", str(target)]) == EXIT_FAIL
+        assert capsys.readouterr().out == ""
+    assert kept.read_bytes() == b"keep"
+    assert not absent.exists()
+
+
+def test_reports_that_fail_are_still_written_to_the_out_file(tmp_path, capsys):
+    target = tmp_path / "out.jsonl"
+    target.write_bytes(b"keep")
+    argv = ["verify-b", "--k", "2,3,3,2", "--samples", "2"]
+    code, out = run_cli(capsys, *argv)
+    assert main([*argv, "--out", str(target)]) == code == EXIT_FAIL
+    assert target.read_text() == out != ""
+    argv = ["limit-set", "--k", "2,1,2,1", "--p0", "0.2,0.2,0.2", "--horizon", "1"]
+    code, out = run_cli(capsys, *argv)
+    assert main([*argv, "--out", str(target)]) == code == EXIT_INCONCLUSIVE
+    assert target.read_text() == out != ""
 
 
 def test_emit_empty_report_is_header_only():

@@ -3,6 +3,7 @@ import linecache
 import math
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,15 +16,14 @@ from lv3.flow import (
     _A,
     _A8,
     _A8X,
-    _B,
     _B8,
+    _D5,
     _D8,
     _DOP853,
     _DP5,
     _E,
     _E3,
     _E5,
-    _P,
     _ReturnMap,
     _dist,
     _drive,
@@ -41,8 +41,8 @@ from lv3.darboux import log_integral_value, named_integral_specs
 from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector, classify
 from lv3.rng import SplitMix64
-from conftest import (cpython311_only, cpython_only, hairer_norm_reference, norm3,
-                      quartic_rows_reference, rand_interior_point, rand_params,
+from conftest import (contd5_rows_reference, cpython311_only, cpython_only,
+                      hairer_norm_reference, norm3, rand_interior_point, rand_params,
                       rms_norm_reference)
 
 
@@ -50,14 +50,16 @@ from conftest import (cpython311_only, cpython_only, hairer_norm_reference, norm
 
 
 def test_tableau_consistency():
-    # propagation weights sum to one; stage rows integrate their abscissae
-    assert math.fsum(_B) == pytest.approx(1.0, abs=1e-15)
+    # propagation weights sum to one
     assert math.fsum(_A[6]) == pytest.approx(1.0, abs=1e-15)
     # embedded difference annihilates constants
     assert math.fsum(_E) == pytest.approx(0.0, abs=1e-15)
-    # dense-output rows resum to the propagation weights: interpolant hits y1
-    for row, b in zip(_P, _B):
-        assert math.fsum(row) == pytest.approx(b, abs=1e-13)
+    # the dense-output row F3 = h*d.K vanishes on a constant field, whose
+    # segment is then exactly linear
+    assert math.fsum(_D5) == pytest.approx(0.0, abs=1e-14)
+    # Hairer's d1..d7 are the last column of scipy's RK45.P, bit for bit
+    rk = pytest.importorskip("scipy.integrate._ivp.rk")
+    assert _D5 == tuple(float(v) for v in rk.RK45.P[:, 3])
 
 
 # DOP853 stage abscissae (Prince & Dormand 1981); lv3.flow needs none, the
@@ -182,12 +184,13 @@ def test_unrolled_step_is_bitwise_the_stage_loop(pair, n):
                 segment = DenseSegment(code, fun, 0.0, h, y, stages, y1)
                 assert segment._rows is None  # built on first read only
                 assert segment.eval_theta(0.0) == y
-                rows = quartic_rows_reference(stages, n)
+                rows = contd5_rows_reference(y, h, stages, y1)
                 assert _bits(segment._rows) == _bits(rows)
-                for x in (0.3, 0.5, 0.77, 1.0):  # y0 + h*x*(q0 + x*(q1 + x*(q2 + x*q3)))
+                for x in (0.3, 0.5, 0.77, 1.0):  # y0 + x*(F0 + w*(F1 + x*(F2 + w*F3)))
+                    w = 1.0 - x
                     assert _bits(segment.eval_theta(x)) == _bits(tuple(
-                        y[i] + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
-                        for i, q in enumerate(zip(*[iter(rows)] * 4))))
+                        y[i] + x * (F[0] + w * (F[1] + x * (F[2] + w * F[3])))
+                        for i, F in enumerate(zip(*[iter(rows)] * 4))))
 
 
 def test_kernels_are_compiled_once_per_pair_and_length():
@@ -321,6 +324,24 @@ def test_eighth_order_segment_is_scipys_interpolant():
             assert all(abs(a - b) <= 1e-14 * max(abs(b), 1e-300) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_fifth_order_segment_is_scipys_interpolant(n):
+    # scipy's RK45 quartic Q = K.T P over the same K, evaluated by its
+    # RkDenseOutput: Hairer's form with _D5, P's last column, is the same
+    # polynomial.  Measured: within 1.1e-15 relative
+    np = pytest.importorskip("numpy")
+    rk = pytest.importorskip("scipy.integrate._ivp.rk")
+    code = _kernels(_DP5, n)
+    for fun, y, h in _kernel_cases(n):
+        y1, _, _, K = code.step(fun, y, fun(y), h)
+        segment = DenseSegment(code, fun, 0.0, h, y, K, y1)
+        reference = rk.RkDenseOutput(0.0, h, np.array(y), np.array(K).T.dot(rk.RK45.P))
+        for theta in (0.0, 0.1, 0.5, 0.77, 1.0):
+            want = reference(theta * h)
+            got = segment.eval_theta(theta)
+            assert all(abs(a - b) <= 1e-14 * max(abs(b), 1e-300) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("k, p0", [((2, 3, 3, 2), (0.2, 0.2, 0.2)),
                                    ((1, 1, 1, 1), (0.1, 0.1, 0.1))])
 def test_located_crossings_agree_with_scipy_dop853_events(k, p0):
@@ -375,9 +396,9 @@ def test_plain_sums_are_bitwise_the_sum_forms(n):
         stepper = DormandPrince45(fun, y1, 1.0)
         assert stepper.speed.hex() == math.sqrt(sum(v * v for v in stepper.f)).hex()
         assert _dist(y, y1).hex() == math.sqrt(sum((u - v) ** 2 for u, v in zip(y, y1))).hex()
-        rows = quartic_rows_reference(K, n)
-        assert _bits(rows) == _bits(tuple(
-            sum(K[s][i] * _P[s][j] for s in range(7)) for i in range(n) for j in range(4)))
+        rows = contd5_rows_reference(y, h, K, y1)
+        assert _bits(rows[3::4]) == _bits(tuple(
+            h * sum(K[s][i] * _D5[s] for s in range(7)) for i in range(n)))
         segment = DenseSegment(_kernels(_DP5, n), fun, 0.0, h, y, K, y1)
         segment.eval_theta(0.5)
         assert _bits(segment._rows) == _bits(rows)
@@ -462,7 +483,7 @@ def test_dense_output_accuracy_order():
             y = y1
         errors.append(worst)
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
-    assert min(orders) >= 3.8  # quartic interpolant: 4th-order accurate
+    assert min(orders) >= 3.8  # CONTD5 is 4th-order accurate
 
 
 def test_dense_segment_endpoint_consistency():
@@ -762,6 +783,26 @@ def test_state_at_matches_samples():
         assert norm3([a - b for a, b in zip(interp, traj.states[i])]) <= 1e-12
 
 
+@pytest.mark.parametrize("run", [
+    lambda: integrate(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2), 2.0),
+    lambda: integrate(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2), -2.0),
+    lambda: integrate4(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2, 0.4), 2.0),
+    lambda: integrate4(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2, 0.4), -2.0),
+], ids=["forward", "backward", "integrate4-forward", "integrate4-backward"])
+def test_state_at_outside_the_run_is_a_value_error(run):
+    # the closed span from 0 to t[-1] reads; past either end, and nan, fail
+    # rather than answer with the end state or the start
+    traj = run()
+    end = traj.t[-1]
+    assert traj.state_at(0.0) == traj.state_at(-0.0) == traj.states[0]
+    assert norm3([a - b for a, b in zip(traj.state_at(end), traj.states[-1])]) <= 1e-13
+    assert norm3([a - b for a, b in zip(traj.state_at(0.5 * end), traj.states[0])]) > 0.01
+    for t_req in (2.5 * end, -1.5 * end, -0.5 * end, math.nextafter(end, 2.0 * end),
+                  math.copysign(5e-324, -end), math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="outside the run"):
+            traj.state_at(t_req)
+
+
 # --- four-species flow ---------------------------------------------------------
 
 
@@ -944,17 +985,18 @@ def test_on_section_start_is_anchored():
 
 
 def test_step_end_on_section_is_the_stored_sample():
-    # a plane through a stored step end that the interpolant misses by an
-    # ulp: the crossing is that sample, at exactly its time
-    k = ParamVector(2, 3, 3, 2)
-    p0 = (0.2, 0.2, 0.2)
-    traj = integrate(k, p0, 20.0)
-    j = next(j for j, seg in enumerate(traj.dense, 1)
-             if seg.eval_theta(1.0)[0] != traj.states[j][0])
-    y_j = traj.states[j]
-    velocity = _field3(k)(y_j)[0]
-    section = SectionSpec((1.0, 0.0, 0.0), y_j[0], "positive" if velocity > 0.0 else "negative")
-    assert section.value(y_j) == 0.0
-    times, states, hits = _return_hits(k, p0, 20.0, section)
-    assert states[j] == y_j
-    assert [hit for hit in hits if hit[0] == times[j]] == [(times[j], y_j)]
+    # a plane through a step end that the interpolant misses by an ulp: the
+    # crossing is that end, at exactly its time.  The segment reads
+    # y0 + (y1 - y0) at theta 1, which meets a stepped end y1 = y0 + h*s
+    # wherever |h*s| <= |y0| (Fast2Sum), so the end is built instead: the
+    # step's own stages, with x put below half its start, where a + (b - a)
+    # misses b for about 60% of random pairs
+    fun, y0, h = _field3(ParamVector(2, 3, 3, 2)), (0.3, 0.2, 0.2), 0.25
+    stepped, _, _, K = _kernels(_DP5, 3).step(fun, y0, fun(y0), h)
+    y1 = (0.11, *stepped[1:])
+    segment = DenseSegment(_kernels(_DP5, 3), fun, 0.0, h, y0, K, y1)
+    assert segment.eval_theta(1.0)[0] != y1[0]
+    direction = "positive" if fun(y1)[0] > 0.0 else "negative"
+    returns = _ReturnMap(SectionSpec((1.0, 0.0, 0.0), y1[0], direction), fun, y0)
+    assert returns.advance(SimpleNamespace(segment=lambda: segment), y1)
+    assert returns.hits == [(h, y1)] and returns.hits[0][1] is y1

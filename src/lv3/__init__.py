@@ -46,9 +46,7 @@ from .flow import (
     SectionSpec,
     StepSizeUnderflow,
     Trajectory,
-    field4,
     integrate,
-    integrate4,
 )
 from .analysis import (
     HeteroclinicMatch,
@@ -96,9 +94,7 @@ __all__ = [
     "SectionSpec",
     "StepSizeUnderflow",
     "Trajectory",
-    "field4",
     "integrate",
-    "integrate4",
     "HeteroclinicMatch",
     "LimitSetReport",
     "PeriodicOrbit",

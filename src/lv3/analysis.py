@@ -1,5 +1,5 @@
-"""Limit-set classification, periodic-orbit detection, boundary-face flows,
-heteroclinic matching and the automated verification harnesses.
+"""Limit-set classification, periodic-orbit detection, heteroclinic
+matching and the automated verification harnesses.
 
 Numerical policy: "converged to a segment" means terminal speed at or below
 1e-8 AND point-to-segment distance at or below 1e-4.  Two thresholds because
@@ -56,7 +56,6 @@ from .flow import (
     _drive,
     _simplex_run_args,
     _steps,
-    _violation3,
 )
 from .rng import SplitMix64
 
@@ -74,8 +73,6 @@ __all__ = [
     "detect_periodic",
     "orbit_integral_drift",
     "certified_integral_names",
-    "face_field",
-    "face_connection_abscissae",
     "heteroclinic_match",
     "complement_edge_distance",
     "verify_theorem_a",
@@ -96,7 +93,6 @@ DEFAULT_HORIZON = 1e4
 R_TUBE = 1e-3
 BOUNDARY_SAMPLING_MARGIN = 1e-3
 EQUILIBRIUM_TOL = 1e-6
-FACE_INSET = 1e-6
 MATCH_TOL = 1e-9
 DRIFT_TOL = 1e-8
 
@@ -192,7 +188,7 @@ def _probe(k, y0, section, horizon, tol_rel, tol_abs, return_budget, settled=Non
     stepper = DormandPrince45(fun, y0, horizon, tol_rel, tol_abs, _pair=pair)
     returns = None if section is None else _ReturnMap(section, fun, stepper.y)
     budget = horizon
-    for _ in _steps(stepper, _violation3, "simplex"):
+    for _ in _steps(stepper):
         y = stepper.y
         if stepper.speed <= SPEED_TOL and (settled is None or settled(y)):
             return "speed-collapse", stepper, returns, None
@@ -343,13 +339,12 @@ def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dic
     if names is None:
         names = certified_integral_names(k)
     start, specs = _simplex_run_args(k, p0, duration, list(names))
-    traj = _drive(k, _field3(k), start, duration, 1e-12, 1e-300, _violation3, "simplex", specs,
-                  False, _DOP853)
+    traj = _drive(k, _field3(k), start, duration, 1e-12, 1e-300, specs, _DOP853)
     return {name: traj.drift_range(name) for name in names}
 
 
 # ---------------------------------------------------------------------------
-# Boundary faces: face flows and heteroclinic matching
+# Boundary faces: heteroclinic matching
 
 
 def _leaf_gap(u: float, gamma: float, level: float) -> float:
@@ -371,58 +366,6 @@ def _bisect_leaf_root(gamma: float, level: float, lo: float, hi: float) -> float
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def face_field(face: str, k: ParamVector):
-    """Planar restriction of the flow to an invariant boundary face.
-
-    Face coordinates: (x, z) on Y and (x, y) on the sum face Sigma.
-    """
-    if face == "Y":
-        def fun(p):
-            x, z = p
-            w = (1.0 - x) - z
-            return (-k.k4 * x * w, k.k3 * z * w)
-    elif face == "Sigma":
-        def fun(p):
-            x, y = p
-            return (k.k1 * x * y, y * (k.k2 * ((1.0 - x) - y) - k.k1 * x))
-    else:
-        raise ValueError(f"unknown face {face!r}")
-    return fun
-
-
-def face_connection_abscissae(k: ParamVector, face: str, x0: float) -> tuple:
-    """Edge abscissae reached by the face orbit through the edge point x0.
-
-    Starts FACE_INSET inside the face next to (x0 on the singular edge) and
-    integrates the planar restriction both ways until the motion stalls at
-    the edge, through flow's _steps: a state off the face raises
-    SimplexViolation; the horizon or the step budget ends a run that does
-    not stall.  Returns the two terminal abscissae (backward, forward).
-    One of them reproduces x0, the other is the matching connection end.
-    """
-    if face == "Y":
-        start = ((1.0 - FACE_INSET) * x0, (1.0 - FACE_INSET) * (1.0 - x0))
-    elif face == "Sigma":
-        start = (x0, FACE_INSET)
-    else:
-        raise ValueError("connection abscissae are defined on faces Y and Sigma")
-    out = []
-    for kk in (-k, k):
-        stepper = DormandPrince45(face_field(face, kk), start, DEFAULT_HORIZON)
-        if stepper.speed > SPEED_TOL:
-            for _ in _steps(stepper, _violation_face, "face"):
-                if stepper.speed <= SPEED_TOL:
-                    break
-        out.append(stepper.y[0])
-    return tuple(out)
-
-
-def _violation_face(p) -> float:
-    """How far face coordinates p = (a, b) lie outside a, b >= 0, a + b <= 1."""
-    a, b = p
-    return max(0.0, -a, -b, (a + b) - 1.0)
 
 
 @dataclass(frozen=True)

@@ -321,7 +321,7 @@ def _cmd_darboux(cfg, stream):
 
 def _cmd_integrate(cfg, stream):
     traj = flow.integrate(cfg.k, cfg.p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs,
-                          monitor=list(cfg.monitor), keep_dense=False)
+                          monitor=list(cfg.monitor))
     columns = [f"log{n}" for n in cfg.monitor]
     series = [traj.drift[n] for n in cfg.monitor]
     samples = zip(traj.t, traj.states, *series)
@@ -479,7 +479,7 @@ def _cmd_portrait(cfg, stream):
     header = ["traj", "t", "x", "y", "z"]
     rows = []
     for idx, p0 in enumerate(starts):
-        traj = flow.integrate(cfg.k, p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs, keep_dense=False)
+        traj = flow.integrate(cfg.k, p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
         for t, state in zip(traj.t, traj.states):
             rows.append([idx, t, *state])
     emit_csv(header, rows, stream)

@@ -1,33 +1,30 @@
-"""Adaptive integration of the simplex flows with dense output, and the
-streaming return map that locates an orbit's crossings of a plane section.
+"""Adaptive integration of the simplex flow, and the streaming return map
+that locates an orbit's crossings of a plane section.
 
 The integrator is an explicit Dormand-Prince 5(4) embedded pair (Dormand &
 Prince 1980) with PI stepsize control.  A step builds no dense segment:
-segment() builds the last accepted step's interpolant on demand (for
-keep_dense, or a return map at a crossing), and monitored first integrals
-are evaluated in one pass after the run.  It operates on plain float
-tuples: state dimensions here are 2 to 4, where numpy array overhead would
-dominate the runtime.  _kernels writes each pair's step, error norm and
-dense-segment arithmetic out over named scalars from its tableau, once per
-(pair, state length) on first use: the 2-D face flows, the 3-D simplex
-flow and the 4-D flow run one code path, and one DenseSegment class serves
-both pairs in one form (_Pair), building its rows on first read.
+segment() builds the last accepted step's interpolant on demand (for a
+return map at a crossing), and monitored first integrals are evaluated in
+one pass after the run.  It operates on plain float tuples: the simplex
+state has three components, where numpy array overhead would dominate the
+runtime.  _kernels writes each pair's step, error norm and dense-segment
+arithmetic out over named scalars from its tableau, once per (pair, state
+length) on first use, and one DenseSegment class serves both pairs in one
+form (_Pair), building its rows on first read.
 
 Two kinds of run take the Dormand-Prince 8(5,3) pair (DOP853; Prince &
 Dormand 1981): the drift re-integration of analysis.orbit_integral_drift,
 and the probes of a center-regime k, whose return maps read its
 seventh-order dense output (three extra stages on a segment's first
-read) and take about 5x fewer steps.  integrate, integrate4, the face
-flows and the off-manifold probes keep the 5(4) pair: integrate prints one
-row per accepted step, so a higher order would change its output rather
-than its cost.  On the off-manifold probes 8(5,3) took 5x fewer steps but
-read more stops wrong: on 300 seeded starts over ten S+- vectors it got 294
-(omega, alpha) pairs right where 5(4) gets 299, with a false periodic
-verdict, false point-on-R_py stops and three simplex violations of 1.1e-9
-to 2.2e-9.
-Every simplex, face and 4-D run steps through one loop, _steps; backward
-time is realised as the forward flow of -k (the field is odd in k), never
-by negative steps.
+read) and take about 5x fewer steps.  integrate and the off-manifold
+probes keep the 5(4) pair: integrate prints one row per accepted step, so
+a higher order would change its output rather than its cost.  On the
+off-manifold probes 8(5,3) took 5x fewer steps but read more stops wrong:
+on 300 seeded starts over ten S+- vectors it got 294 (omega, alpha) pairs
+right where 5(4) gets 299, with a false periodic verdict, false
+point-on-R_py stops and three simplex violations of 1.1e-9 to 2.2e-9.
+Every run steps through one loop, _steps; backward time is realised as
+the forward flow of -k (the field is odd in k), never by negative steps.
 
 Float sums that set output bits are added left to right from 0.0, through
 _plain_sum, as explicit loops or, in the generated code, written out term
@@ -48,10 +45,9 @@ from __future__ import annotations
 
 import linecache
 import math
-from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import cache
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords, _field3
@@ -65,8 +61,6 @@ __all__ = [
     "StepSizeUnderflow",
     "StepBudgetExhausted",
     "integrate",
-    "integrate4",
-    "field4",
     "DEFAULT_TOL_REL",
     "DEFAULT_TOL_ABS",
     "VIOLATION_LIMIT",
@@ -377,8 +371,8 @@ class _Pair:
     dense_stages: tuple = ()
 
 
-# Dormand-Prince 5(4): integrate, integrate4, the face flows and the probes
-# off the center regime, where 8(5,3) misreads more stops (module docstring);
+# Dormand-Prince 5(4): integrate and the probes off the center regime,
+# where 8(5,3) misreads more stops (module docstring);
 # its fourth-order interpolant (Hairer's CONTD5) needs no extra stage.
 _DP5 = _Pair("DP5", 5, _A[1:-1], _A[-1], (_E,), (_D5,))
 # Dormand-Prince 8(5,3): the drift run and the center-regime probes, where it
@@ -487,38 +481,17 @@ class Trajectory:
     """Time-stamped state samples of one run; treat as immutable.
 
     Times are strictly monotone: increasing for forward runs, decreasing
-    for backward ones.  Dense segments (when kept) live on the internal
-    nonnegative clock; reported time is sign * internal time.
+    for backward ones.
     """
 
     k: ParamVector | None
     t: tuple
     states: tuple
-    sign: int
     max_violation: float
-    dense: tuple | None = None
     drift: dict | None = None
-    mass_error: float | None = None
 
     def __len__(self):
         return len(self.t)
-
-    def state_at(self, t_req: float) -> tuple:
-        """Dense-output state at reported time t_req, which must lie in the
-        closed span from 0 to t[-1]: ValueError outside it or for nan."""
-        if self.dense is None:
-            raise ValueError("trajectory was integrated without dense output")
-        tau = self.sign * t_req
-        if not 0.0 <= tau <= self.sign * self.t[-1]:
-            raise ValueError(f"t_req={t_req!r} is outside the run, from 0 to {self.t[-1]!r}")
-        if tau == 0.0:
-            return self.states[0]
-        starts = getattr(self, "_starts", None)
-        if starts is None:
-            starts = [seg.t0 for seg in self.dense]
-            self._starts = starts
-        seg = self.dense[bisect_right(starts, tau) - 1]
-        return seg.eval(min(tau, seg.t1))
 
     def drift_range(self, name: str) -> float:
         """Peak-to-start excursion of a monitored log integral."""
@@ -568,71 +541,57 @@ def _resolve_monitor(k, monitor) -> dict:
     return specs
 
 
-def _steps(stepper, violation, what):
-    """The stepping loop of every simplex, face and 4-D run: steps stepper
-    and yields violation(y) of each accepted state y.
+def _steps(stepper):
+    """The stepping loop of every run: steps stepper and yields the simplex
+    violation (_violation3) of each accepted state.
 
     It stops when the span ends or after MAX_ACCEPTED_STEPS accepted steps
     (read as the loop starts); stepper.finished tells the two apart.  A
-    violation beyond VIOLATION_LIMIT raises SimplexViolation, labelled by
-    what (a nan violation passes); StepSizeUnderflow passes through.  A
-    caller may leave the loop early: the face flows stop where they stall.
+    violation beyond VIOLATION_LIMIT raises SimplexViolation (a nan
+    violation passes); StepSizeUnderflow passes through.  A caller may
+    leave the loop early: the probes stop where they settle or close.
     """
     # bound once per run: this loop body runs on every accepted step
-    step, t_span, budget = stepper.step, stepper.t_span, MAX_ACCEPTED_STEPS
+    step, t_span, budget, violation = stepper.step, stepper.t_span, MAX_ACCEPTED_STEPS, _violation3
     while stepper.t < t_span and stepper.n_accepted < budget:
         step()
         v = violation(stepper.y)
         if v > VIOLATION_LIMIT:
             raise SimplexViolation(
-                f"{what} violation {v:.3e} beyond {VIOLATION_LIMIT} at t={stepper.t:.6g}")
+                f"simplex violation {v:.3e} beyond {VIOLATION_LIMIT} at t={stepper.t:.6g}")
         yield v
 
 
-def _drive(k, fun, y0, t_end, tol_rel, tol_abs, violation, what, specs, keep_dense,
-           pair=_DP5) -> Trajectory:
-    """The run behind integrate, integrate4 and the drift run: samples every
-    accepted step of _steps.
+def _drive(k, fun, y0, t_end, tol_rel, tol_abs, specs, pair=_DP5) -> Trajectory:
+    """The run behind integrate and the drift run: samples every accepted
+    step of _steps.
 
     For negative t_end fun is the flow of -k and only the reported times
-    carry the sign.  violation and what go
-    to _steps; the run keeps the largest violation.  An exhausted step
-    budget raises StepBudgetExhausted.  specs maps monitored names to their
-    specs, evaluated over all samples once the run is done.  pair is the embedded
-    pair the stepper runs.
+    carry the sign.  The run keeps the largest violation.  An exhausted
+    step budget raises StepBudgetExhausted.  specs maps monitored names to
+    their specs, evaluated over all samples once the run is done.  pair is
+    the embedded pair the stepper runs.
     """
     sign = 1 if t_end > 0.0 else -1
     stepper = DormandPrince45(fun, y0, abs(t_end), tol_rel, tol_abs, _pair=pair)
     times = [0.0]
     states = [stepper.y]
-    dense = [] if keep_dense else None
-    max_violation = violation(stepper.y)
+    max_violation = _violation3(stepper.y)
     add_time, add_state = times.append, states.append
-    add_segment = dense.append if keep_dense else None
-    for v in _steps(stepper, violation, what):
+    for v in _steps(stepper):
         if v > max_violation:  # the result of max(max_violation, v), nan included
             max_violation = v
         add_time(sign * stepper.t)
         add_state(stepper.y)
-        if add_segment is not None:
-            add_segment(stepper.segment())
     if not stepper.finished:
         raise StepBudgetExhausted(f"accepted-step budget {MAX_ACCEPTED_STEPS} exhausted")
     drift = dict(zip(specs, log_integral_series(specs.values(), states))) if specs else None
-    return Trajectory(
-        k=k,
-        t=tuple(times),
-        states=tuple(states),
-        sign=sign,
-        max_violation=max_violation,
-        dense=tuple(dense) if keep_dense else None,
-        drift=drift,
-    )
+    return Trajectory(k=k, t=tuple(times), states=tuple(states), max_violation=max_violation,
+                      drift=drift)
 
 
 def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
-              tol_abs: float = DEFAULT_TOL_ABS, monitor=None,
-              keep_dense: bool = True) -> Trajectory:
+              tol_abs: float = DEFAULT_TOL_ABS, monitor=None) -> Trajectory:
     """Integrate the 3-D simplex flow from p0 for time t_end.
 
     Negative t_end integrates backward, as the flow of -k (the field is
@@ -643,8 +602,7 @@ def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL
     are only recorded.
     """
     start, specs = _simplex_run_args(k, p0, t_end, monitor)
-    return _drive(k, _field3(k if t_end > 0.0 else -k), start, t_end, tol_rel, tol_abs,
-                  _violation3, "simplex", specs, keep_dense)
+    return _drive(k, _field3(k if t_end > 0.0 else -k), start, t_end, tol_rel, tol_abs, specs)
 
 
 def _simplex_run_args(k, p0, t_end, monitor) -> tuple:
@@ -652,49 +610,6 @@ def _simplex_run_args(k, p0, t_end, monitor) -> tuple:
     if t_end == 0.0:
         raise ValueError("t_end must be nonzero")
     return SimplexPoint(*_coords(p0)).coords, _resolve_monitor(k, monitor)
-
-
-def field4(k: ParamVector, q) -> tuple:
-    """Velocity of the 4-D closed-reaction flow at q = (x, y, z, v).
-
-    Each bilinear term is computed once and reused with opposite signs in
-    the two components it couples, so the component sum telescopes.
-    """
-    x, y, z, v = q
-    t1 = k.k1 * x * y
-    t2 = k.k2 * y * z
-    t3 = k.k3 * z * v
-    t4 = k.k4 * x * v
-    return (t1 - t4, t2 - t1, t3 - t2, t4 - t3)
-
-
-def _violation4(q) -> float:
-    worst = 0.0
-    total = 0.0
-    for c in q:
-        worst = max(worst, -c)
-        total += c
-    return max(worst, abs(total - 1.0))
-
-
-def integrate4(k: ParamVector, q0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
-               tol_abs: float = DEFAULT_TOL_ABS, keep_dense: bool = True) -> Trajectory:
-    """Integrate the 4-D flow from q0 (components must sum to 1).
-
-    Mass conservation is monitored: |sum(q) - 1| above 1e-9 anywhere along
-    the run raises SimplexViolation.
-    """
-    if t_end == 0.0:
-        raise ValueError("t_end must be nonzero")
-    q0 = tuple(float(c) for c in q0)
-    if len(q0) != 4:
-        raise ValueError("q0 must have four components")
-    # written so that a nan component fails it
-    if not (abs(_plain_sum(q0) - 1.0) <= VIOLATION_LIMIT and min(q0) >= -VIOLATION_LIMIT):
-        raise SimplexViolation(f"q0={q0} is not a stochastic state")
-    traj = _drive(k, partial(field4, k if t_end > 0.0 else -k), q0, t_end, tol_rel, tol_abs,
-                  _violation4, "mass-conservation", {}, keep_dense)
-    return replace(traj, mass_error=traj.max_violation)
 
 
 def _normal_component(section, v) -> float:

@@ -1,10 +1,13 @@
 import math
 import platform
 import sys
+from collections import namedtuple
+from functools import partial
 
 import pytest
 
-from lv3.flow import _D5
+from lv3.analysis import DEFAULT_HORIZON, SPEED_TOL
+from lv3.flow import _D5, DormandPrince45
 from lv3.params import ParamVector
 from lv3.rng import SplitMix64
 
@@ -121,3 +124,98 @@ def contd5_rows_reference(y0, h, K, y1) -> tuple:
             total += K[s][i] * _D5[s]
         rows += [delta, h * K[0][i] - delta, 2.0 * delta - h * (K[6][i] + K[0][i]), h * total]
     return tuple(rows)
+
+
+# --- oracles: flows that only the tests run ----------------------------------
+#
+# The library integrates the reduced three-species flow alone.  The tests
+# cross-check it against the four-species parent flow and against the
+# planar flows on the invariant faces y = 0 and x + y + z = 1, stepped by
+# the library's own DormandPrince45 at its default tolerances.
+
+
+def field4(k: ParamVector, q) -> tuple:
+    """Velocity of the four-species parent flow at q = (x, y, z, v), on
+    x + y + z + v = 1.
+
+    Each bilinear term is computed once and reused with opposite signs in
+    the two components it couples, so the component sum telescopes.
+    """
+    x, y, z, v = q
+    t1 = k.k1 * x * y
+    t2 = k.k2 * y * z
+    t3 = k.k3 * z * v
+    t4 = k.k4 * x * v
+    return (t1 - t4, t2 - t1, t3 - t2, t4 - t3)
+
+
+Run4 = namedtuple("Run4", "t states segments mass_error")
+
+
+def integrate4(k: ParamVector, q0, t_end: float) -> Run4:
+    """One run of the parent flow from q0 for time t_end, every accepted
+    step kept with its dense segment.  Negative t_end runs the forward flow
+    of -k (the field is odd in k) and negates the reported times, as
+    lv3.flow.integrate does.  mass_error is the largest of -q_i and
+    |sum(q) - 1| over the samples."""
+    sign = 1 if t_end > 0.0 else -1
+    stepper = DormandPrince45(partial(field4, k if sign > 0 else -k), q0, abs(t_end))
+    t, states, segments = [0.0], [stepper.y], []
+    while not stepper.finished:
+        stepper.step()
+        t.append(sign * stepper.t)
+        states.append(stepper.y)
+        segments.append(stepper.segment())
+    mass_error = max(max(0.0, *(-c for c in q), abs(math.fsum(q) - 1.0)) for q in states)
+    return Run4(tuple(t), tuple(states), tuple(segments), mass_error)
+
+
+def dense_state(segments, t: float) -> tuple:
+    """The state at internal time t, read from the dense segment of the
+    first step that ends at or after it (theta at most 1: a clipped last
+    step may end an ulp before the span)."""
+    for seg in segments:
+        if t <= seg.t1:
+            break
+    return seg.eval_theta(min((t - seg.t0) / seg.h, 1.0))
+
+
+def face_field(face: str, k: ParamVector):
+    """Planar restriction of the simplex flow to an invariant boundary face:
+    (x, z) on Y (y = 0) and (x, y) on the sum face Sigma (x + y + z = 1)."""
+    if face == "Y":
+        def fun(p):
+            x, z = p
+            w = (1.0 - x) - z
+            return (-k.k4 * x * w, k.k3 * z * w)
+    elif face == "Sigma":
+        def fun(p):
+            x, y = p
+            return (k.k1 * x * y, y * (k.k2 * ((1.0 - x) - y) - k.k1 * x))
+    else:
+        raise ValueError(f"unknown face {face!r}")
+    return fun
+
+
+FACE_INSET = 1e-6
+
+
+def face_connection_abscissae(k: ParamVector, face: str, x0: float) -> tuple:
+    """Edge abscissae (backward, forward) reached by the face orbit through
+    the singular-edge point x0: it starts FACE_INSET inside the face and
+    runs both ways until its speed falls to SPEED_TOL or DEFAULT_HORIZON
+    passes.  One of them reproduces x0, the other is the connection end
+    that analysis.heteroclinic_match computes from the closed-form leaf."""
+    if face == "Y":
+        start = ((1.0 - FACE_INSET) * x0, (1.0 - FACE_INSET) * (1.0 - x0))
+    else:
+        start = (x0, FACE_INSET)
+    out = []
+    for kk in (-k, k):
+        stepper = DormandPrince45(face_field(face, kk), start, DEFAULT_HORIZON)
+        while not stepper.finished and stepper.speed > SPEED_TOL:
+            stepper.step()
+            a, b = stepper.y
+            assert min(a, b, 1.0 - (a + b)) >= -1e-9, f"face orbit left its face at {stepper.y}"
+        out.append(stepper.y[0])
+    return tuple(out)

@@ -13,7 +13,6 @@ from lv3.analysis import (
     alpha_limit,
     complement_edge_distance,
     detect_periodic,
-    face_connection_abscissae,
     heteroclinic_match,
     make_ray,
     omega_limit,
@@ -24,10 +23,10 @@ from lv3.analysis import (
 from lv3.cli import main
 from lv3.darboux import builtin_surfaces, solve_darboux, verify_invariance
 from lv3.equilibria import interior_segment_R, interior_spectrum, limit_segments, vector_field
-from lv3.flow import integrate, integrate4
+from lv3.flow import integrate
 from lv3.params import ParamVector, classify, discriminant
 from lv3.rng import SplitMix64
-from conftest import norm3, rand_params
+from conftest import dense_state, face_connection_abscissae, integrate4, norm3, rand_params
 
 
 def _report(tag: str, ok: bool, detail: str = "") -> None:
@@ -211,12 +210,12 @@ def test_c08_mass_conserving_reduction():
         raw = [rng.uniform(0.05, 1.0) for _ in range(4)]
         total = sum(raw)
         q0 = tuple(c / total for c in raw)
-        traj3 = integrate(k, q0[:3], 10.0, keep_dense=False)
+        traj3 = integrate(k, q0[:3], 10.0)
         traj4 = integrate4(k, q0, 10.0)
         worst_mass = max(worst_mass, traj4.mass_error)
         stride = max(1, len(traj3) // 60)
         for t, state in zip(traj3.t[::stride], traj3.states[::stride]):
-            s4 = traj4.state_at(t)
+            s4 = dense_state(traj4.segments, t)
             worst_state = max(worst_state, norm3([a - b for a, b in zip(state, s4[:3])]))
     ok = worst_state <= 1e-7 and worst_mass <= 1e-9
     _report("C08 4-D reduction consistency", ok,

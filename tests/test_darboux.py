@@ -377,7 +377,7 @@ def test_log_integrals_move_with_the_sign_of_the_discriminant():
             continue
         checked += 1
         p0 = rand_interior_point(rng, margin=0.05)
-        traj = integrate(k, p0, 2.0, monitor=list(LYAPUNOV_FORMS), keep_dense=False)
+        traj = integrate(k, p0, 2.0, monitor=list(LYAPUNOV_FORMS))
         for name, (_, sign) in LYAPUNOV_FORMS.items():
             series = traj.drift[name]
             change = series[-1] - series[0]

@@ -1,0 +1,66 @@
+"""The discriminant sign that classify reads, against the exact rational
+discriminant of the given floats (fractions.Fraction).  classify reads the
+sign of the float k1*k3 - k2*k4: it never contradicts the exact sign, an
+exactly zero discriminant always reads S, and a nonzero one reads S exactly
+when the two products round to the same double."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from lv3.params import S_MINUS, S_PLUS, S_ZERO, ParamVector, classify
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# any finite k, products that overflow or underflow included
+ANY_K = st.builds(ParamVector, FINITE, FINITE, FINITE, FINITE).filter(lambda k: not k.is_zero)
+# k3 = fl(k2*k4/k1): on the manifold up to one rounding, where the two
+# products mostly round together although their exact values differ
+NEAR_S = st.builds(lambda s, k1, k2, k4: ParamVector(s * k1, s * k2, s * (k2 * k4 / k1), s * k4),
+                   st.sampled_from((1, -1)), *(st.floats(0.3, 3.0),) * 3)
+# s*(a, b, b*r, a*r)*2**e: k1*k3 == k2*k4 exactly, also where they underflow
+# or overflow
+ON_S = st.builds(lambda s, a, b, r, e: ParamVector(*(s * c * 2.0**e
+                                                      for c in (a, b, b * r, a * r))),
+                 st.sampled_from((1, -1)), st.integers(1, 9), st.integers(1, 9),
+                 st.sampled_from((0.25, 0.5, 1.5, 3.0)), st.integers(-560, 530))
+KS = st.one_of(ANY_K, NEAR_S, ON_S)
+DERANDOMIZED = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+def _exact(k):
+    return Fraction(k.k1) * Fraction(k.k3) - Fraction(k.k2) * Fraction(k.k4)
+
+
+@DERANDOMIZED
+@given(k=KS)
+def test_the_float_sign_never_contradicts_the_exact_sign(k):
+    exact = _exact(k)
+    s_sign = classify(k).s_sign
+    if exact == 0:
+        assert s_sign == S_ZERO
+    else:
+        assert s_sign in (S_ZERO, S_PLUS if exact > 0 else S_MINUS)
+
+
+@DERANDOMIZED
+@given(k=KS)
+def test_the_sign_reads_zero_exactly_when_the_products_round_together(k):
+    # both overflowing to one infinity count too: their difference is nan
+    assert (classify(k).s_sign == S_ZERO) == (k.k1 * k.k3 == k.k2 * k.k4)
+
+
+def test_most_float_manifold_draws_read_zero_with_a_nonzero_exact_discriminant():
+    # the count quoted in classify's docstring
+    rng = random.Random(3)
+    zero_read, wrong_sign = 0, 0
+    for _ in range(20000):
+        k1, k2, k4 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        k = ParamVector(k1, k2, k2 * k4 / k1, k4)
+        exact, s_sign = _exact(k), classify(k).s_sign
+        zero_read += s_sign == S_ZERO and exact != 0
+        wrong_sign += (s_sign == S_PLUS and exact <= 0) or (s_sign == S_MINUS and exact >= 0)
+    assert (zero_read, wrong_sign) == (17864, 0)

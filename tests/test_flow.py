@@ -7,11 +7,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from lv3.analysis import face_connection_abscissae, face_field
 from lv3.flow import (
     DenseSegment,
     DormandPrince45,
     SectionSpec,
+    StepBudgetExhausted,
     StepSizeUnderflow,
     _A,
     _A8,
@@ -30,10 +30,7 @@ from lv3.flow import (
     _field3,
     _kernels,
     _normal_component,
-    _violation3,
-    field4,
     integrate,
-    integrate4,
 )
 from lv3 import flow
 from lv3.analysis import default_section, detect_periodic, sample_interior
@@ -42,7 +39,8 @@ from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector, classify
 from lv3.rng import SplitMix64
 from conftest import (contd5_rows_reference, cpython311_only, cpython_only,
-                      hairer_norm_reference, norm3, rand_interior_point, rand_params,
+                      dense_state, face_connection_abscissae, face_field, field4,
+                      hairer_norm_reference, integrate4, norm3, rand_interior_point, rand_params,
                       rms_norm_reference)
 
 
@@ -362,18 +360,30 @@ def test_located_crossings_agree_with_scipy_dop853_events(k, p0):
         assert max(abs(a - b) for a, b in zip(state, states[i])) <= 1e-11
 
 
+def _run_segments(fun, y0, t_end, rtol, atol, pair=_DP5):
+    """The dense segment of every accepted step of one run."""
+    stepper = DormandPrince45(fun, y0, t_end, rtol, atol, _pair=pair)
+    segments = []
+    while not stepper.finished:
+        stepper.step()
+        segments.append(stepper.segment())
+    return segments
+
+
 def test_eighth_order_stepper_keeps_dense_segments():
-    # a drift run that keeps segments reads them like a fifth-order run's
+    # the segments of a run stepped as the drift run steps read like a
+    # fifth-order run's
     k = ParamVector(2, 3, 3, 2)
-    traj = _drive(k, _field3(k), (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14, _violation3, "simplex", {},
-                  True, _DOP853)
-    assert all(type(seg) is DenseSegment for seg in traj.dense)
-    assert len(traj.dense) == len(traj) - 1
-    for seg, state in zip(traj.dense, traj.states[1:]):
-        assert traj.state_at(seg.t1) == seg.eval_theta(1.0)
+    p0 = (0.2, 0.2, 0.2)
+    traj = _drive(k, _field3(k), p0, 1.0, 1e-12, 1e-14, {}, _DOP853)
+    segments = _run_segments(_field3(k), p0, 1.0, 1e-12, 1e-14, _DOP853)
+    assert all(type(seg) is DenseSegment for seg in segments)
+    assert len(segments) == len(traj) - 1
+    for seg, state in zip(segments, traj.states[1:]):
         assert norm3(tuple(a - b for a, b in zip(seg.eval_theta(1.0), state))) <= 1e-15
-    ref = integrate(k, (0.2, 0.2, 0.2), 1.0, 1e-12, 1e-14)
-    assert norm3(tuple(a - b for a, b in zip(traj.state_at(0.37), ref.state_at(0.37)))) <= 1e-11
+    ref = _run_segments(_field3(k), p0, 1.0, 1e-12, 1e-14)
+    assert norm3(tuple(a - b for a, b in zip(dense_state(segments, 0.37),
+                                             dense_state(ref, 0.37)))) <= 1e-11
 
 
 @cpython311_only
@@ -406,7 +416,7 @@ def test_plain_sums_are_bitwise_the_sum_forms(n):
 
 # sha256 of repr() of outputs of the 4-D flow and the 2-D face flows,
 # measured when they took a stage loop of their own, before any kernel was
-# written out over named scalars.
+# written out over named scalars; they run as test oracles (conftest) now.
 GOLDEN_GENERIC = {
     "integrate4": "f1aefa96938692b5f24629ff63b69ad637aba2a3bb258947fa81ac05fc2fdde0",
     "face-Y": "5db0df863f0f95359d951280db5762fc5ace17c987f29a7359f0da11b5eb339a",
@@ -489,7 +499,9 @@ def test_dense_output_accuracy_order():
 def test_dense_segment_endpoint_consistency():
     k = ParamVector(2, 3, 3, 2)
     traj = integrate(k, (0.2, 0.2, 0.2), 2.0)
-    for seg, state in zip(traj.dense, traj.states[1:]):
+    segments = _run_segments(_field3(k), (0.2, 0.2, 0.2), 2.0, 1e-10, 1e-12)
+    assert [seg.y0 for seg in segments] == list(traj.states[:-1])
+    for seg, state in zip(segments, traj.states[1:]):
         assert norm3([a - b for a, b in zip(seg.eval_theta(1.0), state)]) <= 1e-13
         assert seg.eval_theta(0.0) == seg.y0
 
@@ -553,10 +565,9 @@ def test_endpoints_agree_with_scipy_dop853(k, drift_run, bound):
     for _ in range(3):
         p0 = rand_interior_point(rng, margin=0.05)
         if drift_run:
-            end = _drive(k, fun, p0, 50.0, 1e-12, 1e-14, _violation3, "simplex", {}, False,
-                         _DOP853).states[-1]
+            end = _drive(k, fun, p0, 50.0, 1e-12, 1e-14, {}, _DOP853).states[-1]
         else:
-            end = integrate(k, p0, 50.0, keep_dense=False).states[-1]
+            end = integrate(k, p0, 50.0).states[-1]
         ref = solve_ivp(lambda t, y: fun(tuple(y)), (0.0, 50.0), p0, method="DOP853",
                         rtol=1e-13, atol=1e-15)
         assert ref.status == 0
@@ -565,15 +576,15 @@ def test_endpoints_agree_with_scipy_dop853(k, drift_run, bound):
 
 def test_equilibrium_stays_fixed():
     k = ParamVector(1, 1, 1, 1)
-    traj = integrate(k, (0.25, 0.25, 0.25), 100.0, keep_dense=False)
+    traj = integrate(k, (0.25, 0.25, 0.25), 100.0)
     for state in traj.states:
         assert norm3([a - b for a, b in zip(state, (0.25, 0.25, 0.25))]) <= 1e-10
 
 
 def test_time_reversal_equals_sign_flip():
     k = ParamVector(2, 1, 2, 1)
-    fwd = integrate(k, (0.2, 0.2, 0.2), 10.0, keep_dense=False)
-    bwd = integrate(-k, (0.2, 0.2, 0.2), -10.0, keep_dense=False)
+    fwd = integrate(k, (0.2, 0.2, 0.2), 10.0)
+    bwd = integrate(-k, (0.2, 0.2, 0.2), -10.0)
     assert len(fwd) == len(bwd)
     for tf, tb in zip(fwd.t, bwd.t):
         assert tf == -tb
@@ -583,7 +594,7 @@ def test_time_reversal_equals_sign_flip():
 
 def test_backward_times_strictly_decreasing():
     k = ParamVector(2, 1, 2, 1)
-    traj = integrate(k, (0.2, 0.2, 0.2), -5.0, keep_dense=False)
+    traj = integrate(k, (0.2, 0.2, 0.2), -5.0)
     assert all(b < a for a, b in zip(traj.t, traj.t[1:]))
     assert traj.t[-1] == -5.0
 
@@ -591,33 +602,33 @@ def test_backward_times_strictly_decreasing():
 def test_faces_invariant_exactly(rng):
     for _ in range(5):
         k = rand_params(rng)
-        traj = integrate(k, (0.3, 0.0, 0.4), 20.0, keep_dense=False)
+        traj = integrate(k, (0.3, 0.0, 0.4), 20.0)
         assert all(state[1] == 0.0 for state in traj.states)
 
 
 def test_simplex_invariance_long_horizon():
     for k in (ParamVector(2, 3, 3, 2), ParamVector(2, 1, 2, 1)):
-        traj = integrate(k, (0.2, 0.2, 0.2), 1000.0, keep_dense=False)
+        traj = integrate(k, (0.2, 0.2, 0.2), 1000.0)
         assert traj.max_violation <= 1e-9
 
 
 def test_integral_drift_over_one_period():
     k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 5.333659910622081, monitor=["H", "V"], keep_dense=False)
+    traj = integrate(k, (0.2, 0.2, 0.2), 5.333659910622081, monitor=["H", "V"])
     assert traj.drift_range("H") <= 1e-8
     assert traj.drift_range("V") <= 1e-8
 
 
 def test_integral_drift_over_horizon_100():
     k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 100.0, monitor=["H", "V"], keep_dense=False)
+    traj = integrate(k, (0.2, 0.2, 0.2), 100.0, monitor=["H", "V"])
     assert traj.drift_range("H") <= 1e-8
     assert traj.drift_range("V") <= 1e-8
 
 
 def test_log_h_increases_off_manifold():
     k = ParamVector(2, 1, 2, 1)
-    traj = integrate(k, (0.2, 0.2, 0.2), 10.0, monitor=["H"], keep_dense=False)
+    traj = integrate(k, (0.2, 0.2, 0.2), 10.0, monitor=["H"])
     series = traj.drift["H"]
     assert all(b > a for a, b in zip(series, series[1:]))
 
@@ -625,7 +636,7 @@ def test_log_h_increases_off_manifold():
 def test_monitored_drift_is_bitwise_the_single_point_form():
     rng = SplitMix64(77)
     k = rand_params(rng, signs="positive")
-    traj = integrate(k, rand_interior_point(rng), 30.0, monitor=["H", "V"], keep_dense=False)
+    traj = integrate(k, rand_interior_point(rng), 30.0, monitor=["H", "V"])
     specs = named_integral_specs(k)
     assert set(traj.drift) == {"H", "V"}
     for name, series in traj.drift.items():
@@ -669,11 +680,8 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
     monkeypatch.setattr(flow, "_refine_crossing", counted_refine)
     monkeypatch.setattr(flow._ReturnMap, "advance", counted_advance)
     k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 20.0, keep_dense=False)
-    assert len(built) == 0 and len(traj) > 100
     traj = integrate(k, (0.2, 0.2, 0.2), 20.0)
-    assert len(built) == len(traj.dense) == len(traj) - 1
-    built.clear()
+    assert len(built) == 0 and len(traj) > 100
     orbit = detect_periodic(k, (0.2, 0.2, 0.2))
     # one segment and one refinement per located crossing before the lock or
     # in the locked direction; the probe takes 66 eighth-order steps here, 5
@@ -725,11 +733,46 @@ def test_integrate_argument_validation():
         integrate(k, (0.7, 0.7, 0.7), 1.0)
 
 
+@pytest.mark.parametrize("slot", range(3))
+def test_integrate_rejects_a_nan_start(slot):
+    p0 = [0.2, 0.2, 0.2]
+    p0[slot] = math.nan
+    with pytest.raises(SimplexViolation, match="lies outside the simplex"):
+        integrate(ParamVector(1, 1, 1, 1), p0, 1.0)
+
+
+@pytest.mark.parametrize("p0", [(-1e-6, 0.5, 0.5), (0.5, 0.5, 1e-6), (math.inf, 0.0, 0.0),
+                                (0.2, -math.inf, 0.2)],
+                         ids=["negative", "mass", "inf", "minus-inf"])
+def test_integrate_rejects_a_start_beyond_the_geometric_tolerance(p0):
+    # a start off T by more than TOL_GEOM raises before the first step,
+    # forward and backward; within it, the start is clamped onto T
+    k = ParamVector(2, 3, 3, 2)
+    for t_end in (1.0, -1.0):
+        with pytest.raises(SimplexViolation, match="lies outside the simplex"):
+            integrate(k, p0, t_end)
+    assert integrate(k, (-1e-13, 0.5, 0.5), 1.0).states[0] == (0.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0], ids=["forward", "backward"])
+def test_step_budget_of_integrate(monkeypatch, t_end):
+    # the budget is read as the loop starts: a run of n accepted steps ends
+    # within a budget of n and raises StepBudgetExhausted within n - 1
+    k = ParamVector(2, 3, 3, 2)
+    n = len(integrate(k, (0.2, 0.2, 0.2), t_end)) - 1
+    monkeypatch.setattr(flow, "MAX_ACCEPTED_STEPS", n)
+    assert integrate(k, (0.2, 0.2, 0.2), t_end).t[-1] == t_end
+    for budget in (n - 1, 0):
+        monkeypatch.setattr(flow, "MAX_ACCEPTED_STEPS", budget)
+        with pytest.raises(StepBudgetExhausted, match=f"budget {budget} exhausted"):
+            integrate(k, (0.2, 0.2, 0.2), t_end)
+
+
 def test_simplex_violation_during_the_run_raises():
     # the start is inside the simplex; at these loose tolerances the orbit
     # leaves it later, which only the per-step check in the driver sees
     with pytest.raises(SimplexViolation) as err:
-        integrate(ParamVector(2, 1, 2, 1), (0.001, 0.5, 0.3), 50, 1e-3, 1e-3, keep_dense=False)
+        integrate(ParamVector(2, 1, 2, 1), (0.001, 0.5, 0.3), 50, 1e-3, 1e-3)
     assert str(err.value) == "simplex violation 1.634e-07 beyond 1e-09 at t=20.8153"
 
 
@@ -775,35 +818,7 @@ def test_nan_step_raises_instead_of_retrying():
         stepper.step()
 
 
-def test_state_at_matches_samples():
-    k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 5.0)
-    for i in range(0, len(traj), 10):
-        interp = traj.state_at(traj.t[i])
-        assert norm3([a - b for a, b in zip(interp, traj.states[i])]) <= 1e-12
-
-
-@pytest.mark.parametrize("run", [
-    lambda: integrate(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2), 2.0),
-    lambda: integrate(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2), -2.0),
-    lambda: integrate4(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2, 0.4), 2.0),
-    lambda: integrate4(ParamVector(2, 3, 3, 2), (0.2, 0.2, 0.2, 0.4), -2.0),
-], ids=["forward", "backward", "integrate4-forward", "integrate4-backward"])
-def test_state_at_outside_the_run_is_a_value_error(run):
-    # the closed span from 0 to t[-1] reads; past either end, and nan, fail
-    # rather than answer with the end state or the start
-    traj = run()
-    end = traj.t[-1]
-    assert traj.state_at(0.0) == traj.state_at(-0.0) == traj.states[0]
-    assert norm3([a - b for a, b in zip(traj.state_at(end), traj.states[-1])]) <= 1e-13
-    assert norm3([a - b for a, b in zip(traj.state_at(0.5 * end), traj.states[0])]) > 0.01
-    for t_req in (2.5 * end, -1.5 * end, -0.5 * end, math.nextafter(end, 2.0 * end),
-                  math.copysign(5e-324, -end), math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="outside the run"):
-            traj.state_at(t_req)
-
-
-# --- four-species flow ---------------------------------------------------------
+# --- four-species parent flow (the oracle in conftest) ---------------------------
 
 
 def test_field4_matches_componentwise_form(rng):
@@ -825,7 +840,7 @@ def test_field4_matches_componentwise_form(rng):
 
 def test_mass_conservation_along_run():
     k = ParamVector(2, 3, 3, 2)
-    traj = integrate4(k, (0.2, 0.2, 0.2, 0.4), 100.0, keep_dense=False)
+    traj = integrate4(k, (0.2, 0.2, 0.2, 0.4), 100.0)
     assert traj.mass_error <= 1e-9
     for state in traj.states:
         assert abs(sum(state) - 1.0) <= 1e-9
@@ -838,43 +853,29 @@ def test_projection_matches_reduced_system(rng):
         raw = [rng.uniform(0.1, 1.0) for _ in range(4)]
         total = sum(raw)
         q0 = tuple(c / total for c in raw)
-        traj3 = integrate(k, q0[:3], 10.0, keep_dense=False)
+        traj3 = integrate(k, q0[:3], 10.0)
         traj4 = integrate4(k, q0, 10.0)
         for t, state in zip(traj3.t[:: max(1, len(traj3) // 50)], traj3.states[:: max(1, len(traj3) // 50)]):
-            s4 = traj4.state_at(t)
+            s4 = dense_state(traj4.segments, t)
             worst = max(worst, norm3([a - b for a, b in zip(state, s4[:3])]))
     assert worst <= 1e-7
 
 
 def test_vanishing_fourth_component_is_invariant():
     k = ParamVector(2, 3, 3, 2)
-    traj = integrate4(k, (0.3, 0.3, 0.4, 0.0), 10.0, keep_dense=False)
+    traj = integrate4(k, (0.3, 0.3, 0.4, 0.0), 10.0)
     assert all(state[3] == 0.0 for state in traj.states)
 
 
 def test_integrate4_backward_retraces_forward_run():
     k = ParamVector(2, 3, 3, 2)
     q0 = (0.2, 0.2, 0.2, 0.4)
-    forward = integrate4(k, q0, 5.0, keep_dense=False)
-    backward = integrate4(k, forward.states[-1], -5.0, keep_dense=False)
+    forward = integrate4(k, q0, 5.0)
+    backward = integrate4(k, forward.states[-1], -5.0)
     assert all(b < a for a, b in zip(backward.t, backward.t[1:]))
     assert backward.t[-1] == -5.0
     assert backward.mass_error <= 1e-9
     assert math.dist(backward.states[-1], q0) <= 1e-7
-
-
-def test_integrate4_validates_mass():
-    k = ParamVector(1, 1, 1, 1)
-    with pytest.raises(SimplexViolation):
-        integrate4(k, (0.5, 0.5, 0.5, 0.5), 1.0)
-
-
-@pytest.mark.parametrize("slot", range(4))
-def test_integrate4_rejects_a_nan_start(slot):
-    q0 = [0.2, 0.2, 0.2, 0.2]
-    q0[slot] = math.nan
-    with pytest.raises(SimplexViolation, match="is not a stochastic state"):
-        integrate4(ParamVector(1, 1, 1, 1), q0, 1.0)
 
 
 # --- section crossings ----------------------------------------------------------

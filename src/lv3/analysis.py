@@ -54,6 +54,7 @@ from .flow import (
     _DP5,
     _ReturnMap,
     _drive,
+    _max_or_nan,
     _simplex_run_args,
     _steps,
 )
@@ -488,12 +489,12 @@ def verify_theorem_a(k: ParamVector, n_samples: int, seed: int = 42,
             orbit = detect_periodic(k, p, tol_rel, tol_abs, horizon)
             if orbit is not None:
                 drift = orbit_integral_drift(k, p, orbit.period, names)
-                periodic.append((orbit.closure_error, max(drift.values(), default=0.0)))
-        worst_closure = max((c for c, _ in periodic), default=0.0)
-        worst_drift = max((d for _, d in periodic), default=0.0)
+                periodic.append((orbit.closure_error, _max_or_nan(drift.values())))
+        worst_closure = _max_or_nan(c for c, _ in periodic)
+        worst_drift = _max_or_nan(d for _, d in periodic)
         matches = _face_matches(k)
-        failed = (worst_closure > CLOSURE_TOL or worst_drift > DRIFT_TOL
-                  or residual > 1e-12 or not all(matches))
+        failed = not (worst_closure <= CLOSURE_TOL and worst_drift <= DRIFT_TOL
+                      and residual <= 1e-12 and all(matches))
         report.update(part="a", hypothesis_mismatch=False, segment_residual_max=residual,
                       n_periodic=len(periodic), n_inconclusive=n_samples - len(periodic),
                       worst_closure_error=worst_closure, worst_drift=worst_drift,

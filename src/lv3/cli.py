@@ -14,8 +14,10 @@ import argparse
 import ast
 import json
 import math
+import os
 import sys
 from functools import cache
+from itertools import chain
 
 from . import analysis, darboux, equilibria, flow
 from .params import ParamVector, ZeroParameter, classify, discriminant
@@ -213,16 +215,39 @@ def emit_jsonl(records, stream):
         stream.write("\n")
 
 
+CSV_CHUNK_ROWS = 4096
+
+
 def emit_csv(header, rows, stream):
-    stream.write(",".join(header))
-    stream.write("\n")
-    formats = {}  # one %-format per row layout, giving each cell the text of _fmt
-    for row in rows:
-        types = tuple(map(type, row))
-        if types not in formats:
-            cells = ("%.17g" if issubclass(t, float) else "%s" for t in types)
-            formats[types] = ",".join(cells) + "\n"
-        stream.write(formats[types] % tuple(row))
+    """Write a header line and one CSV line per row of the sequence rows,
+    each cell the text _fmt gives it.
+
+    The layout is checked once per table: when every row has the same length
+    and every cell is a float, one "%.17g,...\n" format serves the whole
+    table; otherwise each row layout gets its own format.  The text goes out
+    in chunks of at most CSV_CHUNK_ROWS rows, one write each, so a long table
+    is never held twice in full.
+    """
+    stream.write(",".join(header) + "\n")
+    if set(map(type, chain.from_iterable(rows))) == {float} and len(set(map(len, rows))) == 1:
+        line = ",".join(["%.17g"] * len(rows[0])) + "\n"
+
+        def render(chunk):
+            return (line * len(chunk)) % tuple(chain.from_iterable(chunk))
+    else:
+        formats = {}  # one %-format per row layout, giving each cell the text of _fmt
+
+        def render_row(row):
+            types = tuple(map(type, row))
+            if types not in formats:
+                cells = ("%.17g" if issubclass(t, float) else "%s" for t in types)
+                formats[types] = ",".join(cells) + "\n"
+            return formats[types] % tuple(row)
+
+        def render(chunk):
+            return "".join(map(render_row, chunk))
+    for start in range(0, len(rows), CSV_CHUNK_ROWS):
+        stream.write(render(rows[start:start + CSV_CHUNK_ROWS]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +349,12 @@ def _cmd_integrate(cfg, stream):
                           monitor=list(cfg.monitor))
     columns = [f"log{n}" for n in cfg.monitor]
     series = [traj.drift[n] for n in cfg.monitor]
-    samples = zip(traj.t, traj.states, *series)
     if cfg.fmt == "csv":
-        rows = [(t, *state, *logs) for t, state, *logs in samples]
+        rows = list(zip(traj.t, *zip(*traj.states), *series))
         emit_csv(["t", "x", "y", "z", *columns], rows, stream)
     else:
         records = []
-        for t, (x, y, z), *logs in samples:
+        for t, (x, y, z), *logs in zip(traj.t, traj.states, *series):
             rec = {"t": t, "x": x, "y": y, "z": z}
             rec.update(zip(columns, logs))
             records.append(rec)
@@ -504,10 +528,16 @@ _HANDLERS = {
 class _OutFile:
     """The --out file, opened (and truncated) at the first write.  Every
     handler writes only once its run is done, so a run that fails leaves
-    the file as it was, or absent."""
+    the file as it was, or absent.  A directory that cannot be reached fails
+    at once, with the error open would give at the first write; other open
+    errors (permissions on the file, a full disk) still come then."""
 
     def __init__(self, path):
         self._path, self._file = path, None
+        try:
+            os.stat(os.path.dirname(path) or ".")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
 
     def write(self, text):
         self._file = open(self._path, "w", encoding="utf-8")
@@ -526,8 +556,10 @@ class _OutFile:
 def main(argv=None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
     handler = _HANDLERS[cfg.command]
-    stream = _OutFile(cfg.out) if cfg.out else sys.stdout
+    stream = sys.stdout
     try:
+        if cfg.out:
+            stream = _OutFile(cfg.out)
         code = handler(cfg, stream)
         stream.flush()
         return code
@@ -539,7 +571,7 @@ def main(argv=None) -> int:
         print(f"lv3: {exc}", file=sys.stderr)
         return EXIT_FAIL
     finally:
-        if cfg.out:
+        if isinstance(stream, _OutFile):
             stream.close()
 
 

@@ -494,10 +494,18 @@ class Trajectory:
         return len(self.t)
 
     def drift_range(self, name: str) -> float:
-        """Peak-to-start excursion of a monitored log integral."""
+        """Peak-to-start excursion of a monitored log integral; nan if any
+        sample is nan."""
         series = self.drift[name]
         base = series[0]
-        return max(abs(v - base) for v in series)
+        return _max_or_nan(abs(v - base) for v in series)
+
+
+def _max_or_nan(values) -> float:
+    """The largest of values, 0.0 for none and nan if any is nan, where max
+    would keep a nan only in first place."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def _violation3(y) -> float:

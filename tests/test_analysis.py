@@ -257,6 +257,18 @@ def test_drift_run_controls_the_relative_error_next_to_a_face():
     assert orbit_integral_drift(k, (0.3, 0.0, 0.4), 5.0, names=()) == {}
 
 
+@pytest.mark.parametrize("second_v_drift, passed", [(2e-13, True), (math.nan, False)],
+                         ids=["finite", "nan"])
+def test_a_nan_drift_never_passes_part_a(monkeypatch, second_v_drift, passed):
+    # the nan is in no sample's first place, where max would drop it
+    drifts = iter([{"H": 1e-13, "V": 1e-13}, {"H": 1e-13, "V": second_v_drift}])
+    monkeypatch.setattr(lv3.analysis, "orbit_integral_drift", lambda *args: next(drifts))
+    report = verify_theorem_a(ParamVector(2, 3, 3, 2), 2, seed=5)
+    assert report["n_periodic"] == 2
+    assert report["passed"] is passed and report["failed"] is not passed
+    assert report["worst_drift"] == 2e-13 if passed else math.isnan(report["worst_drift"])
+
+
 # starts of SplitMix64(7) samples whose omega probe stopped next to a
 # saddle-type point of R_py (and one alpha probe next to R_xz), read as
 # point-on-R_*: (k, number sampled, index of the start)

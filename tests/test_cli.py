@@ -8,10 +8,12 @@ import sys
 
 import pytest
 
-from lv3 import flow
+from lv3 import analysis, flow
 from lv3.cli import (
+    CSV_CHUNK_ROWS,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
+    EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     _build_parser,
@@ -435,14 +437,35 @@ def test_out_file_writing(tmp_path, capsys):
 
 
 def test_io_error_exit_code(tmp_path, capsys):
-    from lv3.cli import EXIT_IO
-
     code = main(["classify", "--k", "2,1,2,1", "--out", str(tmp_path)])  # a directory
     capsys.readouterr()
     assert code == EXIT_IO
     code = main(["classify", "--k", "2,1,2,1", "--out", str(tmp_path / "no" / "x.txt")])
     assert code == EXIT_IO
     assert capsys.readouterr().err.startswith("lv3: i/o error: ")
+
+
+def test_a_missing_out_directory_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def harness(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(analysis, "verify_theorem_a", harness)
+    target = tmp_path / "no" / "x"
+    with pytest.raises(OSError) as opened:
+        open(target, "w")
+    assert main(["verify-a", "--k", "2,3,3,2", "--samples", "20", "--out", str(target)]) == EXIT_IO
+    assert capsys.readouterr().err == f"lv3: i/o error: {opened.value}\n"
+    assert not target.parent.exists()
+
+
+def test_integrate_out_file_has_the_stdout_bytes(tmp_path, capsys):
+    # T=400 gives more rows than one CSV chunk holds
+    argv = "integrate --k 1,1,1,1 --p0 0.2,0.25,0.22 --t 400 --monitor H,V".split()
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK and out.count("\n") > 1 + CSV_CHUNK_ROWS
+    target = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(target)]) == EXIT_OK
+    assert target.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("argv, budget", [
@@ -493,6 +516,25 @@ def test_csv_cells_read_as_fmt_gives_them():
     buffer = io.StringIO()
     emit_csv(["a"], rows, buffer)
     assert buffer.getvalue() == "a\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.lines_per_write = []
+
+    def write(self, text):
+        self.lines_per_write.append(text.count("\n"))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("first", [0.5, 7], ids=["all-float", "int-first"])
+def test_csv_rows_are_written_one_chunk_per_write(first):
+    rows = [(first, i / 3.0, -0.0) for i in range(2 * CSV_CHUNK_ROWS + 1)]
+    buffer = _CountingStream()
+    emit_csv(["a", "b", "c"], rows, buffer)
+    assert buffer.lines_per_write == [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS, 1]
+    assert buffer.getvalue() == "a,b,c\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
 
 
 # sha256 of stdout and the exit code, pinned for fast invocations.  No float

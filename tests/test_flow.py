@@ -626,6 +626,16 @@ def test_integral_drift_over_horizon_100():
     assert traj.drift_range("V") <= 1e-8
 
 
+def test_a_nan_sample_makes_the_drift_range_nan():
+    # max keeps a nan only in first place: max(0.0, nan, 1e-3) is 1e-3
+    series = {"H": (0.0, math.nan, 1e-3), "V": (math.nan, 0.0, 1e-3), "W": (0.0, -2e-3, 1e-3)}
+    traj = flow.Trajectory(k=None, t=(0.0, 1.0, 2.0), states=((0.2, 0.2, 0.2),) * 3,
+                           max_violation=0.0, drift=series)
+    assert math.isnan(traj.drift_range("H"))
+    assert math.isnan(traj.drift_range("V"))
+    assert traj.drift_range("W") == 2e-3
+
+
 def test_log_h_increases_off_manifold():
     k = ParamVector(2, 1, 2, 1)
     traj = integrate(k, (0.2, 0.2, 0.2), 10.0, monitor=["H"])

@@ -3,11 +3,10 @@ Lotka-Volterra flows on the unit simplex.
 
 The package classifies parameter vectors into sign regimes, enumerates the
 closed-form equilibrium sets, certifies product-form first integrals through
-cofactor algebra, integrates the three- and four-species flows with an
-adaptive embedded Runge-Kutta pair, detects periodic orbits through a return
-map, classifies limit sets against the distinguished boundary segments, and
-drives all of it from the ``lv3`` command line tool with reproducible,
-seed-determined output.
+cofactor algebra, integrates the three-species flow with adaptive embedded
+Runge-Kutta pairs, detects periodic orbits through a return map, classifies
+limit sets against the distinguished boundary segments, and drives all of it
+from the ``lv3`` command line tool with reproducible, seed-determined output.
 """
 
 from .params import (
@@ -36,7 +35,6 @@ from .darboux import (
     PolySurface,
     builtin_surfaces,
     certify_named_integrals,
-    integral_value,
     log_integral_value,
     named_integral_specs,
     solve_darboux,
@@ -86,7 +84,6 @@ __all__ = [
     "PolySurface",
     "builtin_surfaces",
     "certify_named_integrals",
-    "integral_value",
     "log_integral_value",
     "named_integral_specs",
     "solve_darboux",

@@ -44,7 +44,7 @@ from .equilibria import (
     limit_segments,
     vector_field,
 )
-from .darboux import certify_named_integrals
+from .darboux import certify_named_integrals, log_integral_series, named_integral_specs
 from .flow import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
@@ -54,8 +54,6 @@ from .flow import (
     _DP5,
     _ReturnMap,
     _drive,
-    _max_or_nan,
-    _simplex_run_args,
     _steps,
 )
 from .rng import SplitMix64
@@ -95,6 +93,7 @@ R_TUBE = 1e-3
 BOUNDARY_SAMPLING_MARGIN = 1e-3
 EQUILIBRIUM_TOL = 1e-6
 MATCH_TOL = 1e-9
+MATCH_REL_TOL = 1e-5
 DRIFT_TOL = 1e-8
 
 class OnEquilibrium(ValueError):
@@ -325,6 +324,13 @@ def certified_integral_names(k: ParamVector) -> tuple:
     return tuple(n for n in ("H", "V", "Htilde", "Vtilde") if status[n].certified)[:2]
 
 
+def _max_or_nan(values) -> float:
+    """The largest of values, 0.0 for none and nan if any is nan, where max
+    would keep a nan only in first place."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dict:
     """Peak log-form drift of the certified integrals along one orbit stretch,
     integrated at tol_rel 1e-12 with an error control that is relative.
@@ -332,16 +338,20 @@ def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dic
     The run takes integrate's argument checks, simplex check and step
     limits, but steps with the eighth-order Dormand-Prince pair: at this
     tolerance it needs about 4x fewer field evaluations than the
-    fifth-order one, and the drift is read at every accepted sample, never
-    between them.  tol_abs 1e-300 only keeps a component of exactly 0.0
-    from dividing by zero: log H reads coordinates to relative precision,
-    and next to a face tol_abs 1e-14 left a false drift of 1e-8.
+    fifth-order one.  The log integrals (darboux.log_integral_series) are
+    read at every accepted state, never between them; a drift is nan if
+    any of its samples is (a zero surface value).  tol_abs 1e-300 only
+    keeps a component of exactly 0.0 from dividing by zero: log H reads
+    coordinates to relative precision, and next to a face tol_abs 1e-14
+    left a false drift of 1e-8.
     """
     if names is None:
         names = certified_integral_names(k)
-    start, specs = _simplex_run_args(k, p0, duration, list(names))
-    traj = _drive(k, _field3(k), start, duration, 1e-12, 1e-300, specs, _DOP853)
-    return {name: traj.drift_range(name) for name in names}
+    named = named_integral_specs(k)
+    specs = [named[name] for name in names]
+    states = _drive(_field3(k), p0, duration, 1e-12, 1e-300, _DOP853).states
+    return {name: _max_or_nan(abs(v - series[0]) for v in series)
+            for name, series in zip(names, log_integral_series(specs, states))}
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +396,10 @@ def heteroclinic_match(k: ParamVector, x0: float) -> HeteroclinicMatch:
     through the same point on the sum face at x2.  The two agree (within
     MATCH_TOL) exactly when the discriminant vanishes (the two leaf families
     coincide), which is when the boundary heteroclinic connections close
-    into loops.
+    into loops.  Roots that run toward the same vertex must also agree in
+    their distances from it, to MATCH_REL_TOL relatively: near an end of
+    the edge both lie within MATCH_TOL of the vertex, where x alone no
+    longer tells them apart.
     """
     if not classify(k).in_ps:
         raise NotInPS("heteroclinic matching requires same-sign parameters")
@@ -403,16 +416,38 @@ def heteroclinic_match(k: ParamVector, x0: float) -> HeteroclinicMatch:
     level_sigma = (1.0 - x0) * x0**gamma_sigma
     x1 = _other_leaf_root(gamma_y, level_y, x0, crit_y)
     x2 = _other_leaf_root(gamma_sigma, level_sigma, x0, crit_sigma)
-    return HeteroclinicMatch(
-        x0=x0, x1=x1, x2=x2, matched=abs(x1 - x2) <= MATCH_TOL,
-        level_y=level_y, level_sigma=level_sigma,
-    )
+    matched = abs(x1 - x2) <= MATCH_TOL and (
+        (x0 < crit_y) != (x0 < crit_sigma)
+        or abs(_log_vertex_distance(gamma_y, x0, crit_y)
+               - _log_vertex_distance(gamma_sigma, x0, crit_sigma)) <= MATCH_REL_TOL)
+    return HeteroclinicMatch(x0=x0, x1=x1, x2=x2, matched=matched,
+                             level_y=level_y, level_sigma=level_sigma)
 
 
 def _other_leaf_root(gamma: float, level: float, x0: float, crit: float) -> float:
     if x0 < crit:
         return _bisect_leaf_root(gamma, level, crit, 1.0)
     return _bisect_leaf_root(gamma, level, 1e-300, crit)
+
+
+def _log_vertex_distance(gamma: float, x0: float, crit: float) -> float:
+    """log of the distance t from the far root of the leaf through x0 to the
+    vertex it runs toward, to relative precision at any t.
+
+    Below the critical abscissa crit = gamma/(1+gamma) the far root is
+    1 - t, above it t; either way t solves a*log(t) + b*log(1-t) =
+    log(level) on (0, a/(a+b)), with (a, b) = (1, gamma) or (gamma, 1)."""
+    a, b = (1.0, gamma) if x0 < crit else (gamma, 1.0)
+    log_level = math.log1p(-x0) + gamma * math.log(x0)
+    # log(1-t) lies in (log1p(-a/(a+b)), 0) on the interval
+    lo = log_level / a
+    hi = min(math.log(a / (a + b)), (log_level - b * math.log1p(-a / (a + b))) / a)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if a * mid + b * math.log1p(-math.exp(mid)) < log_level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def complement_edge_distance(k: ParamVector, point, which: str) -> float:

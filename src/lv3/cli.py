@@ -345,10 +345,10 @@ def _cmd_darboux(cfg, stream):
 
 
 def _cmd_integrate(cfg, stream):
-    traj = flow.integrate(cfg.k, cfg.p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs,
-                          monitor=list(cfg.monitor))
+    traj = flow.integrate(cfg.k, cfg.p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
+    named = darboux.named_integral_specs(cfg.k)
+    series = darboux.log_integral_series([named[n] for n in cfg.monitor], traj.states)
     columns = [f"log{n}" for n in cfg.monitor]
-    series = [traj.drift[n] for n in cfg.monitor]
     if cfg.fmt == "csv":
         rows = list(zip(traj.t, *zip(*traj.states), *series))
         emit_csv(["t", "x", "y", "z", *columns], rows, stream)

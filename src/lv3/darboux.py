@@ -30,8 +30,6 @@ __all__ = [
     "solve_darboux",
     "named_integral_specs",
     "certify_named_integrals",
-    "surface_values",
-    "integral_value",
     "log_integral_series",
     "log_integral_value",
 ]
@@ -41,7 +39,7 @@ RESIDUAL_REL_TOL = 1e-12
 
 
 class DomainError(ValueError):
-    """A surface value vanishes where its exponent does not allow it."""
+    """A surface value vanishes where the log form needs it nonzero."""
 
 
 class Poly:
@@ -397,39 +395,13 @@ def solve_darboux(k: ParamVector) -> DarbouxReport:
     )
 
 
-def surface_values(p) -> tuple:
-    """Values of the four builtin surfaces at p (the last one is <= 0 on T)."""
-    x, y, z = _coords(p)
-    return (x, y, z, ((x + y) + z) - 1.0)
-
-
-def integral_value(spec: FirstIntegralSpec, p) -> float:
-    """prod |f_i|^{e_i} at p.
-
-    Zero factors follow the convention 0**e = 0 for e > 0; a zero factor
-    with exponent <= 0 raises DomainError (the product diverges or is
-    indeterminate there).
-    """
-    out = 1.0
-    for e, f in zip(spec.exponents, surface_values(p)):
-        if e == 0.0:
-            continue
-        mag = abs(f)
-        if mag == 0.0:
-            if e > 0.0:
-                return 0.0
-            raise DomainError(f"{spec.name}: surface value 0 with exponent {e}")
-        out *= mag**e
-    return out
-
-
 def log_integral_value(spec: FirstIntegralSpec, p) -> float:
     """sum e_i * log|f_i| at a strictly interior point.
 
-    The log form is the representation of choice for drift monitoring: it
-    stays well-conditioned for large exponents and near the boundary, where
-    the product form over- or underflows.  It is log_integral_series at
-    one point.
+    The log form is the one form the toolkit evaluates: it stays
+    well-conditioned for large exponents and near the boundary, where the
+    product prod |f_i|^{e_i} over- or underflows.  It is
+    log_integral_series at one point.
     """
     x, y, z = _coords(p)
     w = ((x + y) + z) - 1.0
@@ -442,7 +414,9 @@ def log_integral_series(specs, points) -> list:
     """log_integral_value of each spec at each of points (float triples),
     bit for bit, nan where a surface value is zero: log|f_i| once per
     surface column, then per spec fsum of its nonzero-exponent terms in
-    index order."""
+    index order.  With no specs it returns [] and takes no logarithm."""
+    if not specs:
+        return []
     columns = [*zip(*points)] or [(), (), ()]
     columns.append([((x + y) + z) - 1.0 for x, y, z in points])
     zero = {i for c in columns if 0.0 in c for i, v in enumerate(c) if v == 0.0}

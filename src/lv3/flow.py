@@ -4,13 +4,14 @@ that locates an orbit's crossings of a plane section.
 The integrator is an explicit Dormand-Prince 5(4) embedded pair (Dormand &
 Prince 1980) with PI stepsize control.  A step builds no dense segment:
 segment() builds the last accepted step's interpolant on demand (for a
-return map at a crossing), and monitored first integrals are evaluated in
-one pass after the run.  It operates on plain float tuples: the simplex
-state has three components, where numpy array overhead would dominate the
-runtime.  _kernels writes each pair's step, error norm and dense-segment
-arithmetic out over named scalars from its tableau, once per (pair, state
-length) on first use, and one DenseSegment class serves both pairs in one
-form (_Pair), building its rows on first read.
+return map at a crossing).  Runs return states only; the callers that read
+first integrals evaluate them over those states (darboux).  The stepper
+operates on plain float tuples: the simplex state has three components,
+where numpy array overhead would dominate the runtime.  _kernels writes
+each pair's step, error norm and dense-segment arithmetic out over named
+scalars from its tableau, once per (pair, state length) on first use, and
+one DenseSegment class serves both pairs in one form (_Pair), building its
+rows on first read.
 
 Two kinds of run take the Dormand-Prince 8(5,3) pair (DOP853; Prince &
 Dormand 1981): the drift re-integration of analysis.orbit_integral_drift,
@@ -51,7 +52,6 @@ from functools import cache
 
 from .params import ParamVector
 from .equilibria import SimplexPoint, SimplexViolation, _coords, _field3
-from .darboux import FirstIntegralSpec, log_integral_series, named_integral_specs
 
 __all__ = [
     "DormandPrince45",
@@ -293,18 +293,11 @@ class DenseSegment:
         self.t0, self.h, self.y0 = t0, h, y0
         self._code, self._fun, self._K, self._y1, self._rows = code, fun, K, y1, None
 
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.h
-
     def eval_theta(self, theta: float) -> tuple:
         rows = self._rows
         if rows is None:
             rows = self._rows = self._code.dense(self._fun, self.h, self.y0, self._K, self._y1)
         return self._code.dense_eval(self.y0, rows, theta)
-
-    def eval(self, t: float) -> tuple:
-        return self.eval_theta((t - self.t0) / self.h)
 
 
 def _plain_sum(values):
@@ -419,8 +412,7 @@ class DormandPrince45:
         self._reject_exp, self._alpha, self._beta = -1 / q, 0.7 / q, 0.4 / q
         self.f = fun(self.y)
         self.min_step = MIN_STEP_FRACTION * self.t_span
-        h = _initial_step(fun, self.y, self.f, self.rtol, self.atol, self.t_span, 1 / q)
-        self.h = min(h, self.t_span)
+        self.h = _initial_step(fun, self.y, self.f, self.rtol, self.atol, self.t_span, 1 / q)
         self._err_prev = 1.0
         self.n_accepted = 0
         self.n_rejected = 0
@@ -484,28 +476,12 @@ class Trajectory:
     for backward ones.
     """
 
-    k: ParamVector | None
     t: tuple
     states: tuple
     max_violation: float
-    drift: dict | None = None
 
     def __len__(self):
         return len(self.t)
-
-    def drift_range(self, name: str) -> float:
-        """Peak-to-start excursion of a monitored log integral; nan if any
-        sample is nan."""
-        series = self.drift[name]
-        base = series[0]
-        return _max_or_nan(abs(v - base) for v in series)
-
-
-def _max_or_nan(values) -> float:
-    """The largest of values, 0.0 for none and nan if any is nan, where max
-    would keep a nan only in first place."""
-    values = list(values)
-    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def _violation3(y) -> float:
@@ -526,27 +502,6 @@ def _violation3(y) -> float:
     if v > worst:
         worst = v
     return worst
-
-
-def _resolve_monitor(k, monitor) -> dict:
-    if not monitor:
-        return {}
-    specs = {}
-    named = None
-    for item in monitor:
-        if isinstance(item, FirstIntegralSpec):
-            name, spec = item.name, item
-        else:
-            if named is None:
-                named = named_integral_specs(k)
-            if item not in named:
-                raise ValueError(f"unknown integral name {item!r}")
-            name, spec = item, named[item]
-        # drift keeps one series per name: a repeat would replace the first
-        if name in specs:
-            raise ValueError(f"integral name {name!r} monitored twice")
-        specs[name] = spec
-    return specs
 
 
 def _steps(stepper):
@@ -570,16 +525,18 @@ def _steps(stepper):
         yield v
 
 
-def _drive(k, fun, y0, t_end, tol_rel, tol_abs, specs, pair=_DP5) -> Trajectory:
+def _drive(fun, p0, t_end, tol_rel, tol_abs, pair=_DP5) -> Trajectory:
     """The run behind integrate and the drift run: samples every accepted
-    step of _steps.
+    step of _steps from the simplex point p0.
 
-    For negative t_end fun is the flow of -k and only the reported times
-    carry the sign.  The run keeps the largest violation.  An exhausted
-    step budget raises StepBudgetExhausted.  specs maps monitored names to
-    their specs, evaluated over all samples once the run is done.  pair is
-    the embedded pair the stepper runs.
+    t_end must be nonzero.  For negative t_end fun is the flow of -k and
+    only the reported times carry the sign.  The run keeps the largest
+    violation.  An exhausted step budget raises StepBudgetExhausted.  pair
+    is the embedded pair the stepper runs.
     """
+    if t_end == 0.0:
+        raise ValueError("t_end must be nonzero")
+    y0 = SimplexPoint(*_coords(p0)).coords
     sign = 1 if t_end > 0.0 else -1
     stepper = DormandPrince45(fun, y0, abs(t_end), tol_rel, tol_abs, _pair=pair)
     times = [0.0]
@@ -593,31 +550,20 @@ def _drive(k, fun, y0, t_end, tol_rel, tol_abs, specs, pair=_DP5) -> Trajectory:
         add_state(stepper.y)
     if not stepper.finished:
         raise StepBudgetExhausted(f"accepted-step budget {MAX_ACCEPTED_STEPS} exhausted")
-    drift = dict(zip(specs, log_integral_series(specs.values(), states))) if specs else None
-    return Trajectory(k=k, t=tuple(times), states=tuple(states), max_violation=max_violation,
-                      drift=drift)
+    return Trajectory(t=tuple(times), states=tuple(states), max_violation=max_violation)
 
 
 def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
-              tol_abs: float = DEFAULT_TOL_ABS, monitor=None) -> Trajectory:
+              tol_abs: float = DEFAULT_TOL_ABS) -> Trajectory:
     """Integrate the 3-D simplex flow from p0 for time t_end.
 
     Negative t_end integrates backward, as the flow of -k (the field is
-    odd in k; steps stay positive internally); Trajectory.k and the
-    monitors stay those of k.  Monitored first integrals are recorded in
-    log form at every accepted sample (nan where a surface value is zero).
-    A simplex violation beyond 1e-9 raises SimplexViolation; smaller ones
-    are only recorded.
+    odd in k; steps stay positive internally).  The states are sampled at
+    every accepted step; a caller that reads first integrals evaluates them
+    over traj.states (darboux.log_integral_series).  A simplex violation
+    beyond 1e-9 raises SimplexViolation; smaller ones are only recorded.
     """
-    start, specs = _simplex_run_args(k, p0, t_end, monitor)
-    return _drive(k, _field3(k if t_end > 0.0 else -k), start, t_end, tol_rel, tol_abs, specs)
-
-
-def _simplex_run_args(k, p0, t_end, monitor) -> tuple:
-    """integrate's checks of its arguments: (start state, monitor specs)."""
-    if t_end == 0.0:
-        raise ValueError("t_end must be nonzero")
-    return SimplexPoint(*_coords(p0)).coords, _resolve_monitor(k, monitor)
+    return _drive(_field3(k if t_end > 0.0 else -k), p0, t_end, tol_rel, tol_abs)
 
 
 def _normal_component(section, v) -> float:

@@ -33,6 +33,3 @@ class SplitMix64:
         """Uniform draw in [lo, hi) from the top 53 bits."""
         u = self.next_u64() >> 11
         return lo + (hi - lo) * (u * 2.0 ** -53)
-
-    def choice(self, items):
-        return items[self.next_u64() % len(items)]

@@ -32,6 +32,11 @@ def rng():
     return SplitMix64(42)
 
 
+def choice(rng, items):
+    """One of items, drawn from the SplitMix64 stream rng."""
+    return items[rng.next_u64() % len(items)]
+
+
 def rand_params(rng, lo=0.3, hi=3.0, signs="mixed") -> ParamVector:
     """Random parameter vector with components in +-[lo, hi]."""
     comps = []
@@ -175,7 +180,7 @@ def dense_state(segments, t: float) -> tuple:
     first step that ends at or after it (theta at most 1: a clipped last
     step may end an ulp before the span)."""
     for seg in segments:
-        if t <= seg.t1:
+        if t <= seg.t0 + seg.h:
             break
     return seg.eval_theta(min((t - seg.t0) / seg.h, 1.0))
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ import lv3.analysis
 import lv3.flow
 from lv3.analysis import (
     DRIFT_TOL,
+    MATCH_TOL,
     DegenerateLeaf,
     OnEquilibrium,
     alpha_limit,
@@ -24,6 +26,8 @@ from lv3.analysis import (
     sample_interior,
     verify_theorem_a,
     verify_theorem_b,
+    _expected_limit_segments,
+    _face_matches,
     _probe,
 )
 from lv3.equilibria import SimplexViolation, interior_segment_R, limit_segments
@@ -269,6 +273,19 @@ def test_a_nan_drift_never_passes_part_a(monkeypatch, second_v_drift, passed):
     assert report["worst_drift"] == 2e-13 if passed else math.isnan(report["worst_drift"])
 
 
+def test_a_nan_sample_makes_the_drift_nan(monkeypatch):
+    # max keeps a nan only in first place: max(0.0, nan, 1e-3) is 1e-3
+    k = ParamVector(2, 3, 3, 2)
+    # a start on the face y = 0: every log sample is nan
+    drift = orbit_integral_drift(k, (0.3, 0.0, 0.4), 5.0, names=("H", "V"))
+    assert set(drift) == {"H", "V"} and all(map(math.isnan, drift.values()))
+    series = [[0.0, math.nan, 1e-3], [math.nan, 0.0, 1e-3], [0.0, -2e-3, 1e-3]]
+    monkeypatch.setattr(lv3.analysis, "log_integral_series", lambda specs, states: series)
+    drift = orbit_integral_drift(k, (0.2, 0.2, 0.2), 1.0, names=("H", "V", "Htilde"))
+    assert math.isnan(drift["H"]) and math.isnan(drift["V"])
+    assert drift["Htilde"] == 2e-3
+
+
 # starts of SplitMix64(7) samples whose omega probe stopped next to a
 # saddle-type point of R_py (and one alpha probe next to R_xz), read as
 # point-on-R_*: (k, number sampled, index of the start)
@@ -424,6 +441,37 @@ def test_match_dichotomy_tracks_discriminant(rng):
         assert match.matched == (abs(discriminant(k)) <= 1e-12)
 
 
+def test_no_false_loop_closure_toward_the_edge_ends():
+    # off the manifold x1 = x2 would need k3/k4 = k2/k1, so a match is a
+    # resolution artefact; near a vertex both roots lie within MATCH_TOL of
+    # it, and only their distances from it tell them apart
+    grid = [10.0 ** -j for j in range(1, 301, 3)] + [1.0 - 10.0 ** -j for j in range(1, 17)]
+    for c in itertools.product((1, 2, 3), repeat=4):
+        if c[0] * c[2] == c[1] * c[3]:
+            continue
+        for x0 in grid:
+            assert not heteroclinic_match(ParamVector(*c), x0).matched, (c, x0)
+    # D = 0.03: between 1e-9 and 2e-9 from the vertex the roots lie within
+    # MATCH_TOL of each other, though neither lies within MATCH_TOL of it
+    k = ParamVector(1, 1, 1.03, 1)
+    match = heteroclinic_match(k, 1.95e-9)
+    assert abs(match.x1 - match.x2) <= MATCH_TOL < min(1.0 - match.x1, 1.0 - match.x2)
+    for x0 in [10.0 ** (-j / 20) for j in range(140, 240)] + [10.0 ** -j for j in range(12, 301)]:
+        assert not heteroclinic_match(k, x0).matched, x0
+
+
+def test_on_manifold_roots_next_to_a_vertex_still_match():
+    # leaf exponent 20: the harness abscissae put both roots about 2e-10
+    # from the vertex, bit for bit equal
+    k = ParamVector(1, 20, 20, 1)
+    assert _face_matches(k) == [True, True, True]
+    match = heteroclinic_match(k, 0.33)
+    assert match.matched and match.x1 == match.x2 and 0.0 < 1.0 - match.x1 < MATCH_TOL
+    # 1.3e-3 from the vertex a near-manifold pair matches within MATCH_TOL as
+    # before, though the distances differ by 6e-8 relatively
+    assert heteroclinic_match(ParamVector(1, 4, 4, 1 + 1e-8), 0.2).matched
+
+
 # --- harnesses -----------------------------------------------------------------
 
 
@@ -501,6 +549,32 @@ def test_verify_theorem_b_sweep_of_forty_starts(k):
     report = verify_theorem_b(ParamVector(*k), 40, seed=7)
     assert (report["n_pass"], report["n_fail"], report["n_inconclusive"]) == (40, 0, 0)
     assert report["passed"]
+
+
+def _r17_vectors() -> list:
+    """The R17 sweep's ten S+- vectors: four uniform(0.3, 3.0) components,
+    all four negated if random() < 0.3."""
+    rng = random.Random(17)
+    vectors = []
+    for _ in range(10):
+        c = [rng.uniform(0.3, 3.0) for _ in range(4)]
+        sign = -1.0 if rng.random() < 0.3 else 1.0
+        vectors.append(ParamVector(*(sign * v for v in c)))
+    return vectors
+
+
+@pytest.mark.parametrize("index", range(10), ids=[f"vector-{i}" for i in range(10)])
+def test_r17_sweep_runs_from_one_segment_to_the_other(index):
+    # the 30 SplitMix64(23) starts of each vector; the one miss, start 12 of
+    # vector 5, is the strict xfail FACE_SINK_CASES[1]
+    k = _r17_vectors()[index]
+    alpha, omega = _expected_limit_segments(classify(k))
+    want = (f"point-on-{omega}", f"point-on-{alpha}")
+    for j, p in enumerate(sample_interior(k, 30, SplitMix64(23))):
+        if (index, j) == (5, 12):
+            assert FACE_SINK_CASES[1][:4] == (tuple(k), 30, 23, 12)
+            continue
+        assert (omega_limit(k, p).kind, alpha_limit(k, p).kind) == want, (tuple(k), j)
 
 
 # --- period profile and scan -----------------------------------------------------

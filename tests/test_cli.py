@@ -23,7 +23,9 @@ from lv3.cli import (
     parse_args,
     parse_slice,
 )
-from conftest import cpython_only
+from lv3.darboux import log_integral_value, named_integral_specs
+from lv3.rng import SplitMix64
+from conftest import cpython_only, rand_interior_point, rand_params
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +239,34 @@ def test_repeated_monitor_name_is_a_usage_error(capsys):
     assert "twice" in captured.err
 
 
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_monitor_columns_are_bitwise_the_single_point_form(capsys, backward):
+    # the monitors stay those of k on a backward run (the flow of -k)
+    rng = SplitMix64(77)
+    k = rand_params(rng, signs="positive")
+    p0 = rand_interior_point(rng)
+    argv = ["integrate", "--k", ",".join(map(repr, k)), "--p0", ",".join(map(repr, p0)),
+            "--t", "30", "--monitor", "V,H", "--format", "json", *(["--backward"] * backward)]
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in out.splitlines()]
+    specs = named_integral_specs(k)
+    assert len(records) > 50 and all(len(rec) == 6 for rec in records)
+    for rec in records:
+        state = (rec["x"], rec["y"], rec["z"])
+        for name in ("H", "V"):
+            assert rec[f"log{name}"].hex() == log_integral_value(specs[name], state).hex()
+
+
+def test_integrate_without_monitor_takes_no_logarithm(capsys, monkeypatch):
+    def no_log(value):
+        raise AssertionError("a logarithm was taken")
+
+    monkeypatch.setattr(math, "log", no_log)
+    code, out = run_cli(capsys, "integrate", "--k", "2,3,3,2", "--p0", "0.2,0.2,0.2", "--t", "3")
+    assert code == EXIT_OK and out.startswith("t,x,y,z\n")
+
+
 def test_integrate_csv_output(capsys):
     code, out = run_cli(capsys, "integrate", "--k", "1,1,1,1", "--p0", "0.1,0.1,0.1",
                         "--t", "1", "--monitor", "H,V")
@@ -314,6 +344,15 @@ def test_verify_b_cli_mismatch(capsys):
     code, out = run_cli(capsys, "verify-b", "--k", "2,3,3,2", "--samples", "2")
     assert code == EXIT_FAIL
     assert json.loads(out.strip())["status"] == "hypothesis-mismatch"
+
+
+def test_match_cli_near_a_vertex_reports_no_match(capsys):
+    # both far leaf roots lie within MATCH_TOL of the vertex (1, 0, 0): x1
+    # rounds to it, x2 is 1.1e-15 away from it
+    code, out = run_cli(capsys, "match", "--k", "2,1,2,1", "--x0", "1e-30")
+    report = json.loads(out)
+    assert code == EXIT_OK and not report["matched"]
+    assert (report["x1"], report["x2"]) == (1.0, 0.9999999999999989)
 
 
 def test_match_cli(capsys):

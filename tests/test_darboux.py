@@ -10,13 +10,11 @@ from lv3.darboux import (
     builtin_surfaces,
     certify_named_integrals,
     cofactor_matrix,
-    integral_value,
     kernel_basis,
     log_integral_series,
     log_integral_value,
     named_integral_specs,
     solve_darboux,
-    surface_values,
     verify_invariance,
     _cofactors,
 )
@@ -205,28 +203,37 @@ def test_kernel_basis_degenerate_inputs():
 
 
 def test_integral_values():
+    # log H = log(x*z) and log V = log(y**2 * |x + y + z - 1|)
     k = ParamVector(1, 1, 1, 1)
     h = named_integral_specs(k)["H"]
-    assert integral_value(h, (0.25, 0.25, 0.25)) == pytest.approx(1 / 16)
+    assert log_integral_value(h, (0.25, 0.25, 0.25)) == pytest.approx(math.log(1 / 16))
 
     k = ParamVector(2, 1, 2, 1)
     v = named_integral_specs(k)["V"]
-    assert integral_value(v, (0.2, 0.2, 0.2)) == pytest.approx(0.016)
+    assert log_integral_value(v, (0.2, 0.2, 0.2)) == pytest.approx(math.log(0.016))
 
 
 def test_integral_zero_conventions():
-    spec = FirstIntegralSpec((1.0, 0.0, 1.0, 0.0), "custom")
-    assert integral_value(spec, (0.0, 0.5, 0.5)) == 0.0
-    neg = FirstIntegralSpec((-1.0, 0.0, 1.0, 0.0), "custom")
-    with pytest.raises(DomainError):
-        integral_value(neg, (0.0, 0.5, 0.5))
-    with pytest.raises(DomainError):
-        log_integral_value(spec, (0.0, 0.5, 0.5))
+    # a zero surface value: the single-point form raises, the series is nan
+    for e in (1.0, -1.0):
+        spec = FirstIntegralSpec((e, 0.0, 1.0, 0.0), "custom")
+        with pytest.raises(DomainError):
+            log_integral_value(spec, (0.0, 0.5, 0.5))
+        assert math.isnan(log_integral_series([spec], [(0.0, 0.5, 0.5)])[0][0])
+
+
+def test_no_spec_takes_no_logarithm(monkeypatch):
+    def no_log(value):
+        raise AssertionError("a logarithm was taken")
+
+    monkeypatch.setattr(math, "log", no_log)
+    assert log_integral_series([], [(0.2, 0.3, 0.1), (0.0, 0.5, 0.5)]) == []
 
 
 def _log_integral_reference(spec, p):
     """The generator form: an independent reference for log_integral_value."""
-    vals = surface_values(p)
+    x, y, z = p
+    vals = (x, y, z, ((x + y) + z) - 1.0)
     if any(v == 0.0 for v in vals):
         raise DomainError(f"{spec.name}: log form needs all four surface values nonzero")
     return math.fsum(e * math.log(abs(f)) for e, f in zip(spec.exponents, vals) if e != 0.0)
@@ -377,9 +384,10 @@ def test_log_integrals_move_with_the_sign_of_the_discriminant():
             continue
         checked += 1
         p0 = rand_interior_point(rng, margin=0.05)
-        traj = integrate(k, p0, 2.0, monitor=list(LYAPUNOV_FORMS))
-        for name, (_, sign) in LYAPUNOV_FORMS.items():
-            series = traj.drift[name]
+        specs = named_integral_specs(k)
+        logs = log_integral_series([specs[name] for name in LYAPUNOV_FORMS],
+                                   integrate(k, p0, 2.0).states)
+        for (name, (_, sign)), series in zip(LYAPUNOV_FORMS.items(), logs):
             change = series[-1] - series[0]
             assert math.copysign(1.0, change) == sign * math.copysign(1.0, d), (k, p0, name)
 
@@ -390,7 +398,8 @@ def test_gradient_independence_of_h_and_v(rng):
         k = rand_params_on_S_exact(rng)
         specs = named_integral_specs(k)
         p = rand_interior_point(rng, margin=0.02)
-        f1, f2, f3, f4 = surface_values(p)
+        f1, f2, f3 = p
+        f4 = ((f1 + f2) + f3) - 1.0
 
         def log_gradient(spec):
             # gradient of log|I|: e_i/f_i + e_4/f_4, as f_4 = x+y+z-1

@@ -34,11 +34,11 @@ from lv3.flow import (
 )
 from lv3 import flow
 from lv3.analysis import default_section, detect_periodic, sample_interior
-from lv3.darboux import log_integral_value, named_integral_specs
+from lv3.darboux import log_integral_series, named_integral_specs
 from lv3.equilibria import SimplexViolation
 from lv3.params import ParamVector, classify
 from lv3.rng import SplitMix64
-from conftest import (contd5_rows_reference, cpython311_only, cpython_only,
+from conftest import (choice, contd5_rows_reference, cpython311_only, cpython_only,
                       dense_state, face_connection_abscissae, face_field, field4,
                       hairer_norm_reference, integrate4, norm3, rand_interior_point, rand_params,
                       rms_norm_reference)
@@ -154,7 +154,7 @@ def _kernel_cases(n):
             y[rng.next_u64() % n] = -0.0
         # the longest steps make the increment comparable to the state, so a
         # one-ulp change in any single stage sum survives into the output
-        h = rng.choice((1e-9, 1e-4, 0.01, 0.2)) * rng.uniform(0.5, 2.0)
+        h = choice(rng, (1e-9, 1e-4, 0.01, 0.2)) * rng.uniform(0.5, 2.0)
         yield fun, tuple(y), h
 
 
@@ -278,7 +278,7 @@ def test_eighth_order_segment_ends_at_the_step_ends(n):
         # itself rounds
         assert all(abs(a - b) <= 2 * math.ulp(max(abs(b), abs(c)))
                    for a, b, c in zip(end, y1, y))
-        assert (segment.t1, segment.eval(0.5 * h)) == (h, segment.eval_theta(0.5))
+        assert (segment.t0, segment.h) == (0.0, h)
 
 
 def test_eighth_order_segment_convergence():
@@ -375,7 +375,7 @@ def test_eighth_order_stepper_keeps_dense_segments():
     # fifth-order run's
     k = ParamVector(2, 3, 3, 2)
     p0 = (0.2, 0.2, 0.2)
-    traj = _drive(k, _field3(k), p0, 1.0, 1e-12, 1e-14, {}, _DOP853)
+    traj = _drive(_field3(k), p0, 1.0, 1e-12, 1e-14, _DOP853)
     segments = _run_segments(_field3(k), p0, 1.0, 1e-12, 1e-14, _DOP853)
     assert all(type(seg) is DenseSegment for seg in segments)
     assert len(segments) == len(traj) - 1
@@ -565,7 +565,7 @@ def test_endpoints_agree_with_scipy_dop853(k, drift_run, bound):
     for _ in range(3):
         p0 = rand_interior_point(rng, margin=0.05)
         if drift_run:
-            end = _drive(k, fun, p0, 50.0, 1e-12, 1e-14, {}, _DOP853).states[-1]
+            end = _drive(fun, p0, 50.0, 1e-12, 1e-14, _DOP853).states[-1]
         else:
             end = integrate(k, p0, 50.0).states[-1]
         ref = solve_ivp(lambda t, y: fun(tuple(y)), (0.0, 50.0), p0, method="DOP853",
@@ -612,46 +612,30 @@ def test_simplex_invariance_long_horizon():
         assert traj.max_violation <= 1e-9
 
 
-def test_integral_drift_over_one_period():
+def _log_series(k, traj, names):
+    """The named log integrals of k over the states of traj."""
+    specs = named_integral_specs(k)
+    return log_integral_series([specs[name] for name in names], traj.states)
+
+
+def _worst_drift(t_end):
     k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 5.333659910622081, monitor=["H", "V"])
-    assert traj.drift_range("H") <= 1e-8
-    assert traj.drift_range("V") <= 1e-8
+    return max(abs(v - series[0]) for series in _log_series(
+        k, integrate(k, (0.2, 0.2, 0.2), t_end), ("H", "V")) for v in series)
+
+
+def test_integral_drift_over_one_period():
+    assert _worst_drift(5.333659910622081) <= 1e-8
 
 
 def test_integral_drift_over_horizon_100():
-    k = ParamVector(2, 3, 3, 2)
-    traj = integrate(k, (0.2, 0.2, 0.2), 100.0, monitor=["H", "V"])
-    assert traj.drift_range("H") <= 1e-8
-    assert traj.drift_range("V") <= 1e-8
-
-
-def test_a_nan_sample_makes_the_drift_range_nan():
-    # max keeps a nan only in first place: max(0.0, nan, 1e-3) is 1e-3
-    series = {"H": (0.0, math.nan, 1e-3), "V": (math.nan, 0.0, 1e-3), "W": (0.0, -2e-3, 1e-3)}
-    traj = flow.Trajectory(k=None, t=(0.0, 1.0, 2.0), states=((0.2, 0.2, 0.2),) * 3,
-                           max_violation=0.0, drift=series)
-    assert math.isnan(traj.drift_range("H"))
-    assert math.isnan(traj.drift_range("V"))
-    assert traj.drift_range("W") == 2e-3
+    assert _worst_drift(100.0) <= 1e-8
 
 
 def test_log_h_increases_off_manifold():
     k = ParamVector(2, 1, 2, 1)
-    traj = integrate(k, (0.2, 0.2, 0.2), 10.0, monitor=["H"])
-    series = traj.drift["H"]
+    [series] = _log_series(k, integrate(k, (0.2, 0.2, 0.2), 10.0), ("H",))
     assert all(b > a for a, b in zip(series, series[1:]))
-
-
-def test_monitored_drift_is_bitwise_the_single_point_form():
-    rng = SplitMix64(77)
-    k = rand_params(rng, signs="positive")
-    traj = integrate(k, rand_interior_point(rng), 30.0, monitor=["H", "V"])
-    specs = named_integral_specs(k)
-    assert set(traj.drift) == {"H", "V"}
-    for name, series in traj.drift.items():
-        assert [v.hex() for v in series] == [
-            log_integral_value(specs[name], y).hex() for y in traj.states]
 
 
 def test_dense_segments_are_built_only_when_read(monkeypatch):
@@ -721,18 +705,9 @@ def test_segment_rows_are_built_on_first_read(pair, extra):
     state = segment.eval_theta(0.5)
     rows = segment._rows
     assert len(calls) == before + extra and rows is not None
-    assert segment.eval(segment.t0 + 0.5 * segment.h) == state
+    assert dense_state([segment], segment.t0 + 0.5 * segment.h) == state
     assert segment.eval_theta(0.25) != state
     assert len(calls) == before + extra and segment._rows is rows
-
-
-def test_repeated_monitor_name_is_rejected():
-    # drift keeps one series per name, so a repeat would have no series of
-    # its own
-    k = ParamVector(2, 1, 2, 1)
-    for monitor in (["H", "H"], ["H", "V", named_integral_specs(k)["H"]]):
-        with pytest.raises(ValueError, match="'H' monitored twice"):
-            integrate(k, (0.2, 0.2, 0.2), 1.0, monitor=monitor)
 
 
 def test_integrate_argument_validation():
@@ -946,8 +921,8 @@ def test_skipping_crossings_against_the_lock_keeps_every_hit(direction):
     skipped = 0
     for _ in range(4):
         # k = s*(a, b, b*r, a*r): same signs and k3 = k2*k4/k1, exactly
-        a, b = rng.choice(range(1, 7)), rng.choice(range(1, 7))
-        r = rng.choice((0.5, 1.0, 1.5, 2.0, 3.0))
+        a, b = choice(rng, range(1, 7)), choice(rng, range(1, 7))
+        r = choice(rng, (0.5, 1.0, 1.5, 2.0, 3.0))
         for s in (1, -1):
             k = ParamVector(s * a, s * b, s * b * r, s * a * r)
             assert classify(k).oscillatory

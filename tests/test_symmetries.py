@@ -140,7 +140,6 @@ def test_a_backward_run_is_the_forward_run_of_minus_k(k, p, t):
     if isinstance(fwd, str):
         assert back == fwd
         return
-    assert back.k is k
     assert _bits(back.states) == _bits(fwd.states)
     assert back.t == _minus(fwd.t)
     assert back.max_violation == fwd.max_violation

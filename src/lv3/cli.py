@@ -219,35 +219,22 @@ CSV_CHUNK_ROWS = 4096
 
 
 def emit_csv(header, rows, stream):
-    """Write a header line and one CSV line per row of the sequence rows,
-    each cell the text _fmt gives it.
+    """Write a header line and one CSV line per row of the sequence rows.
 
-    The layout is checked once per table: when every row has the same length
-    and every cell is a float, one "%.17g,...\n" format serves the whole
-    table; otherwise each row layout gets its own format.  The text goes out
-    in chunks of at most CSV_CHUNK_ROWS rows, one write each, so a long table
-    is never held twice in full.
+    Every table the commands write is all floats, so one "%.17g,...\n"
+    format serves the whole table: each cell reads as _fmt gives it.  Rows
+    of more than one length raise ValueError before anything is written.
+    The text goes out in chunks of at most CSV_CHUNK_ROWS rows, one write
+    each, so a long table is never held twice in full.
     """
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueError(f"CSV rows of {len(widths)} lengths")
+    line = ",".join(["%.17g"] * len(rows[0])) + "\n" if rows else ""
     stream.write(",".join(header) + "\n")
-    if set(map(type, chain.from_iterable(rows))) == {float} and len(set(map(len, rows))) == 1:
-        line = ",".join(["%.17g"] * len(rows[0])) + "\n"
-
-        def render(chunk):
-            return (line * len(chunk)) % tuple(chain.from_iterable(chunk))
-    else:
-        formats = {}  # one %-format per row layout, giving each cell the text of _fmt
-
-        def render_row(row):
-            types = tuple(map(type, row))
-            if types not in formats:
-                cells = ("%.17g" if issubclass(t, float) else "%s" for t in types)
-                formats[types] = ",".join(cells) + "\n"
-            return formats[types] % tuple(row)
-
-        def render(chunk):
-            return "".join(map(render_row, chunk))
     for start in range(0, len(rows), CSV_CHUNK_ROWS):
-        stream.write(render(rows[start:start + CSV_CHUNK_ROWS]))
+        chunk = rows[start:start + CSV_CHUNK_ROWS]
+        stream.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +318,8 @@ def _cmd_darboux(cfg, stream):
         "basis": [list(v) for v in report.kernel],
         "subsystem_determinants": list(report.subsystem_determinants),
     })
-    for name, status in report.named.items():
-        records.append({
-            "record": "named-integral",
-            "name": name,
-            "exponents": list(status.exponents),
-            "non_constant": status.non_constant,
-            "cofactor_residual": status.cofactor_residual,
-            "certified": status.certified,
-        })
+    records += [{"record": "named-integral", **_jsonable(status)}
+                for status in report.named.values()]
     emit_jsonl(records, stream)
     return EXIT_OK
 
@@ -505,7 +485,7 @@ def _cmd_portrait(cfg, stream):
     for idx, p0 in enumerate(starts):
         traj = flow.integrate(cfg.k, p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
         for t, state in zip(traj.t, traj.states):
-            rows.append([idx, t, *state])
+            rows.append((float(idx), t, *state))
     emit_csv(header, rows, stream)
     return EXIT_OK
 

@@ -367,7 +367,6 @@ def certify_named_integrals(k: ParamVector) -> dict:
 @dataclass(frozen=True)
 class DarbouxReport:
     monomials: tuple
-    matrix: tuple
     kernel: tuple
     subsystem_determinants: tuple
     named: dict
@@ -388,7 +387,6 @@ def solve_darboux(k: ParamVector) -> DarbouxReport:
     det24 = (-k.k1) * (-k.k3) - k.k4 * k.k2
     return DarbouxReport(
         monomials=tuple(monomials),
-        matrix=tuple(tuple(r) for r in rows),
         kernel=tuple(kernel),
         subsystem_determinants=(det13, det24),
         named=certify_named_integrals(k),

@@ -296,7 +296,6 @@ class SpectrumReport:
     classification: str
     b: float | None = None
     outside_span: bool | None = None
-    numeric_eigenvalues: tuple | None = None
     max_mismatch: float | None = None
 
 
@@ -333,7 +332,6 @@ def interior_spectrum(k: ParamVector, z: float) -> SpectrumReport:
         eigenvalues=analytic,
         classification=CENTER_TYPE if b > 0.0 else OTHER_TYPE,
         b=b,
-        numeric_eigenvalues=numeric,
         max_mismatch=mismatch,
     )
 

@@ -32,14 +32,13 @@ _plain_sum, as explicit loops or, in the generated code, written out term
 by term; never with sum(), which from CPython 3.12 on compensates float
 sums and rounds differently.  These are the float operations of 3.11's
 sum(), which adds its int start 0 to the first term as 0.0, so the output
-bits are 3.11's on every interpreter.  The generated step and error norm,
-the controller and the simplex check call no min() or max() either: each
-is spelled as a compare that returns the operand the builtin returns.
+bits are 3.11's on every interpreter.  The generated step and error norm
+and the controller call no min() or max() either: each is spelled as a
+compare that returns the operand the builtin returns.
 
-States are never projected back onto the simplex.  Violations are watched
-and bounded instead, because projection would mask integrator defects and
-perturb the first-integral drift statistics that the verification harnesses
-measure.
+States are never projected back onto the simplex.  Violations are bounded
+instead, because projection would mask integrator defects and perturb the
+first-integral drift statistics that the verification harnesses measure.
 """
 
 from __future__ import annotations
@@ -478,51 +477,32 @@ class Trajectory:
 
     t: tuple
     states: tuple
-    max_violation: float
 
     def __len__(self):
         return len(self.t)
 
 
-def _violation3(y) -> float:
-    """max(0.0, -x, -y, -z, ((x + y) + z) - 1.0), folded left to right with
-    the compare max() makes, so the same operand wins (nan and ties too)."""
-    x, yy, z = y
-    worst = 0.0
-    v = -x
-    if v > worst:
-        worst = v
-    v = -yy
-    if v > worst:
-        worst = v
-    v = -z
-    if v > worst:
-        worst = v
-    v = ((x + yy) + z) - 1.0
-    if v > worst:
-        worst = v
-    return worst
-
-
 def _steps(stepper):
-    """The stepping loop of every run: steps stepper and yields the simplex
-    violation (_violation3) of each accepted state.
+    """The stepping loop of every run: steps stepper and yields (None) after
+    each accepted step.
 
     It stops when the span ends or after MAX_ACCEPTED_STEPS accepted steps
-    (read as the loop starts); stepper.finished tells the two apart.  A
-    violation beyond VIOLATION_LIMIT raises SimplexViolation (a nan
-    violation passes); StepSizeUnderflow passes through.  A caller may
-    leave the loop early: the probes stop where they settle or close.
+    (read as the loop starts); stepper.finished tells the two apart.  An
+    accepted state whose violation max(0.0, -x, -y, -z, ((x + y) + z) - 1.0)
+    exceeds VIOLATION_LIMIT raises SimplexViolation (nan compares false, so
+    a nan term never raises); StepSizeUnderflow passes through.  A caller
+    may leave the loop early: the probes stop where they settle or close.
     """
     # bound once per run: this loop body runs on every accepted step
-    step, t_span, budget, violation = stepper.step, stepper.t_span, MAX_ACCEPTED_STEPS, _violation3
+    step, t_span, budget, limit = stepper.step, stepper.t_span, MAX_ACCEPTED_STEPS, VIOLATION_LIMIT
     while stepper.t < t_span and stepper.n_accepted < budget:
         step()
-        v = violation(stepper.y)
-        if v > VIOLATION_LIMIT:
+        x, y, z = stepper.y
+        if -x > limit or -y > limit or -z > limit or ((x + y) + z) - 1.0 > limit:
+            v = max(0.0, -x, -y, -z, ((x + y) + z) - 1.0)
             raise SimplexViolation(
-                f"simplex violation {v:.3e} beyond {VIOLATION_LIMIT} at t={stepper.t:.6g}")
-        yield v
+                f"simplex violation {v:.3e} beyond {limit} at t={stepper.t:.6g}")
+        yield
 
 
 def _drive(fun, p0, t_end, tol_rel, tol_abs, pair=_DP5) -> Trajectory:
@@ -530,9 +510,8 @@ def _drive(fun, p0, t_end, tol_rel, tol_abs, pair=_DP5) -> Trajectory:
     step of _steps from the simplex point p0.
 
     t_end must be nonzero.  For negative t_end fun is the flow of -k and
-    only the reported times carry the sign.  The run keeps the largest
-    violation.  An exhausted step budget raises StepBudgetExhausted.  pair
-    is the embedded pair the stepper runs.
+    only the reported times carry the sign.  An exhausted step budget raises
+    StepBudgetExhausted.  pair is the embedded pair the stepper runs.
     """
     if t_end == 0.0:
         raise ValueError("t_end must be nonzero")
@@ -541,16 +520,13 @@ def _drive(fun, p0, t_end, tol_rel, tol_abs, pair=_DP5) -> Trajectory:
     stepper = DormandPrince45(fun, y0, abs(t_end), tol_rel, tol_abs, _pair=pair)
     times = [0.0]
     states = [stepper.y]
-    max_violation = _violation3(stepper.y)
     add_time, add_state = times.append, states.append
-    for v in _steps(stepper):
-        if v > max_violation:  # the result of max(max_violation, v), nan included
-            max_violation = v
+    for _ in _steps(stepper):
         add_time(sign * stepper.t)
         add_state(stepper.y)
     if not stepper.finished:
         raise StepBudgetExhausted(f"accepted-step budget {MAX_ACCEPTED_STEPS} exhausted")
-    return Trajectory(t=tuple(times), states=tuple(states), max_violation=max_violation)
+    return Trajectory(t=tuple(times), states=tuple(states))
 
 
 def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
@@ -561,7 +537,7 @@ def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL
     odd in k; steps stay positive internally).  The states are sampled at
     every accepted step; a caller that reads first integrals evaluates them
     over traj.states (darboux.log_integral_series).  A simplex violation
-    beyond 1e-9 raises SimplexViolation; smaller ones are only recorded.
+    beyond VIOLATION_LIMIT (1e-9) raises SimplexViolation.
     """
     return _drive(_field3(k if t_end > 0.0 else -k), p0, t_end, tol_rel, tol_abs)
 

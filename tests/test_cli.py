@@ -304,6 +304,31 @@ def test_backward_run_along_the_face_edge_stays_on_it(capsys):
     assert rows and all(float(row.split(",")[1]) == 0.0 for row in rows)
 
 
+@pytest.mark.xfail(strict=True, reason="the faces x, y, z = 0 hold exactly, as each field "
+                   "component carries its coordinate as a factor, but w = 1-x-y-z is no state "
+                   "and the face w = 0 holds only to rounding, which w' = w*(k4*x - k3*z) "
+                   "amplifies until the run leaves the simplex by 1e-9; mending it must remove "
+                   "this mark")
+@pytest.mark.parametrize("argv", [
+    "integrate --k 2,3,3,2 --p0 0.2,0.2,0.6 --t 50",  # leaves at t=11.0052
+    "integrate --k 2,3,3,2 --p0 0.2,0.2,0.6 --t 50 --backward",  # at t=8.07835
+    "limit-set --k 2,3,3,2 --p0 0.2,0.2,0.6",  # at t=11.5616
+    "limit-set --k 2,1,2,1 --p0 0.2,0.2,0.6 --alpha",  # at t=11.3262
+    "limit-set --k 2,3,3,2 --p0 0.6,0.2,0.2",  # at t=60.2548
+], ids=["integrate", "integrate-backward", "limit-set", "limit-set-alpha", "limit-set-late"])
+def test_a_run_from_the_face_stays_on_it(capsys, argv):
+    # the start lies on the invariant face x+y+z = 1; today each run exits 1
+    # with a simplex violation.  A probe's verdict there is not known, so a
+    # limit set passes with any exit but the failure
+    code, out = run_cli(capsys, *argv.split())
+    if argv.startswith("limit-set"):
+        assert code in (EXIT_OK, EXIT_INCONCLUSIVE) and out
+        return
+    assert code == EXIT_OK
+    rows = [[float(cell) for cell in row.split(",")] for row in out.strip().splitlines()[1:]]
+    assert rows and all(abs(((x + y) + z) - 1.0) <= 1e-9 for _, x, y, z in rows)
+
+
 def test_cli_determinism_byte_identical(capsys):
     args = ("verify-b", "--k", "2,1,2,1", "--samples", "3", "--seed", "7")
     code1, out1 = run_cli(capsys, *args)
@@ -544,13 +569,12 @@ def test_emit_empty_report_is_header_only():
 
 
 def test_csv_cells_read_as_fmt_gives_them():
-    # rows in the two layouts the commands write (all floats; an int column
-    # first) and one mixed row; an int past 1e17 shows an int is not %g-formatted
+    # all-float rows of one width, as every command writes them (portrait's
+    # trajectory index is a float too); 2.0**60 prints all its digits
     rows = [
-        (0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 0.1, -2.5e-300),
-        [3, 1.0 / 3.0, -0.0, 1.7976931348623157e308],
-        [12345678901234567890, math.nan, -math.inf, 2.0**60],
-        (1.5, 2, True, None, "s"),
+        (0.0, -0.0, 5e-324, math.nan),
+        [3.0, 1.0 / 3.0, -0.0, 1.7976931348623157e308],
+        [-2.5e-300, math.inf, -math.inf, 2.0**60],
     ]
     buffer = io.StringIO()
     emit_csv(["a"], rows, buffer)
@@ -567,7 +591,7 @@ class _CountingStream(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("first", [0.5, 7], ids=["all-float", "int-first"])
+@pytest.mark.parametrize("first", [0.5, 7.0], ids=["all-float", "index-first"])
 def test_csv_rows_are_written_one_chunk_per_write(first):
     rows = [(first, i / 3.0, -0.0) for i in range(2 * CSV_CHUNK_ROWS + 1)]
     buffer = _CountingStream()

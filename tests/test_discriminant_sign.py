@@ -2,7 +2,8 @@
 discriminant of the given floats (fractions.Fraction).  classify reads the
 sign of the float k1*k3 - k2*k4: it never contradicts the exact sign, an
 exactly zero discriminant always reads S, and a nonzero one reads S exactly
-when the two products round to the same double."""
+when the two products round to the same double.  Along every interior orbit
+the four named log integrals move with the sign of D = k1*k3 - k2*k4."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from lv3.params import S_MINUS, S_PLUS, S_ZERO, ParamVector, classify
+from lv3.darboux import log_integral_series, named_integral_specs
+from lv3.flow import integrate
+from lv3.params import S_MINUS, S_PLUS, S_ZERO, ParamVector, classify, discriminant
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # any finite k, products that overflow or underflow included
@@ -64,3 +67,30 @@ def test_most_float_manifold_draws_read_zero_with_a_nonzero_exact_discriminant()
         zero_read += s_sign == S_ZERO and exact != 0
         wrong_sign += (s_sign == S_PLUS and exact <= 0) or (s_sign == S_MINUS and exact >= 0)
     assert (zero_read, wrong_sign) == (17864, 0)
+
+
+# --- the signs of the log-integral changes ------------------------------------
+
+# d log H/dt = D*w, d log V/dt = -D*x, d log Htilde/dt = D*y and
+# d log Vtilde/dt = -D*z: each named log integral changes with the sign
+# (+-D)*sign(t_end) while the orbit stays interior
+RATE_SIGNS = {"H": 1.0, "V": -1.0, "Htilde": 1.0, "Vtilde": -1.0}
+COMPONENT = st.builds(lambda c, negate: -c if negate else c, st.floats(0.3, 3.0),
+                      st.integers(0, 9).map(lambda n: n < 3))  # negated about 3 in 10
+OFF_S = st.builds(ParamVector, *(COMPONENT,) * 4).filter(lambda k: abs(discriminant(k)) >= 0.05)
+# x, y, z and w = 1 - x - y - z, all above 0.02
+INTERIOR = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).map(sorted).map(
+    lambda c: tuple(0.021 + 0.916 * (b - a) for a, b in zip([0.0, *c], c)))
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(k=OFF_S, p0=INTERIOR, t_end=st.sampled_from((0.5, 2.0, 10.0)), backward=st.booleans())
+def test_the_log_integrals_change_with_the_sign_of_the_discriminant(k, p0, t_end, backward):
+    t_end = -t_end if backward else t_end
+    specs = named_integral_specs(k)
+    logs = log_integral_series([specs[name] for name in RATE_SIGNS],
+                               integrate(k, p0, t_end).states)
+    d = discriminant(k)
+    for (name, sign), series in zip(RATE_SIGNS.items(), logs):
+        change = series[-1] - series[0]
+        assert change * (sign * d * t_end) > 0.0, (name, change)

@@ -15,7 +15,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from lv3.flow import DormandPrince45, _DOP853, _DP5, _clamp, _kernels, _violation3
+from lv3.equilibria import SimplexViolation
+from lv3.flow import VIOLATION_LIMIT, DormandPrince45, _DOP853, _DP5, _clamp, _kernels, _steps
 from conftest import hairer_norm_reference, rms_norm_reference
 
 
@@ -130,15 +131,40 @@ def test_nan_bits_where_two_nans_meet_change_between_calls():
         assert len(seen) == 2
 
 
+class _OneStep:
+    """A stepper whose one step lands on the state end, at t = 1."""
+
+    def __init__(self, end):
+        self.t, self.t_span, self.n_accepted, self.y, self._end = 0.0, 1.0, 0, (0.2,) * 3, end
+
+    def step(self):
+        self.t, self.n_accepted, self.y = 1.0, 1, self._end
+
+
+ABOVE = math.nextafter(VIOLATION_LIMIT, math.inf)
+
+
 @DERANDOMIZED
 @given(p=TRIPLES)
 @example(p=(0.0, -0.0, 0.0))
 @example(p=(-0.0, 0.5, 0.5))
 @example(p=SPECIAL[11:14])
-def test_violation3_is_bitwise_the_max_form(p):
+@example(p=(-VIOLATION_LIMIT, 0.5, 0.5))
+@example(p=(-ABOVE, 0.5, 0.5))
+@example(p=(0.2, SPECIAL[11], -ABOVE))
+@example(p=(0.5, 0.5, VIOLATION_LIMIT))
+@example(p=(0.5, 0.5, 2 * VIOLATION_LIMIT))
+def test_the_loop_raises_exactly_beyond_the_violation_bound(p):
+    # the loop's compares against the max form of the violation
     x, y, z = p
-    assert _outcome(_violation3, p) == _outcome(
-        lambda: max(0.0, -x, -y, -z, ((x + y) + z) - 1.0))
+    worst = max(0.0, -x, -y, -z, ((x + y) + z) - 1.0)
+    steps = _steps(_OneStep(p))
+    if worst > VIOLATION_LIMIT:
+        with pytest.raises(SimplexViolation) as info:
+            next(steps)
+        assert str(info.value) == f"simplex violation {worst:.3e} beyond {VIOLATION_LIMIT} at t=1"
+    else:
+        assert list(steps) == [None]
 
 
 @DERANDOMIZED

@@ -609,7 +609,8 @@ def test_faces_invariant_exactly(rng):
 def test_simplex_invariance_long_horizon():
     for k in (ParamVector(2, 3, 3, 2), ParamVector(2, 1, 2, 1)):
         traj = integrate(k, (0.2, 0.2, 0.2), 1000.0)
-        assert traj.max_violation <= 1e-9
+        worst = max(max(0.0, -x, -y, -z, ((x + y) + z) - 1.0) for x, y, z in traj.states)
+        assert worst <= 1e-9
 
 
 def _log_series(k, traj, names):

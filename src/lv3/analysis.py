@@ -110,7 +110,7 @@ def default_section(k: ParamVector) -> SectionSpec:
     It contains the interior equilibrium segment whenever that exists, so
     returns are transversal in the oscillatory regime.
     """
-    return SectionSpec(normal=(k.k4, 0.0, -k.k3), offset=0.0, direction="both")
+    return SectionSpec(normal=(k.k4, 0.0, -k.k3), offset=0.0)
 
 
 def sample_interior(k: ParamVector, n: int, rng: SplitMix64) -> list:
@@ -282,33 +282,32 @@ class PeriodicOrbit:
 
 
 def detect_periodic(k: ParamVector, p0, tol_rel: float = DEFAULT_TOL_REL,
-                    tol_abs: float = DEFAULT_TOL_ABS, horizon: float = DEFAULT_HORIZON,
-                    section: SectionSpec | None = None) -> PeriodicOrbit | None:
+                    tol_abs: float = DEFAULT_TOL_ABS,
+                    horizon: float = DEFAULT_HORIZON) -> PeriodicOrbit | None:
     """Detect a periodic orbit through the interior point p0.
 
-    Uses the default return-map section unless one is given.  Crossings are
-    kept in the section's direction (physical time); for 'both', the
-    default, the direction is locked by the first crossing.  Periodicity
-    requires two consecutive same-direction returns within CLOSURE_TOL of
-    each other and of their predecessor.
-    Returns None when k has no default section and none is given, when the
-    flow speed collapses (orbit heads to an equilibrium), when ten
-    first-return estimates (return-budget) or the absolute horizon pass
-    without confirmation, or after MAX_ACCEPTED_STEPS steps (step-budget).
+    The return map runs on default_section(k), the plane k4*x = k3*z that
+    holds the interior equilibrium segment.  The first transversal crossing
+    locks the crossing direction (physical time), and periodicity requires
+    two consecutive same-direction returns within CLOSURE_TOL of each other
+    and of their predecessor.
+    Returns None when k has no default section, when the flow speed
+    collapses (orbit heads to an equilibrium), when ten first-return
+    estimates (return-budget) or the absolute horizon pass without
+    confirmation, or after MAX_ACCEPTED_STEPS steps (step-budget).
     Raises SimplexViolation and StepSizeUnderflow like omega_limit, whose
     choice of pair it shares.
     """
     start = SimplexPoint(*_coords(p0))
-    if start.interior_margin <= 0.0:
+    if boundary_margin(start.coords) <= 0.0:
         raise ValueError("p0 must be strictly interior")
     segment_R = interior_segment_R(k)
     if segment_R is not None and segment_R.distance_to(start) <= EQUILIBRIUM_TOL:
         raise OnEquilibrium("p0 is within 1e-6 of the interior equilibrium segment")
-    if section is None:
-        try:
-            section = default_section(k)
-        except ValueError:
-            return None
+    try:
+        section = default_section(k)
+    except ValueError:
+        return None
     reason, _, returns, closed = _probe(k, start.coords, section, horizon, tol_rel, tol_abs,
                                         True)
     if reason != "periodic":
@@ -331,9 +330,9 @@ def _max_or_nan(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
-def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dict:
-    """Peak log-form drift of the certified integrals along one orbit stretch,
-    integrated at tol_rel 1e-12 with an error control that is relative.
+def orbit_integral_drift(k: ParamVector, p0, duration: float, names) -> dict:
+    """Peak log-form drift of each integral in names, as certified_integral_names
+    gives them, over one orbit stretch at tol_rel 1e-12 (relative control).
 
     The run takes integrate's argument checks, simplex check and step
     limits, but steps with the eighth-order Dormand-Prince pair: at this
@@ -345,8 +344,6 @@ def orbit_integral_drift(k: ParamVector, p0, duration: float, names=None) -> dic
     coordinates to relative precision, and next to a face tol_abs 1e-14
     left a false drift of 1e-8.
     """
-    if names is None:
-        names = certified_integral_names(k)
     named = named_integral_specs(k)
     specs = [named[name] for name in names]
     states = _drive(_field3(k), p0, duration, 1e-12, 1e-300, _DOP853).states
@@ -399,7 +396,8 @@ def heteroclinic_match(k: ParamVector, x0: float) -> HeteroclinicMatch:
     into loops.  Roots that run toward the same vertex must also agree in
     their distances from it, to MATCH_REL_TOL relatively: near an end of
     the edge both lie within MATCH_TOL of the vertex, where x alone no
-    longer tells them apart.
+    longer tells them apart.  Raises DegenerateLeaf where |x0 - crit| <=
+    1e-12 * crit for a critical abscissa crit: relative, as it may be tiny.
     """
     if not classify(k).in_ps:
         raise NotInPS("heteroclinic matching requires same-sign parameters")
@@ -408,7 +406,7 @@ def heteroclinic_match(k: ParamVector, x0: float) -> HeteroclinicMatch:
         raise OutOfRange(f"x0={x0} outside (0, 1)")
     crit_y = k.k3 / (k.k3 + k.k4)
     crit_sigma = k.k2 / (k.k1 + k.k2)
-    if min(abs(x0 - crit_y), abs(x0 - crit_sigma)) <= 1e-12:
+    if any(abs(x0 - crit) <= 1e-12 * crit for crit in (crit_y, crit_sigma)):
         raise DegenerateLeaf(f"x0={x0} is a critical-leaf abscissa")
     gamma_y = k.k3 / k.k4
     gamma_sigma = k.k2 / k.k1

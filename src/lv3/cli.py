@@ -393,42 +393,29 @@ def _cmd_period_profile(cfg, stream):
     return EXIT_OK if report["n_conclusive"] == len(report["rows"]) else EXIT_INCONCLUSIVE
 
 
-_SLICE_OPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a**b,
-}
-
-
-def _eval_expr(node, names):
-    if isinstance(node, ast.Expression):
-        return _eval_expr(node.body, names)
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
-    if isinstance(node, ast.Name):
-        if node.id in names:
-            return names[node.id]
-        raise ValueError(f"unknown slice variable {node.id!r}")
-    if isinstance(node, ast.BinOp) and type(node.op) in _SLICE_OPS:
-        return _SLICE_OPS[type(node.op)](_eval_expr(node.left, names), _eval_expr(node.right, names))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        value = _eval_expr(node.operand, names)
-        return -value if isinstance(node.op, ast.USub) else value
-    raise ValueError("unsupported slice expression")
-
-
 _SLICE_NODES = (
     ast.Expression, ast.Constant, ast.Name, ast.BinOp, ast.UnaryOp,
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd, ast.Load,
 )
 
 
+class _FloatConstants(ast.NodeTransformer):
+    """Each number as a float; an int beyond the float range as int * 1.0,
+    which raises float()'s OverflowError in its place once evaluated."""
+
+    def visit_Constant(self, node):
+        try:
+            return ast.Constant(float(node.value))
+        except OverflowError:
+            return ast.BinOp(node, ast.Mult(), ast.Constant(1.0))
+
+
 def parse_slice(text: str):
     """Compile a four-component slice expression in t (and optionally s).
 
-    Only arithmetic on numbers and the slice variables is accepted.
+    Only numbers, t, s, + - * / ** and unary + - pass a check of every node
+    (else ValueError); then each number becomes a float, and kfunc(t, s)
+    evaluates the compiled expressions in float arithmetic, no builtins.
     """
     parts = text.split(",")
     if len(parts) != 4:
@@ -445,15 +432,13 @@ def parse_slice(text: str):
                 raise ValueError(f"unknown slice variable {node.id!r}")
             if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
                 raise ValueError("slice constants must be numbers")
-    uses_s = any(
-        isinstance(nd, ast.Name) and nd.id == "s" for tree in trees for nd in ast.walk(tree)
-    )
+    codes = [compile(ast.fix_missing_locations(_FloatConstants().visit(tree)), "<slice>", "eval")
+             for tree in trees]
+    uses_s = any("s" in code.co_names for code in codes)
 
     def kfunc(t, s=None):
-        names = {"t": t}
-        if s is not None:
-            names["s"] = s
-        return ParamVector(*(_eval_expr(tree, names) for tree in trees))
+        names = {"__builtins__": {}, "t": t, "s": s}
+        return ParamVector(*(eval(code, names) for code in codes))
 
     return kfunc, uses_s
 

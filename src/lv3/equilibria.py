@@ -103,11 +103,6 @@ class SimplexPoint:
     def coords(self) -> tuple:
         return (self.x, self.y, self.z)
 
-    @property
-    def interior_margin(self) -> float:
-        """Euclidean distance to the nearest face of T (zero on the boundary)."""
-        return boundary_margin(self.coords)
-
 
 def _coords(p) -> tuple:
     if isinstance(p, SimplexPoint):

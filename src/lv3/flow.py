@@ -478,9 +478,6 @@ class Trajectory:
     t: tuple
     states: tuple
 
-    def __len__(self):
-        return len(self.t)
-
 
 def _steps(stepper):
     """The stepping loop of every run: steps stepper and yields (None) after
@@ -551,24 +548,17 @@ def _normal_component(section, v) -> float:
 
 @dataclass(frozen=True)
 class SectionSpec:
-    """Oriented plane n.p = offset with a crossing-direction filter.
-
-    direction 'positive' keeps crossings where n.p - offset is increasing
-    in physical time, 'negative' the opposite, 'both' keeps everything.
-    The normal is unit-normalised on construction (offset rescales along).
-    """
+    """Plane n.p = offset, unit-normalised on construction (offset rescales
+    along)."""
 
     normal: tuple
     offset: float = 0.0
-    direction: str = "both"
 
     def __post_init__(self):
         n = tuple(float(c) for c in self.normal)
         norm = math.sqrt(_plain_sum(c * c for c in n))
         if norm == 0.0:
             raise ValueError("section normal must be nonzero")
-        if self.direction not in ("positive", "negative", "both"):
-            raise ValueError(f"bad direction {self.direction!r}")
         object.__setattr__(self, "normal", tuple(c / norm for c in n))
         object.__setattr__(self, "offset", float(self.offset) / norm)
 
@@ -611,17 +601,15 @@ class _ReturnMap:
 
     Fed each accepted step, it keeps the crossings (internal time, state)
     whose direction, the sign of the normal velocity of the field fun,
-    matches the section's direction; for 'both' it matches the first
-    transversal crossing.  A start on the plane counts as a crossing at
-    time 0.  Tangential crossings are never kept.
+    matches that of the first transversal crossing, which locks it.  A
+    start on the plane counts as a crossing at time 0.  Tangential
+    crossings are never kept.
     """
-
-    _LOCKS = {"positive": 1, "negative": -1, "both": 0}
 
     def __init__(self, section, fun, y0):
         self.section = section
         self.fun = fun
-        self.locked = self._LOCKS[section.direction]
+        self.locked = 0
         self.hits = []
         self._g = section.value(y0)
         if self._g == 0.0:

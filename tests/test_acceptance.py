@@ -213,7 +213,7 @@ def test_c08_mass_conserving_reduction():
         traj3 = integrate(k, q0[:3], 10.0)
         traj4 = integrate4(k, q0, 10.0)
         worst_mass = max(worst_mass, traj4.mass_error)
-        stride = max(1, len(traj3) // 60)
+        stride = max(1, len(traj3.t) // 60)
         for t, state in zip(traj3.t[::stride], traj3.states[::stride]):
             s4 = dense_state(traj4.segments, t)
             worst_state = max(worst_state, norm3([a - b for a, b in zip(state, s4[:3])]))

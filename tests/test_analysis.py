@@ -60,11 +60,12 @@ def test_detect_periodic_keeps_step_end_on_section():
     stepper = DormandPrince45(_field3(k), p0, 1e4, _pair=_DOP853)
     for _ in range(5):
         stepper.step()
-    section = SectionSpec((1.0, 0.0, 0.0), stepper.y[0], "both")
+    section = SectionSpec((1.0, 0.0, 0.0), stepper.y[0])
     assert section.value(stepper.y) == 0.0
-    orbit = detect_periodic(k, p0, section=section)
-    assert orbit.crossings[0][0] == stepper.t
-    velocity = _field3(k)(orbit.crossings[0][1])
+    reason, _, returns, _ = _probe(k, p0, section, 1e4, 1e-10, 1e-12, True)
+    assert reason == "periodic"
+    assert returns.hits[0][0] == stepper.t
+    velocity = _field3(k)(returns.hits[0][1])
     assert sum(n * v for n, v in zip(section.normal, velocity)) < 0.0
 
 
@@ -77,24 +78,13 @@ def test_detect_periodic_keeps_step_end_on_section_reached_from_below():
     stepper = DormandPrince45(_field3(k), p0, 1e4, _pair=_DOP853)
     for _ in range(5):
         stepper.step()
-    section = SectionSpec((-1.0, 0.0, 0.0), -stepper.y[0], "both")
+    section = SectionSpec((-1.0, 0.0, 0.0), -stepper.y[0])
     assert section.value(stepper.y) == 0.0
-    orbit = detect_periodic(k, p0, section=section)
-    assert orbit.crossings[0][0] == stepper.t
-    velocity = _field3(k)(orbit.crossings[0][1])
+    reason, _, returns, _ = _probe(k, p0, section, 1e4, 1e-10, 1e-12, True)
+    assert reason == "periodic"
+    assert returns.hits[0][0] == stepper.t
+    velocity = _field3(k)(returns.hits[0][1])
     assert sum(n * v for n, v in zip(section.normal, velocity)) > 0.0
-
-
-@pytest.mark.parametrize("direction, sign", [("negative", -1), ("positive", 1)])
-def test_detect_periodic_keeps_the_section_direction(direction, sign):
-    k = ParamVector(2, 3, 3, 2)
-    section = SectionSpec((2.0, 0.0, -3.0), 0.0, direction)
-    orbit = detect_periodic(k, (0.2, 0.2, 0.2), section=section)
-    assert orbit is not None
-    assert orbit.period == pytest.approx(PERIOD_2332, rel=1e-6)
-    for _, state in orbit.crossings:
-        velocity = _field3(k)(state)
-        assert sign * sum(n * v for n, v in zip(section.normal, velocity)) > 0.0
 
 
 def test_detect_periodic_off_manifold_returns_none():
@@ -106,7 +96,7 @@ def test_detect_periodic_unit_parameters_with_conserved_integrals():
     orbit = detect_periodic(k, (0.1, 0.1, 0.1))
     assert orbit is not None
     assert orbit.period == pytest.approx(PERIOD_1111, rel=1e-6)
-    drift = orbit_integral_drift(k, (0.1, 0.1, 0.1), orbit.period)
+    drift = orbit_integral_drift(k, (0.1, 0.1, 0.1), orbit.period, certified_integral_names(k))
     assert set(drift) == {"H", "V"}
     assert max(drift.values()) <= 1e-8
 
@@ -254,7 +244,8 @@ def test_drift_run_controls_the_relative_error_next_to_a_face():
     k = ParamVector(0.5, 3, 6, 1)
     p = sample_interior(k, 10, SplitMix64(1))[2]
     orbit = detect_periodic(k, p)
-    assert max(orbit_integral_drift(k, p, orbit.period).values()) <= 1e-10
+    names = certified_integral_names(k)
+    assert max(orbit_integral_drift(k, p, orbit.period, names).values()) <= 1e-10
     report = verify_theorem_a(k, 10, seed=1)
     assert report["passed"] and report["worst_drift"] <= DRIFT_TOL
     # a coordinate that is exactly 0.0 divides nothing by zero
@@ -422,6 +413,20 @@ def test_heteroclinic_degenerate_abscissa():
     k = ParamVector(2, 1, 2, 1)
     with pytest.raises(DegenerateLeaf):
         heteroclinic_match(k, k.k3 / (k.k3 + k.k4))
+
+
+def test_a_tiny_critical_abscissa_leaves_the_harness_picks_regular():
+    # with k3 = 5e-12 the critical abscissa m = k3/(k3+k4) is about 5e-12;
+    # the harnesses pick 0.35m, 0.6m and 0.85m, 0.15m or more away from it,
+    # which an absolute 1e-12 band around m took for degenerate leaves
+    off, on = ParamVector(1, 1, 5e-12, 1), ParamVector(1, 5e-12, 5e-12, 1)
+    assert _face_matches(off) == [False, False, False]
+    assert _face_matches(on) == [True, True, True]
+    assert verify_theorem_b(off, 2)["passed"]
+    m = off.k3 / (off.k3 + off.k4)
+    with pytest.raises(DegenerateLeaf):
+        heteroclinic_match(off, m * (1.0 + 5e-13))
+    assert not heteroclinic_match(off, m * (1.0 + 2e-12)).matched
 
 
 def test_match_dichotomy_tracks_discriminant(rng):

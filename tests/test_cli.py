@@ -26,6 +26,7 @@ from lv3.cli import (
 from lv3.darboux import log_integral_value, named_integral_specs
 from lv3.rng import SplitMix64
 from conftest import cpython_only, rand_interior_point, rand_params
+from golden_sweep import read_table
 
 
 def run_cli(capsys, *argv):
@@ -600,85 +601,26 @@ def test_csv_rows_are_written_one_chunk_per_write(first):
     assert buffer.getvalue() == "a,b,c\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
 
 
-# sha256 of stdout and the exit code, pinned for fast invocations.  No float
-# sum() sets an output bit any more: lv3.flow adds left to right from 0.0,
-# which is how sum() rounds on CPython 3.11 but not from 3.12 on.  The
-# digests hold on CPython 3.11.7, 3.12.1 and 3.13.0 (checked there with no
-# numpy installed, since lv3 does not import it), so the test runs on every
-# CPython.  integrate-long has the shape of the benchmark's integrate
-# invocations.
-GOLDEN_STDOUT = {
-    "integrate-forward": (
-        "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 3 --monitor H,V", EXIT_OK,
-        "a026752b257d9a1e9280c067b757dc1e641e301b135c3fd824c60ed98050c7fa"),
-    "integrate-long": (
-        "integrate --k 1,1,1,1 --p0 0.2,0.25,0.22 --t 250 --monitor H,V", EXIT_OK,
-        "d23844e62d45456733163c5b64edb11c378d6e33a41ffb6379a11bab9c83f952"),
-    "integrate-json": (
-        "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 3 --monitor H,V --format json", EXIT_OK,
-        "a36e70380631da8e6813e8e1de86875f67ab3ef8570fc3b7f98e26ef4cfdd224"),
-    "integrate-backward": (
-        "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 5 --backward --monitor H,V", EXIT_OK,
-        "41c93040fe15533b5fb67a87519c4d7508d002cce72405d8c6a1dc9934998e30"),
-    "limit-set-alpha": (
-        "limit-set --k 2,1,2,1 --p0 0.2,0.2,0.2 --alpha", EXIT_OK,
-        "3db7fbfa3b93b2005fd1ca761327b0ce0eb7af432d8d12be80b9a3217b89dd1f"),
-    # center-regime probes step with the eighth-order pair and locate
-    # crossings on its seventh-order interpolant: the same kinds and
-    # verdicts as the fifth-order probes, other digits (the period of
-    # limit-set-omega was 5.333659910622081, now 5.333659910644775)
-    "limit-set-omega": (
-        "limit-set --k 2,3,3,2 --p0 0.2,0.2,0.2", EXIT_OK,
-        "57b961431f34d913a4ec08b38c7ef7e4572b66bb7b8d46cd5a10fff8d2bd7a6a"),
-    "scan": (
-        "scan --slice 2,t,2,t --range 1.5,2.5 --steps 5", EXIT_OK,
-        "826beca62f782ad469dcfd815b105268d9c65a15f8f7d1321b67d2f029f2fe20"),
-    "period-profile": (
-        "period-profile --k 2,3,3,2 --n 5", EXIT_OK,
-        "68601e3dbcab99c058ecaf63767e55e5f679b0c6c7d57aae29c194ce9100747b"),
-    "portrait": (
-        "portrait --k 1,1,1,1 --n 5 --t 20", EXIT_OK,
-        "7f12f5547dcdd93c8d6e7184f49b602c4a0daee84ed84bd91f4a83220c832207"),
-    # the periods come from eighth-order probes (worst_closure_error
-    # 1.4531247723612617e-11, was 3.093128215147697e-11) and the drift from
-    # an eighth-order run with relative error control (worst_drift
-    # 7.425171588693047e-13, was 1.1795009413617663e-12 at tol_abs 1e-14)
-    "verify-a": (
-        "verify-a --k 2,3,3,2 --samples 8 --seed 5", EXIT_OK,
-        "75e8856d950d00a47404cee13056b2d4d1c30cd1cf055e161a28fa5c34ef4e8c"),
-    "verify-b": (
-        "verify-b --k 2,1,2,1 --samples 4 --seed 9", EXIT_OK,
-        "f4869f94d9e171caad8377b10660a8ac4454d7b6de48ec9e413e4d2166d3acc2"),
-    "verify-a-part-b": (
-        "verify-a --k 2,1,2,1 --samples 4 --seed 9", EXIT_OK,
-        "5c13dde4f51b5d85f58aab81e870d2bb3ec23d04e89ca01217de184150f0c542"),
-    "verify-a-part-b-not-ps": (
-        "verify-a --k 1,-1,1,1 --samples 4 --seed 9", EXIT_OK,
-        "37ab7c092ef302c92246a1e9601c9aa5267109414c2c89a61e168514692cdb0d"),
-    "verify-b-mismatch": (
-        "verify-b --k 2,3,3,2 --samples 2 --seed 9", EXIT_FAIL,
-        "837b8202d1345271cdfdee6b197f433e070dfc51fac3066fc9657670e73d4ed1"),
-    # sample 3 slows down next to a saddle-type point of R_py on its way to s_py
-    "verify-b-edge-saddle": (
-        "verify-b --k 2,1,2,1 --samples 4 --seed 1130267431", EXIT_OK,
-        "687e767dae0ae099755dd6bd4a6a7402d8de200f037c3ab279717b03d88402a5"),
-    "equilibria-spectrum": (
-        "equilibria --k 2,3,3,2 --spectrum", EXIT_OK,
-        "ca31b137073fb700c690c30754b96073dc53162ed935e5d21aedb97855818338"),
-    "darboux": (
-        "darboux --k 2,3,3,2", EXIT_OK,
-        "ca48623e673d1dd24d084ba22ffb72710ccf78ddae45613891fb274e36b32d6e"),
-    "match": (
-        "match --k 2,1,2,1 --x0 0.2", EXIT_OK,
-        "454820ea5f045d5ca40306cc9e17421112ccce29da5c7fd658c241e6b2436ed1"),
-    "classify": (
-        "classify --k 2,1,2,1", EXIT_OK,
-        "2a27c0dce0f002d5f73f3745749187fd18767d9227e528f35e6e56571392aa24"),
-}
+# sha256 of stdout and the exit code of fast invocations, read from the
+# table of tests/golden_sweep.py (each row's name is its former key here).
+# No float sum() sets an output bit any more: lv3.flow adds left to right
+# from 0.0, which is how sum() rounds on CPython 3.11 but not from 3.12 on.
+# The digests hold on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 (checked
+# there with no numpy installed, since lv3 does not import it), so the test
+# runs on every CPython.  integrate-long has the shape of the benchmark's
+# integrate invocations.
+GOLDEN_NAMES = (
+    "integrate-forward", "integrate-long", "integrate-json", "integrate-backward",
+    "limit-set-alpha", "limit-set-omega", "scan", "period-profile", "portrait", "verify-a",
+    "verify-b", "verify-a-part-b", "verify-a-part-b-not-ps", "verify-b-mismatch",
+    "verify-b-edge-saddle", "equilibria-spectrum", "darboux", "match", "classify",
+)
+GOLDEN_STDOUT = {name: (row["argv"], int(row["exit"]), row["stdout_sha256"])
+                 for name, row in read_table().items() if name in GOLDEN_NAMES}
 
 
 @cpython_only
-@pytest.mark.parametrize("name", list(GOLDEN_STDOUT))
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_cli_stdout_is_byte_identical_to_golden(capsys, name):
     argv, exit_code, digest = GOLDEN_STDOUT[name]
     code, out = run_cli(capsys, *argv.split())

@@ -24,7 +24,6 @@ from .equilibria import (
     edge_spectrum_py,
     interior_segment_R,
     interior_spectrum,
-    jacobian,
     limit_endpoints,
     limit_segments,
     vector_field,
@@ -75,7 +74,6 @@ __all__ = [
     "edge_spectrum_py",
     "interior_segment_R",
     "interior_spectrum",
-    "jacobian",
     "limit_endpoints",
     "limit_segments",
     "vector_field",

@@ -162,7 +162,8 @@ def parse_args(argv) -> argparse.Namespace:
     """Parse argv into the run configuration; usage problems exit with code 64.
 
     A comma list that starts with a minus sign is the value of the option
-    before it: --k -2,-3,-3,-2 means --k=-2,-3,-3,-2.
+    before it: --k -2,-3,-3,-2 means --k=-2,-3,-3,-2.  A scan's slice is
+    parsed here, once: cfg.kfunc and cfg.uses_s are parse_slice's results.
     """
     parser = _build_parser()
     cfg = parser.parse_args(_attach_list_values(argv))
@@ -178,10 +179,10 @@ def parse_args(argv) -> argparse.Namespace:
             cfg.t_end = -cfg.t_end
     if cfg.command == "scan":
         try:
-            _, uses_s = parse_slice(cfg.slice_expr)
+            cfg.kfunc, cfg.uses_s = parse_slice(cfg.slice_expr)
         except ValueError as exc:
             parser.error(str(exc))
-        if not uses_s:
+        if not cfg.uses_s:
             if cfg.s_range is not None or cfg.s_steps is not None:
                 parser.error("--range2 and --steps2 need a slice that uses the variable s")
         elif cfg.s_range is None:
@@ -450,13 +451,12 @@ def _linspace(lo, hi, n):
 
 
 def _cmd_scan(cfg, stream):
-    kfunc, uses_s = parse_slice(cfg.slice_expr)
     ts = _linspace(cfg.t_range[0], cfg.t_range[1], cfg.steps)
-    if uses_s:
+    if cfg.uses_s:
         ss = _linspace(cfg.s_range[0], cfg.s_range[1], cfg.s_steps)
-        samples = [({"t": t, "s": s}, kfunc(t, s)) for s in ss for t in ts]
+        samples = [({"t": t, "s": s}, cfg.kfunc(t, s)) for s in ss for t in ts]
     else:
-        samples = [({"t": t}, kfunc(t)) for t in ts]
+        samples = [({"t": t}, cfg.kfunc(t)) for t in ts]
     rows = analysis.bifurcation_scan(samples, cfg.p0, cfg.horizon, cfg.tol_rel, cfg.tol_abs)
     emit_jsonl(rows, stream)
     return EXIT_OK

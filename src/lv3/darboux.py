@@ -5,6 +5,12 @@ merged on demand with exact (fsum) accumulation.  The flow's invariance
 identities then cancel coefficient-by-coefficient without rounding, making
 surface verification a statement about expanded polynomials rather than
 about sampled values.
+
+The product integrals need no numerics at all.  With w = 1 - x - y - z and
+D = k1*k3 - k2*k4 the cofactors satisfy k2*K_x + k1*K_z = D*w,
+k3*K_y + k2*K_w = -D*x, k3*K_x + k4*K_z = D*y and k4*K_y + k1*K_w = -D*z,
+so certificates and the kernel exist exactly when D = 0, decided once, as
+classify decides it (params.s_sign).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ParamVector
+from .params import S_ZERO, ParamVector, discriminant, s_sign
 from .equilibria import _coords
 
 __all__ = [
@@ -25,8 +31,6 @@ __all__ = [
     "DomainError",
     "builtin_surfaces",
     "verify_invariance",
-    "cofactor_matrix",
-    "kernel_basis",
     "solve_darboux",
     "named_integral_specs",
     "certify_named_integrals",
@@ -34,7 +38,6 @@ __all__ = [
     "log_integral_value",
 ]
 
-PIVOT_REL_TOL = 1e-12
 RESIDUAL_REL_TOL = 1e-12
 
 
@@ -199,72 +202,12 @@ def verify_invariance(surface: PolySurface, k: ParamVector) -> InvarianceReport:
                             max_residual=max_residual)
 
 
-def cofactor_matrix(k: ParamVector) -> tuple:
-    """Coefficient matrix of sum(lambda_i * K_i) over the monomial basis.
-
-    Returns (monomials, rows); rows[r][c] is the coefficient of monomial r
-    in the cofactor of the (c+1)-th builtin surface.  A lambda vector is a
-    first-integral certificate exactly when it annihilates every row.
-    """
-    cofs = [c.coefficients() for c in _cofactors(k)]
-    monomials = sorted(set().union(*[set(c) for c in cofs]))
-    rows = [[c.get(m, 0.0) for c in cofs] for m in monomials]
-    return monomials, rows
-
-
-def _normalize_kernel_vector(v: list) -> tuple:
-    peak = max(abs(c) for c in v)
-    v = [c / peak + 0.0 for c in v]  # + 0.0 folds -0.0 into 0.0
-    for c in v:
-        if abs(c) > 1e-12:
-            if c < 0.0:
-                v = [-c for c in v]
-            break
-    return tuple(v)
-
-
-def kernel_basis(rows: list, ncols: int | None = None) -> list:
-    """Nullspace basis by Gauss-Jordan elimination with partial pivoting.
-
-    A column whose best available pivot stays below PIVOT_REL_TOL times the
-    largest entry of the input matrix is treated as free.  Basis vectors are
-    normalised to unit max-norm with their first significant entry positive,
-    so the output is reproducible.
-    """
-    a = [list(map(float, r)) for r in rows]
-    m = len(a)
-    n = ncols if ncols is not None else (len(a[0]) if m else 0)
-    scale = max((abs(v) for r in a for v in r), default=0.0)
-    pivots = []
-    if scale > 0.0:
-        thresh = PIVOT_REL_TOL * scale
-        r0 = 0
-        for c in range(n):
-            if r0 >= m:
-                break
-            pr = max(range(r0, m), key=lambda r: abs(a[r][c]))
-            if abs(a[pr][c]) <= thresh:
-                continue
-            a[r0], a[pr] = a[pr], a[r0]
-            piv = a[r0][c]
-            for r in range(m):
-                if r == r0 or a[r][c] == 0.0:
-                    continue
-                f = a[r][c] / piv
-                for cc in range(n):
-                    a[r][cc] -= f * a[r0][cc]
-                a[r][c] = 0.0
-            pivots.append((r0, c))
-            r0 += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in (c for c in range(n) if c not in pivot_cols):
-        v = [0.0] * n
-        v[free] = 1.0
-        for r, c in pivots:
-            v[c] = -a[r][free] / a[r][c]
-        basis.append(_normalize_kernel_vector(v))
-    return basis
+def _normalize_kernel_vector(v) -> tuple:
+    """v over its max-norm, signed so that its first entry above 1e-12 is
+    positive; + 0.0 folds -0.0 into 0.0."""
+    peak = max(map(abs, v))
+    sign = next(math.copysign(1.0, c) for c in v if abs(c / peak) > 1e-12)
+    return tuple(sign * (c / peak) + 0.0 for c in v)
 
 
 @dataclass(frozen=True)
@@ -311,30 +254,17 @@ class NamedIntegralStatus:
 def certify_named_integrals(k: ParamVector) -> dict:
     """Certify which named candidates are genuine first integrals for k.
 
-    A candidate passes when it is non-constant (some exponent nonzero) and
-    its exponent vector annihilates the cofactor matrix within
-    RESIDUAL_REL_TOL.  No case split on which components of k vanish: the
-    criterion is checked directly.
+    Along the flow each candidate's log changes at D times a coordinate (the
+    cofactor identities of the module docstring), so a candidate is
+    certified exactly when it is non-constant (some exponent nonzero) and
+    D = 0, the one decision classify makes: s_sign(k) == S_ZERO.  Its
+    cofactor_residual is |D|, the float discriminant.
     """
-    _, rows = cofactor_matrix(k)
-    scale = max(1.0, max((abs(v) for r in rows for v in r), default=0.0))
-    out = {}
-    for name, spec in named_integral_specs(k).items():
-        lam = spec.exponents
-        residual = max(
-            (abs(math.fsum(row[c] * lam[c] for c in range(4))) for row in rows),
-            default=0.0,
-        )
-        lam_scale = max(1.0, max(abs(e) for e in lam))
-        certified = spec.non_constant and residual <= RESIDUAL_REL_TOL * scale * lam_scale
-        out[name] = NamedIntegralStatus(
-            name=name,
-            exponents=lam,
-            non_constant=spec.non_constant,
-            cofactor_residual=residual,
-            certified=certified,
-        )
-    return out
+    on_s = s_sign(k) == S_ZERO
+    residual = abs(discriminant(k))
+    return {name: NamedIntegralStatus(name, spec.exponents, spec.non_constant, residual,
+                                      spec.non_constant and on_s)
+            for name, spec in named_integral_specs(k).items()}
 
 
 @dataclass(frozen=True)
@@ -346,23 +276,34 @@ class DarbouxReport:
 
 
 def solve_darboux(k: ParamVector) -> DarbouxReport:
-    """Solve sum(lambda_i * K_i) = 0 for the exponent vectors lambda.
+    """Solve sum(lambda_i * K_i) = 0 for the exponent vectors lambda, in closed form.
 
-    Assembles the coefficient-matching system over the monomial basis and
-    returns a kernel basis.  The system decouples into two 2x2 blocks in
-    (lambda_1, lambda_3) and (lambda_2, lambda_4); both block determinants
-    equal the discriminant, so nontrivial certificates exist exactly on the
-    zero-discriminant manifold.
+    Matching coefficients over the monomials of the cofactors decouples into
+    two 2x2 blocks, in (lambda_1, lambda_3) and (lambda_2, lambda_4), both of
+    determinant D.  The kernel is empty unless D = 0, the one decision
+    classify makes (s_sign(k) == S_ZERO).  Then it has one vector per block:
+    H's exponents, or Htilde's where H's vanish, and V's, or Vtilde's where
+    V's vanish; at k = 0 it is all of R^4.  Vectors have unit max-norm with
+    their first significant entry positive, listed by their last nonzero
+    entry, as elimination with partial pivoting would list them.
     """
-    monomials, rows = cofactor_matrix(k)
-    kernel = kernel_basis(rows, ncols=4)
-    det13 = k.k1 * k.k3 - (-k.k2) * (-k.k4)
-    det24 = (-k.k1) * (-k.k3) - k.k4 * k.k2
+    named = certify_named_integrals(k)
+    monomials = sorted(set().union(*(c.coefficients() for c in _cofactors(k))))
+    if k.is_zero:
+        kernel = [tuple(float(i == j) for j in range(4)) for i in range(4)]
+    elif s_sign(k) == S_ZERO:
+        vectors = [next(named[n].exponents for n in pair if named[n].non_constant)
+                   for pair in (("H", "Htilde"), ("V", "Vtilde"))]
+        vectors.sort(key=lambda v: max(i for i, c in enumerate(v) if c != 0.0))
+        kernel = [_normalize_kernel_vector(v) for v in vectors]
+    else:
+        kernel = []
+    d = discriminant(k)
     return DarbouxReport(
         monomials=tuple(monomials),
         kernel=tuple(kernel),
-        subsystem_determinants=(det13, det24),
-        named=certify_named_integrals(k),
+        subsystem_determinants=(d, d),
+        named=named,
     )
 
 

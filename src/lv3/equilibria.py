@@ -5,8 +5,7 @@ equilibria for every parameter vector: the hypotenuse edge {(x, 0, 1-x)}
 and the y-axis edge {(0, y, 0)}.  Same-sign parameter vectors single out
 the sub-segments s_py and s_xz of those edges, and on the zero-discriminant
 manifold an open interior segment of equilibria appears whose transverse
-spectrum is purely imaginary.  Everything here evaluates closed forms; the
-only numerics is a root-finding cross-check on the characteristic polynomial.
+spectrum is purely imaginary.  Everything here evaluates closed forms.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ __all__ = [
     "NotInPS",
     "OutOfRange",
     "vector_field",
-    "jacobian",
-    "jacobian_spectrum",
     "interior_segment_R",
     "limit_endpoints",
     "limit_segments",
@@ -41,9 +38,6 @@ __all__ = [
 
 TOL_GEOM = 1e-12
 OPEN_SAMPLING_MARGIN = 1e-9
-DK_SWEEPS = 64  # seeded generic Jacobians settle to rounding level within 36
-SPECTRUM_RESIDUAL_TOL = 1e-10
-SPECTRUM_AGREE_TOL = 1e-8
 _SQRT3 = math.sqrt(3.0)
 
 CENTER_TYPE = "center-type"
@@ -135,46 +129,6 @@ def _field3(k: ParamVector):
 def vector_field(k: ParamVector, p) -> tuple:
     """Velocity of the simplex flow at p, evaluated as _field3 does."""
     return _field3(k)(_coords(p))
-
-
-def jacobian(k: ParamVector, p) -> tuple:
-    """Analytic Jacobian of the vector field at p, as three row tuples."""
-    x, y, z = _coords(p)
-    v = ((1.0 - x) - y) - z
-    return (
-        (k.k1 * y - k.k4 * v + k.k4 * x, x * (k.k1 + k.k4), k.k4 * x),
-        (-k.k1 * y, k.k2 * z - k.k1 * x, k.k2 * y),
-        (-k.k3 * z, -z * (k.k2 + k.k3), k.k3 * v - k.k2 * y - k.k3 * z),
-    )
-
-
-def jacobian_spectrum(k: ParamVector, p) -> tuple:
-    """Eigenvalues of the Jacobian at p, ordered by imaginary part.
-
-    They are the roots of lam^3 - trace*lam^2 + minors*lam - det (minors: the
-    sum of the principal 2x2 minors), found by DK_SWEEPS Durand-Kerner sweeps
-    started off-symmetry inside the Cauchy root bound.  Raises ArithmeticError
-    if |p(lam)| > SPECTRUM_RESIDUAL_TOL * scale**3 at a root, with
-    scale = max(1, max |J_ij|).
-    """
-    (a, b, c), (d, e, f), (g, h, i) = rows = jacobian(k, p)
-    trace = a + e + i
-    minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    def poly(lam):
-        return ((lam - trace) * lam + minors) * lam - det
-
-    radius = 1.0 + max(abs(trace), abs(minors), abs(det))
-    roots = [radius * (0.4 + 0.9j) ** n for n in range(3)]
-    for _ in range(DK_SWEEPS):
-        for n, lam in enumerate(roots):
-            roots[n] = lam - poly(lam) / ((lam - roots[n - 1]) * (lam - roots[n - 2]))
-    scale = max(1.0, max(abs(entry) for row in rows for entry in row))
-    worst = max(abs(poly(lam)) for lam in roots)
-    if worst > SPECTRUM_RESIDUAL_TOL * scale**3:
-        raise ArithmeticError(f"characteristic residual {worst:.3e} exceeds tolerance")
-    return tuple(sorted(roots, key=lambda lam: lam.imag))
 
 
 @dataclass(frozen=True)
@@ -291,17 +245,14 @@ class SpectrumReport:
     classification: str
     b: float | None = None
     outside_span: bool | None = None
-    max_mismatch: float | None = None
 
 
 def interior_spectrum(k: ParamVector, z: float) -> SpectrumReport:
     """Spectrum at the interior-segment point with third coordinate z.
 
     The characteristic polynomial there factors as lam*(lam^2 + b) with
-    b = z*y*(k1+k2)*(k2+k3) and y = (k4-(k3+k4)*z)/(k1+k4), so the analytic
-    eigenvalues are {0, +i sqrt(b), -i sqrt(b)}.  jacobian_spectrum, the roots
-    of the Jacobian's characteristic polynomial, must agree within
-    SPECTRUM_AGREE_TOL.
+    b = z*y*(k1+k2)*(k2+k3) and y = (k4-(k3+k4)*z)/(k1+k4), so the
+    eigenvalues are {0, +i sqrt(b), -i sqrt(b)}.
     """
     regime = classify(k)
     if not regime.oscillatory:
@@ -313,21 +264,10 @@ def interior_spectrum(k: ParamVector, z: float) -> SpectrumReport:
     y = (k.k4 - (k.k3 + k.k4) * z) / (k.k1 + k.k4)
     b = z * y * (k.k1 + k.k2) * (k.k2 + k.k3)
     beta = math.sqrt(b)
-    analytic = (complex(0.0, -beta), complex(0.0, 0.0), complex(0.0, beta))
-    point = SimplexPoint((k.k3 / k.k4) * z, y, z)
-    numeric = jacobian_spectrum(k, point)
-    mismatch = max(
-        min(abs(a - w) for w in numeric) for a in analytic
-    )
-    if mismatch > SPECTRUM_AGREE_TOL:
-        raise ArithmeticError(
-            f"analytic/numeric eigenvalue mismatch {mismatch:.3e} exceeds {SPECTRUM_AGREE_TOL}"
-        )
     return SpectrumReport(
-        eigenvalues=analytic,
+        eigenvalues=(complex(0.0, -beta), complex(0.0, 0.0), complex(0.0, beta)),
         classification=CENTER_TYPE if b > 0.0 else OTHER_TYPE,
         b=b,
-        max_mismatch=mismatch,
     )
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "Regime",
     "ZeroParameter",
     "discriminant",
+    "s_sign",
     "classify",
     "S_MINUS",
     "S_ZERO",
@@ -105,6 +106,14 @@ def discriminant(k: ParamVector) -> float:
     return k.k1 * k.k3 - k.k2 * k.k4
 
 
+def s_sign(k: ParamVector) -> str:
+    """S+, S- or S by the sign of the float discriminant: the one decision
+    of D = 0 that classify and the Darboux certificates share.  A nan
+    discriminant (both products overflow to one infinity) reads S."""
+    d = discriminant(k)
+    return S_PLUS if d > 0.0 else (S_MINUS if d < 0.0 else S_ZERO)
+
+
 def classify(k: ParamVector) -> Regime:
     """Classify k into its sign regime by sign tests without a tolerance.
 
@@ -121,8 +130,6 @@ def classify(k: ParamVector) -> Regime:
     """
     if k.is_zero:
         raise ZeroParameter("the zero parameter vector has no regime")
-    d = discriminant(k)
-    s_sign = S_PLUS if d > 0.0 else (S_MINUS if d < 0.0 else S_ZERO)
     in_nz = all(c != 0.0 for c in k)
     if all(c > 0.0 for c in k):
         ps = PS_PLUS
@@ -130,4 +137,4 @@ def classify(k: ParamVector) -> Regime:
         ps = PS_MINUS
     else:
         ps = NOT_PS
-    return Regime(s_sign=s_sign, in_nz=in_nz, ps=ps)
+    return Regime(s_sign=s_sign(k), in_nz=in_nz, ps=ps)

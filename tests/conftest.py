@@ -76,6 +76,32 @@ def rand_params_on_S_float(rng) -> ParamVector:
     return ParamVector(k1, k2, k3, k1 * k3 / k2)
 
 
+def jacobian(k, p) -> tuple:
+    """Analytic Jacobian of the simplex flow at p, as three row tuples: the
+    matrix whose spectrum numpy's eigvals gives the spectrum tests."""
+    x, y, z = p
+    v = ((1.0 - x) - y) - z
+    return (
+        (k.k1 * y - k.k4 * v + k.k4 * x, x * (k.k1 + k.k4), k.k4 * x),
+        (-k.k1 * y, k.k2 * z - k.k1 * x, k.k2 * y),
+        (-k.k3 * z, -z * (k.k2 + k.k3), k.k3 * v - k.k2 * y - k.k3 * z),
+    )
+
+
+def interior_point(k, z) -> tuple:
+    """The point of the interior segment of equilibria with third coordinate z."""
+    return ((k.k3 / k.k4) * z, (k.k4 - (k.k3 + k.k4) * z) / (k.k1 + k.k4), z)
+
+
+def spectrum_gap(eigenvalues, rows) -> float:
+    """Largest distance from one of eigenvalues to the nearest eigenvalue
+    numpy's dense eigensolve finds for the matrix rows."""
+    import numpy as np
+
+    reference = np.linalg.eigvals(np.array(rows, dtype=float))
+    return max(min(abs(w - complex(r)) for r in reference) for w in eigenvalues)
+
+
 def rand_interior_point(rng, margin=1e-3):
     while True:
         x, y, z = rng.uniform(), rng.uniform(), rng.uniform()

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lv3 import analysis, flow
+from lv3 import analysis, cli, flow
 from lv3.cli import (
     CSV_CHUNK_ROWS,
     EXIT_FAIL,
@@ -25,7 +25,15 @@ from lv3.cli import (
 )
 from lv3.darboux import log_integral_value, named_integral_specs
 from lv3.rng import SplitMix64
-from conftest import cpython_only, rand_interior_point, rand_params
+from lv3.params import ParamVector
+from conftest import (
+    cpython_only,
+    interior_point,
+    jacobian,
+    rand_interior_point,
+    rand_params,
+    spectrum_gap,
+)
 from golden_sweep import read_table
 
 
@@ -402,6 +410,23 @@ def test_equilibria_cli(capsys):
     assert all(r["classification"] == "center-type" for r in center)
 
 
+def test_equilibria_spectrum_over_eleven_decades_of_k_matches_numpy(capsys):
+    # a center-regime k whose components span 1e-3 to 2e8: a root-finding
+    # self-check once failed this valid input with exit 1 (absolute mismatch
+    # 1.5e-8); numpy's eigenvalues of the Jacobian agree to a relative 1e-8
+    k = ParamVector(0.001235672288121538, 274.12532210871854, 197279537.8960274,
+                    889.2752268061654)
+    code, out = run_cli(capsys, "equilibria", "--k", ",".join(map(repr, k)), "--spectrum")
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    center = [r for r in records if r["set"] == "R_interior" and r.get("kind") == "spectrum"]
+    assert len(center) == 5
+    for r in center:
+        eigenvalues = [complex(*w) for w in r["eigenvalues"]]
+        gap = spectrum_gap(eigenvalues, jacobian(k, interior_point(k, r["z"])))
+        assert gap <= 1e-8 * max(map(abs, eigenvalues))
+
+
 def test_equilibria_cli_reports_fully_singular_sets(capsys):
     code, out = run_cli(capsys, "equilibria", "--k", "0,1,1,1")
     assert code == EXIT_OK
@@ -463,6 +488,19 @@ def test_scan_rejects_a_second_range_when_slice_has_no_s(capsys, flags):
     # with s, --steps2 defaults to 1
     cfg = parse_args("scan --slice 2,t,2,s --range 1,2 --steps 2 --range2 1,2".split())
     assert cfg.s_steps == 1
+
+
+def test_scan_parses_its_slice_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_slice(text)
+
+    monkeypatch.setattr(cli, "parse_slice", counted)
+    code, out = run_cli(capsys, *"scan --slice 2,t,s,t --range 1,2 --steps 2 --range2 1,2".split())
+    assert code == EXIT_OK and len(out.splitlines()) == 2
+    assert calls == ["2,t,s,t"]
 
 
 def test_parse_slice_rejects_junk():

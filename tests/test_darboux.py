@@ -9,8 +9,6 @@ from lv3.darboux import (
     Poly,
     builtin_surfaces,
     certify_named_integrals,
-    cofactor_matrix,
-    kernel_basis,
     log_integral_series,
     log_integral_value,
     named_integral_specs,
@@ -19,7 +17,7 @@ from lv3.darboux import (
     _cofactors,
 )
 from lv3.flow import integrate
-from lv3.params import ParamVector, discriminant
+from lv3.params import S_ZERO, ParamVector, classify, discriminant
 from lv3.rng import SplitMix64
 from conftest import (
     rand_interior_point,
@@ -119,6 +117,13 @@ def test_custom_surface_through_same_machinery(rng):
 # --- kernel solve -----------------------------------------------------------
 
 
+def _cofactor_rows(k):
+    """Coefficient rows of sum(lambda_i * K_i) = 0, one per monomial."""
+    cofactors = [c.coefficients() for c in _cofactors(k)]
+    monomials = sorted(set().union(*cofactors))
+    return [[c.get(m, 0.0) for c in cofactors] for m in monomials]
+
+
 def _svd_nullspace(rows, tol=1e-10):
     a = np.array(rows, dtype=float)
     if a.size == 0:
@@ -170,9 +175,13 @@ def test_kernel_matches_svd_oracle(rng):
             k = rand_params_on_S_exact(rng)
         else:
             k = rand_params(rng)
-        monos, rows = cofactor_matrix(k)
         mine = solve_darboux(k).kernel
-        oracle = _svd_nullspace(rows)
+        oracle = _svd_nullspace(_cofactor_rows(k))
+        # a float-manifold k whose float discriminant is not 0 reads S+ or
+        # S- and has no kernel, although the SVD finds one within its tolerance
+        if classify(k).s_sign != S_ZERO:
+            assert mine == ()
+            continue
         assert len(mine) == oracle.shape[1]
         for col in range(oracle.shape[1]):
             assert _span_residual(tuple(oracle[:, col]), list(mine)) <= 1e-8
@@ -186,15 +195,46 @@ def test_kernel_normalisation():
         assert lead > 0.0
 
 
-def test_kernel_basis_degenerate_inputs():
-    assert kernel_basis([], ncols=4) == [
-        (1.0, 0.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0, 0.0),
-        (0.0, 0.0, 1.0, 0.0),
-        (0.0, 0.0, 0.0, 1.0),
-    ]
-    assert kernel_basis([[0.0, 0.0], [0.0, 0.0]]) == [(1.0, 0.0), (0.0, 1.0)]
-    assert kernel_basis([[1.0, 0.0], [0.0, 1.0]]) == []
+def test_the_zero_vector_has_every_lambda_in_its_kernel():
+    # every cofactor vanishes: the kernel is all of R^4, and no named
+    # integral is certified, since each is constant
+    report = solve_darboux(ParamVector(0, 0, 0, 0))
+    assert report.monomials == ()
+    assert report.kernel == ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                             (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    assert not any(status.certified for status in report.named.values())
+
+
+def test_a_float_manifold_k_that_reads_s_minus_has_no_certificate():
+    # k3 was set from the other three, yet D = -1.69e-14 in floats and
+    # classify reads PS+ and S-; elimination under a pivot tolerance once
+    # certified all four integrals here and printed a two-vector kernel
+    k = ParamVector(2.643722329286901, 1.7125892680349137, 1.4908217349913464,
+                    2.3013800117440235)
+    assert classify(k).s_sign != S_ZERO and discriminant(k) == -1.6875389974302379e-14
+    report = solve_darboux(k)
+    assert report.kernel == ()
+    assert report.subsystem_determinants == (discriminant(k),) * 2
+    for status in report.named.values():
+        assert status.non_constant and not status.certified
+        assert status.cofactor_residual == 1.6875389974302379e-14
+
+
+def test_kernel_vectors_are_the_named_exponents_normalised():
+    # one vector per block, listed by their last nonzero entry: H's and V's
+    # exponents, Htilde's or Vtilde's where those vanish
+    cases = {
+        (2, 3, 3, 2): ((1.0, 0.0, 2 / 3, 0.0), (0.0, 1.0, 0.0, 1.0)),
+        (-2, -3, -3, -2): ((1.0, 0.0, 2 / 3, 0.0), (0.0, 1.0, 0.0, 1.0)),
+        (1, -1, -1, 1): ((1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, 1.0)),
+        (0, 0, 1, 1): ((0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0)),
+        (1, 0, 0, 1): ((0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 1.0)),
+        (0, 1, 0, 0): ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
+    }
+    for k, kernel in cases.items():
+        got = solve_darboux(ParamVector(*k)).kernel
+        assert got == kernel, k
+        assert all(math.copysign(1.0, c) == 1.0 for v in got for c in v if c == 0.0), k
 
 
 # --- named integrals --------------------------------------------------------

@@ -2,10 +2,12 @@
 discriminant of the given floats (fractions.Fraction).  classify reads the
 sign of the float k1*k3 - k2*k4: it never contradicts the exact sign, an
 exactly zero discriminant always reads S, and a nonzero one reads S exactly
-when the two products round to the same double.  Along every interior orbit
+when the two products round to the same double.  The Darboux certificates
+and kernel take that same decision.  Along every interior orbit
 the four named log integrals move with the sign of D = k1*k3 - k2*k4, by D
 times the time integral of w, -x, y or -z."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +16,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from lv3.darboux import log_integral_series, named_integral_specs
+from lv3.darboux import (
+    certify_named_integrals,
+    log_integral_series,
+    named_integral_specs,
+    solve_darboux,
+)
 from lv3.equilibria import _field3
 from lv3.flow import DormandPrince45, _steps, integrate
 from lv3.params import S_MINUS, S_PLUS, S_ZERO, ParamVector, classify, discriminant
@@ -69,6 +76,49 @@ def test_most_float_manifold_draws_read_zero_with_a_nonzero_exact_discriminant()
         zero_read += s_sign == S_ZERO and exact != 0
         wrong_sign += (s_sign == S_PLUS and exact <= 0) or (s_sign == S_MINUS and exact >= 0)
     assert (zero_read, wrong_sign) == (17864, 0)
+
+
+# --- one decision: the Darboux certificates read D = 0 as classify does ---------
+
+
+@st.composite
+def darboux_k(draw):
+    """k3 on the float manifold fl(k2*k4/k1), off it by 1e-15 to 1e-11
+    relative, or at random; 3 in 10 negated, some components zeroed."""
+    k1, k2, k4 = (draw(st.floats(0.3, 3.0)) for _ in range(3))
+    where = draw(st.sampled_from(("on", "off", "random")))
+    k3 = k2 * k4 / k1
+    if where == "off":
+        k3 *= 1.0 + draw(st.sampled_from((1, -1))) * 10.0 ** draw(st.floats(-15.0, -11.0))
+    elif where == "random":
+        k3 = draw(st.floats(0.3, 3.0))
+    components = [k1, k2, k3, k4]
+    for i in draw(st.lists(st.integers(0, 3), max_size=3)):
+        components[i] = 0.0
+    sign = -1.0 if draw(st.integers(0, 9)) < 3 else 1.0
+    return ParamVector(*(sign * c for c in components))
+
+
+@DERANDOMIZED
+@given(k=darboux_k().filter(lambda k: not k.is_zero))
+def test_darboux_certifies_and_finds_a_kernel_exactly_where_classify_reads_s(k):
+    on_s = discriminant(k) == 0.0
+    assert on_s == (classify(k).s_sign == S_ZERO)
+    for status in certify_named_integrals(k).values():
+        assert status.certified == (status.non_constant and on_s)
+        assert status.cofactor_residual == abs(discriminant(k))
+        if _exact(k) == 0 and status.non_constant:
+            assert status.certified
+    assert bool(solve_darboux(k).kernel) == (classify(k).s_sign == S_ZERO)
+
+
+def test_a_nan_discriminant_reads_s_for_the_certificates_too():
+    # both products overflow to inf: classify reads S, and so does darboux
+    k = ParamVector(1e200, 1e200, 2e200, 1e200)
+    assert classify(k).s_sign == S_ZERO and math.isnan(discriminant(k))
+    report = solve_darboux(k)
+    assert report.kernel == ((1.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.5))
+    assert all(s.certified and math.isnan(s.cofactor_residual) for s in report.named.values())
 
 
 # --- the signs of the log-integral changes ------------------------------------

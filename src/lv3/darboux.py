@@ -1,10 +1,11 @@
-"""Invariant algebraic surfaces, cofactor algebra and product first integrals.
+"""Invariant planes, their cofactors and product first integrals, in closed form.
 
-Polynomials are sparse term lists over exponent triples, and terms are only
-merged on demand with exact (fsum) accumulation.  The flow's invariance
-identities then cancel coefficient-by-coefficient without rounding, making
-surface verification a statement about expanded polynomials rather than
-about sampled values.
+The four planes x, y, z and x+y+z-1 are invariant under the flow: the
+derivative of each along it is a linear cofactor times the plane,
+L f = K f.  surface_cofactors gives the four cofactors from one table,
+each coefficient a sum of at most two k components rounded once.  The
+identities L f = K f hold symbolically in k and are proven in the tests
+with sympy, so nothing here expands or checks them again.
 
 The product integrals need no numerics at all.  With w = 1 - x - y - z and
 D = k1*k3 - k2*k4 the cofactors satisfy k2*K_x + k1*K_z = D*w,
@@ -22,15 +23,11 @@ from .params import S_ZERO, ParamVector, discriminant, s_sign
 from .equilibria import _coords
 
 __all__ = [
-    "Poly",
-    "PolySurface",
     "FirstIntegralSpec",
-    "InvarianceReport",
     "DarbouxReport",
     "NamedIntegralStatus",
     "DomainError",
-    "builtin_surfaces",
-    "verify_invariance",
+    "surface_cofactors",
     "solve_darboux",
     "named_integral_specs",
     "certify_named_integrals",
@@ -38,168 +35,34 @@ __all__ = [
     "log_integral_value",
 ]
 
-RESIDUAL_REL_TOL = 1e-12
-
 
 class DomainError(ValueError):
     """A surface value vanishes where the log form needs it nonzero."""
 
 
-class Poly:
-    """Sparse real polynomial in (x, y, z), kept as unmerged (coeff, expt) terms.
-
-    Example
-    -------
-    >>> p = 2.0 * Poly.variable(0) + Poly.constant(1.0)
-    >>> p.coefficients()
-    {(0, 0, 0): 1.0, (1, 0, 0): 2.0}
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        self.terms = tuple(terms)
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        c = float(c)
-        return cls(((c, (0, 0, 0)),)) if c != 0.0 else cls()
-
-    @classmethod
-    def variable(cls, axis: int) -> "Poly":
-        e = [0, 0, 0]
-        e[axis] = 1
-        return cls(((1.0, tuple(e)),))
-
-    def __add__(self, other):
-        other = other if isinstance(other, Poly) else Poly.constant(other)
-        return Poly(self.terms + other.terms)
-
-    def __neg__(self):
-        return Poly(tuple((-c, e) for c, e in self.terms))
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Poly) else Poly.constant(other)
-        return Poly(self.terms + (-other).terms)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = float(other)
-            if c == 0.0:
-                return Poly()
-            return Poly(tuple((c * cf, e) for cf, e in self.terms))
-        out = []
-        for c1, e1 in self.terms:
-            for c2, e2 in other.terms:
-                out.append((c1 * c2, (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])))
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def diff(self, axis: int) -> "Poly":
-        out = []
-        for c, e in self.terms:
-            n = e[axis]
-            if n == 0:
-                continue
-            d = list(e)
-            d[axis] = n - 1
-            out.append((c * n, tuple(d)))
-        return Poly(out)
-
-    def coefficients(self) -> dict:
-        """Monomial -> coefficient map; duplicates folded exactly via fsum."""
-        groups = {}
-        for c, e in self.terms:
-            groups.setdefault(e, []).append(c)
-        merged = {}
-        for e in sorted(groups):
-            val = math.fsum(groups[e])
-            if val != 0.0:
-                merged[e] = val
-        return merged
-
-    def __call__(self, x: float, y: float, z: float) -> float:
-        return math.fsum(
-            c * x**i * y**j * z**l for (i, j, l), c in self.coefficients().items()
-        )
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(v) for v in self.coefficients().values()), default=0.0)
-
-
-X = Poly.variable(0)
-Y = Poly.variable(1)
-Z = Poly.variable(2)
-ONE = Poly.constant(1.0)
-
-
-def field_polynomials(k: ParamVector) -> tuple:
-    """The three velocity components as expanded sparse polynomials."""
-    v = ONE - X - Y - Z
-    px = X * (k.k1 * Y - k.k4 * v)
-    py = Y * (k.k2 * Z - k.k1 * X)
-    pz = Z * (k.k3 * v - k.k2 * Y)
-    return px, py, pz
-
-
-def lie_derivative_poly(f: Poly, k: ParamVector) -> Poly:
-    """Directional derivative of f along the flow, as a polynomial."""
-    px, py, pz = field_polynomials(k)
-    return px * f.diff(0) + py * f.diff(1) + pz * f.diff(2)
-
-
-def _cofactors(k: ParamVector) -> tuple:
-    # Built term-by-term (k1*y and k4*y kept separate) so the invariance
-    # identities cancel exactly against the expanded field polynomials.
+def _cofactor_terms(k) -> dict:
+    """The cofactor of each invariant plane, monomial (powers of x, y, z)
+    -> the terms whose sum is its coefficient.  k is any four numbers:
+    floats here, exact rationals in the tests."""
     k1, k2, k3, k4 = k
-    c1 = k4 * X + k1 * Y + k4 * Y + k4 * Z - Poly.constant(k4)
-    c2 = k2 * Z - k1 * X
-    c3 = Poly.constant(k3) - k3 * X - k2 * Y - k3 * Y - k3 * Z
-    c4 = k4 * X - k3 * Z
-    return c1, c2, c3, c4
+    return {
+        "x": {(0, 0, 0): (-k4,), (0, 0, 1): (k4,), (0, 1, 0): (k1, k4), (1, 0, 0): (k4,)},
+        "y": {(0, 0, 1): (k2,), (1, 0, 0): (-k1,)},
+        "z": {(0, 0, 0): (k3,), (0, 0, 1): (-k3,), (0, 1, 0): (-k2, -k3), (1, 0, 0): (-k3,)},
+        "x+y+z-1": {(0, 0, 1): (-k3,), (1, 0, 0): (k4,)},
+    }
 
 
-@dataclass(frozen=True)
-class PolySurface:
-    """Polynomial surface f = 0 together with its cofactor under the flow."""
-
-    f: Poly
-    cofactor: Poly
-    name: str
-
-
-def builtin_surfaces(k: ParamVector) -> list:
-    """The four invariant coordinate surfaces x, y, z and x+y+z-1."""
-    c1, c2, c3, c4 = _cofactors(k)
-    return [
-        PolySurface(X, c1, "x"),
-        PolySurface(Y, c2, "y"),
-        PolySurface(Z, c3, "z"),
-        PolySurface(X + Y + Z - ONE, c4, "x+y+z-1"),
-    ]
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    ok: bool
-    max_residual: float
-
-
-def verify_invariance(surface: PolySurface, k: ParamVector) -> InvarianceReport:
-    """Check that the flow derivative of f equals cofactor*f, by expansion,
-    within RESIDUAL_REL_TOL of the largest coefficient.
-
-    The residual polynomial is produced by term-list arithmetic and merged
-    with exact accumulation, so for the builtin surfaces it vanishes
-    identically (every coefficient is bitwise zero).
-    """
-    lie = lie_derivative_poly(surface.f, k)
-    prod = surface.cofactor * surface.f
-    max_residual = (lie - prod).max_abs_coefficient()
-    scale = max(1.0, lie.max_abs_coefficient(), prod.max_abs_coefficient())
-    return InvarianceReport(ok=max_residual <= RESIDUAL_REL_TOL * scale,
-                            max_residual=max_residual)
+def surface_cofactors(k: ParamVector) -> dict:
+    """Surface name -> its cofactor as monomial -> coefficient, monomials
+    sorted and zero coefficients left out.  Each coefficient is the fsum of
+    its terms: the exact sum rounded once, and OverflowError where that
+    overflows."""
+    out = {}
+    for name, terms in _cofactor_terms(k).items():
+        sums = ((monomial, math.fsum(t)) for monomial, t in terms.items())
+        out[name] = {monomial: c for monomial, c in sums if c != 0.0}
+    return out
 
 
 def _normalize_kernel_vector(v) -> tuple:
@@ -288,7 +151,7 @@ def solve_darboux(k: ParamVector) -> DarbouxReport:
     entry (the free column of their block).
     """
     named = certify_named_integrals(k)
-    monomials = sorted(set().union(*(c.coefficients() for c in _cofactors(k))))
+    monomials = sorted(set().union(*surface_cofactors(k).values()))
     if k.is_zero:
         kernel = [tuple(float(i == j) for j in range(4)) for i in range(4)]
     elif s_sign(k) == S_ZERO:

@@ -108,9 +108,20 @@ def discriminant(k: ParamVector) -> float:
 
 def s_sign(k: ParamVector) -> str:
     """S+, S- or S by the sign of the float discriminant: the one decision
-    of D = 0 that classify and the Darboux certificates share.  A nan
-    discriminant (both products overflow to one infinity) reads S."""
+    of D = 0 that classify and the Darboux certificates share.
+
+    Where the discriminant is nan (both products overflow to one infinity)
+    the sign is read on k scaled by 2**(511 - e), e the largest frexp
+    exponent of its components.  Both products overflow, so every scaled
+    component lies in [2**-514, 2**511): the scaling is exact, the scaled
+    products are finite normal numbers, and their difference has the sign
+    the float discriminant would have without an exponent limit.  No
+    tolerance enters; the printed discriminant stays nan."""
     d = discriminant(k)
+    if d != d:
+        shift = 511 - max(math.frexp(c)[1] for c in k)
+        k1, k2, k3, k4 = (math.ldexp(c, shift) for c in k)
+        d = k1 * k3 - k2 * k4
     return S_PLUS if d > 0.0 else (S_MINUS if d < 0.0 else S_ZERO)
 
 
@@ -118,12 +129,13 @@ def classify(k: ParamVector) -> Regime:
     """Classify k into its sign regime by sign tests without a tolerance.
 
     The component signs are exact.  s_sign reads the sign of the float
-    discriminant fl(fl(k1*k3) - fl(k2*k4)), and rounding is monotone, so it
+    discriminant fl(fl(k1*k3) - fl(k2*k4)), on k scaled by an exact power
+    of two where both products overflow, and rounding is monotone, so it
     never contradicts the sign of the exact rational k1*k3 - k2*k4 of the
     given floats, and an exactly zero discriminant always reads S.  The
     converse fails: a nonzero exact discriminant reads S whenever the two
-    products round to the same double (both overflowing to one infinity
-    included, where the float difference is nan).  With k1, k2, k4 drawn
+    products round to the same double (both underflowing to zero
+    included).  With k1, k2, k4 drawn
     uniformly from [0.3, 3] by random.Random(3) and k3 = k2*k4/k1 in
     floats, 17864 of 20000 draws read S with a nonzero exact discriminant,
     and none read the wrong sign.

@@ -101,7 +101,12 @@ INVOCATIONS = (
     ("darboux-v-vanishes", "darboux --k 1,0,0,1"),
     ("darboux-zero", "darboux --k 0,0,0,0"),
     ("darboux-underflow", "darboux --k 1e-200,1e-200,1e-200,2e-200"),
+    # the exact D is 1e400 > 0: the sign is read on k scaled by a power of two
     ("darboux-overflow", "darboux --k 1e200,1e200,2e200,1e200"),
+    # every cofactor coefficient is finite: k2 + k3 cancels to 0
+    ("darboux-huge-cancelling", "darboux --k=1,1e308,-1e308,1"),
+    # the cofactor coefficient k1 + k4 of the plane x overflows
+    ("darboux-cofactor-overflow", "darboux --k=1e308,1,1,1e308"),
     # integrate
     ("integrate-ci-json", "integrate --k 1,1,1,1 --p0 0.2,0.3,0.1 --t 5 --monitor H,V --format json"),
     ("integrate-near-s", f"integrate --k {NEAR_S_K} --p0 0.2,0.2,0.2 --t 5 "

@@ -248,6 +248,33 @@ def test_repeated_monitor_name_is_a_usage_error(capsys):
     assert "twice" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 1 --monitor H,H",
+    "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 1 --monitor Q",
+    "scan --slice foo,1,1,1 --range 1,2 --steps 2",
+    "scan --slice 2,t,s,t --range 1,2 --steps 2",
+    "scan --slice 2,t,2,t --range 1,2 --steps 2 --range2 1,2",
+], ids=["monitor-twice", "monitor-unknown", "slice-name", "s-without-range2",
+        "range2-without-s"])
+def test_usage_errors_after_parsing_name_the_subcommand(capsys, argv):
+    # the checks parse_args makes itself print what argparse prints for a
+    # malformed value of the same subcommand: its usage, then its error line
+    command = argv.split()[0]
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == EXIT_USAGE
+    ours = capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(argv.replace("--range 1,2", "--range 1").replace("--t 1", "--t 0").split())
+    assert err.value.code == EXIT_USAGE
+    argparse_own = capsys.readouterr()
+    assert ours.out == argparse_own.out == ""
+    assert ours.err.startswith(f"usage: lv3 {command} [-h]")
+    assert ours.err.partition(f"\nlv3 {command}: error: ")[0] == \
+        argparse_own.err.partition(f"\nlv3 {command}: error: ")[0]
+    assert ours.err.count("\n") == argparse_own.err.count("\n")
+
+
 @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
 def test_monitor_columns_are_bitwise_the_single_point_form(capsys, backward):
     # the monitors stay those of k on a backward run (the flow of -k)

@@ -2,7 +2,8 @@
 discriminant of the given floats (fractions.Fraction).  classify reads the
 sign of the float k1*k3 - k2*k4: it never contradicts the exact sign, an
 exactly zero discriminant always reads S, and a nonzero one reads S exactly
-when the two products round to the same double.  The Darboux certificates
+when the two products round to the same double (compared without an exponent
+limit where both overflow).  The Darboux certificates
 and kernel take that same decision.  Along every interior orbit
 the four named log integrals move with the sign of D = k1*k3 - k2*k4, by D
 times the time integral of w, -x, y or -z."""
@@ -61,8 +62,57 @@ def test_the_float_sign_never_contradicts_the_exact_sign(k):
 @DERANDOMIZED
 @given(k=KS)
 def test_the_sign_reads_zero_exactly_when_the_products_round_together(k):
-    # both overflowing to one infinity count too: their difference is nan
-    assert (classify(k).s_sign == S_ZERO) == (k.k1 * k.k3 == k.k2 * k.k4)
+    # where both overflow to one infinity they are compared without an
+    # exponent limit: every component is then above 1/2, so scaled by
+    # 2**-550 it stays normal, and neither scaled product overflows
+    k1, k2, k3, k4 = (math.ldexp(c, -550) for c in k) if math.isnan(discriminant(k)) else k
+    assert (classify(k).s_sign == S_ZERO) == (k1 * k3 == k2 * k4)
+
+
+@st.composite
+def overflowing_k(draw):
+    """k whose products k1*k3 and k2*k4 both overflow to one infinity, so
+    that the float discriminant is nan: |k1*k3| >= 2**(e1 + e3 - 2) >= 2**1024."""
+    e1, e2 = draw(st.integers(2, 1024)), draw(st.integers(2, 1024))
+    e3, e4 = draw(st.integers(1026 - e1, 1024)), draw(st.integers(1026 - e2, 1024))
+    s1, s2, s3 = (draw(st.sampled_from((1.0, -1.0))) for _ in range(3))
+    magnitudes = [math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), e)
+                  for e in (e1, e2, e3, e4)]
+    return ParamVector(*(s * m for s, m in zip((s1, s2, s3, s1 * s2 * s3), magnitudes)))
+
+
+def _sign(exact):
+    return S_PLUS if exact > 0 else (S_MINUS if exact < 0 else S_ZERO)
+
+
+@DERANDOMIZED
+@given(k=overflowing_k())
+def test_where_both_products_overflow_the_sign_is_the_exact_sign(k):
+    # the float discriminant is nan, and the printed one stays nan
+    assert math.isnan(discriminant(k))
+    p1, p2 = Fraction(k.k1) * Fraction(k.k3), Fraction(k.k2) * Fraction(k.k4)
+    if abs(p1 - p2) > max(abs(p1), abs(p2)) / 2**52:
+        # the two products round to different doubles
+        assert classify(k).s_sign == _sign(p1 - p2)
+    else:
+        assert classify(k).s_sign in (S_ZERO, _sign(p1 - p2))
+
+
+@pytest.mark.parametrize("k, exact_sign", [
+    ((1e200, 1e200, 2e200, 1e200), S_PLUS),  # D = 1e400
+    ((1e200, 2e200, 1e200, 1e200), S_MINUS),
+    ((-1e200, 1e200, 2e200, -1e200), S_MINUS),
+    ((3 * 2.0**520, 5 * 2.0**520, 5 * 2.0**520, 3 * 2.0**520), S_ZERO),  # D = 0 exactly
+    # one component at the top of the range, its partner near 4/3: scaled
+    # by the top exponent alone, the partner would round into the subnormals
+    ((1.5 * 2.0**1023, 2.0**1023, 1.3333333333333335, 2.0000000000000004), S_MINUS),
+    ((1.5 * 2.0**1023, 2.0**1023, 1.333333333333334, 2.0000000000000004), S_PLUS),
+])
+def test_overflowing_products_read_the_sign_of_the_fraction_discriminant(k, exact_sign):
+    k = ParamVector(*k)
+    assert math.isnan(discriminant(k))
+    assert _sign(_exact(k)) == exact_sign
+    assert classify(k).s_sign == exact_sign
 
 
 def test_most_float_manifold_draws_read_zero_with_a_nonzero_exact_discriminant():
@@ -112,13 +162,16 @@ def test_darboux_certifies_and_finds_a_kernel_exactly_where_classify_reads_s(k):
     assert bool(solve_darboux(k).kernel) == (classify(k).s_sign == S_ZERO)
 
 
-def test_a_nan_discriminant_reads_s_for_the_certificates_too():
-    # both products overflow to inf: classify reads S, and so does darboux
+def test_a_nan_discriminant_reads_its_exact_sign_for_the_certificates_too():
+    # both products overflow to inf, the exact D is 1e400: classify reads
+    # S+, and darboux certifies nothing; the printed D stays nan
     k = ParamVector(1e200, 1e200, 2e200, 1e200)
-    assert classify(k).s_sign == S_ZERO and math.isnan(discriminant(k))
+    assert classify(k).s_sign == S_PLUS and math.isnan(discriminant(k))
     report = solve_darboux(k)
-    assert report.kernel == ((1.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.5))
-    assert all(s.certified and math.isnan(s.cofactor_residual) for s in report.named.values())
+    assert report.kernel == ()
+    assert all(math.isnan(d) for d in report.subsystem_determinants)
+    assert all(not s.certified and math.isnan(s.cofactor_residual)
+               for s in report.named.values())
 
 
 # --- the signs of the log-integral changes ------------------------------------

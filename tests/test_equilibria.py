@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lv3.darboux import field_polynomials
 from lv3.equilibria import (
     NotInPS,
     OutOfRange,
@@ -60,10 +59,12 @@ def test_vector_field_hand_value_and_symbolic_cross_check():
     p = (0.2, 0.2, 0.2)
     vel = vector_field(k, p)
     assert vel == pytest.approx((0.0, -0.04, 0.12), abs=1e-15)
-    # independent route: evaluate the expanded field polynomials
-    polys = field_polynomials(k)
-    sym = tuple(poly(*p) for poly in polys)
-    assert vel == pytest.approx(sym, abs=1e-15)
+    # independent route: the sympy field, at the rationals of k and p
+    sp = pytest.importorskip("sympy")
+    from test_symbolic import FIELD, KS, X, Y, Z
+
+    exact = FIELD.subs(dict(zip((*KS, X, Y, Z), map(sp.Rational, (*k, *p)))))
+    assert vel == pytest.approx([float(c) for c in exact], abs=1e-15)
 
 
 def test_edges_are_exactly_singular(rng):

@@ -1,5 +1,6 @@
 """Exact re-derivations with sympy of the closed forms the toolkit hard-codes:
-the Darboux cofactors, the identities behind the closed-form certificates
+the Darboux cofactors and the invariance identities L f = K f they satisfy,
+the identities behind the closed-form certificates
 and the block determinants of their kernel system, the spectrum on the
 interior segment of equilibria, and the transverse eigenvalues on the
 singular edges.  The field is written out here from its
@@ -7,16 +8,18 @@ formula, not taken from lv3.  Parameters and points are dyadic, so every
 float the toolkit computes from them is exact: its exact value (sympy's
 Rational of the float) equals the symbolic one."""
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 sp = pytest.importorskip("sympy")
 
-from lv3.darboux import builtin_surfaces, named_integral_specs, solve_darboux
+from lv3.darboux import _cofactor_terms, named_integral_specs, solve_darboux, surface_cofactors
 from lv3.equilibria import edge_eigenvalues, interior_spectrum
 from lv3.params import ParamVector
-from conftest import interior_point, jacobian
+from lv3.rng import SplitMix64
+from conftest import choice, interior_point, jacobian
 
 X, Y, Z, S, LAM = sp.symbols("x y z s lam")
 KS = sp.symbols("k1:5")
@@ -49,12 +52,61 @@ def _at(k):
     return dict(zip(KS, map(sp.Rational, k)))
 
 
+# L f of each plane, as monomial -> coefficient in k
+LIE_DERIVATIVES = [sp.Poly((sp.Matrix([f]).jacobian([X, Y, Z]) * FIELD)[0], X, Y, Z).as_dict()
+                   for f in SURFACES]
+
+
+def exact_invariance_residual(k):
+    """Largest |coefficient| of L f - K f over the four planes f, expanded
+    in exact rationals, with K the table's terms of lv3.darboux summed
+    exactly at the rationals of the floats k."""
+    at = _at(k)
+    terms = _cofactor_terms(tuple(map(sp.Rational, k))).values()
+    worst = sp.Integer(0)
+    for f, lie, cofactor in zip(SURFACES, LIE_DERIVATIVES, terms):
+        K = sp.Poly({m: sum(t) for m, t in cofactor.items()}, X, Y, Z)
+        residual = {m: c.xreplace(at) for m, c in lie.items()}
+        for m, c in (K * sp.Poly(f, X, Y, Z)).as_dict().items():
+            residual[m] = residual.get(m, 0) - c
+        worst = max(worst, *map(abs, residual.values()))
+    return worst
+
+
+def _rounded_once(c) -> float:
+    """The double nearest the sympy Rational c."""
+    return float(Fraction(int(c.p), int(c.q)))
+
+
 @pytest.mark.parametrize("k", DYADIC_K)
 def test_the_cofactors_are_the_symbolic_cofactors(k):
-    for surface, cofactor in zip(builtin_surfaces(ParamVector(*k)), COFACTORS):
-        exact = {m: c.subs(_at(k)) for m, c in cofactor.as_dict().items()}
-        assert {m: sp.Rational(c) for m, c in surface.cofactor.coefficients().items()} == {
+    for cofactor, symbolic in zip(surface_cofactors(ParamVector(*k)).values(), COFACTORS):
+        exact = {m: c.subs(_at(k)) for m, c in symbolic.as_dict().items()}
+        assert {m: sp.Rational(c) for m, c in cofactor.items()} == {
             m: c for m, c in exact.items() if c != 0}
+
+
+def _float_component(rng) -> float:
+    magnitude = choice(rng, (0.0, 1.0, 1e300, 1e-300)) * rng.uniform(0.3, 3.0)
+    return magnitude if rng.uniform() < 0.5 else -magnitude
+
+
+def test_the_table_is_the_symbolic_cofactors_rounded_once():
+    # float k with zero, signed-zero, mixed-sign and 1e+-300 components,
+    # and with k4 = -k1 or k3 = -k2, where a two-term coefficient cancels
+    rng = SplitMix64(2701)
+    for draw in range(300):
+        k = [_float_component(rng) for _ in range(4)]
+        if draw % 5 == 0:
+            k[3] = -k[0]
+        elif draw % 5 == 1:
+            k[2] = -k[1]
+        table, at = surface_cofactors(ParamVector(*k)), _at(k)
+        assert list(table) == ["x", "y", "z", "x+y+z-1"]
+        for cofactor, symbolic in zip(table.values(), COFACTORS):
+            exact = {m: c.xreplace(at) for m, c in symbolic.as_dict().items()}
+            assert list(cofactor) == sorted(cofactor)
+            assert cofactor == {m: _rounded_once(c) for m, c in exact.items() if c != 0}, k
 
 
 def test_each_named_exponent_vector_weights_the_cofactors_to_d_times_a_coordinate():

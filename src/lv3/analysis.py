@@ -10,11 +10,19 @@ leave along a repelling transverse direction: the flow also slows down while
 it passes a saddle-type edge point.  Periodicity requires two consecutive
 return agreements, not one, to reject near-periodic spiral transients.
 Inconclusive is a first-class outcome, never silently coerced.
+
+The harnesses (verify_theorem_a, verify_theorem_b, period_profile,
+bifurcation_scan) and the portrait command run starts whose orbits share
+nothing, so one job map (_map_starts) splits them across the CPUs this
+process may use.  It takes no option: the output is the same, byte for
+byte, on one CPU or many.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 from .params import (
@@ -472,6 +480,114 @@ def complement_edge_distance(k: ParamVector, point, which: str) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Job map: independent starts on every CPU the process may use
+
+
+def _map_starts(fn, items) -> list:
+    """[fn(x) for x in items], the items split in contiguous chunks over the
+    CPUs this process may use.
+
+    The worker count is min(len(items), the CPUs of os.sched_getaffinity,
+    or os.cpu_count where that is missing).  The map runs in-process when
+    that count is 1, when os.fork is missing, or when a second thread runs,
+    since a fork copies the locks other threads hold.  Otherwise this
+    process computes the first chunk and a forked child each other one.  A
+    child pickles its results, or its first exception, to a pipe and leaves
+    by os._exit, so it flushes none of the stdio it inherited.  Every child
+    is read and reaped before the map returns or raises, and on an exception
+    of the first chunk it is killed first.  Then the map raises the first
+    exception in item order, or returns the results in item order, as the
+    comprehension would.  A chunk whose child could not start or sent
+    nothing readable is computed in-process.
+    """
+    items = list(items)
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    n = min(len(items), len(cpus))
+    if n <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    bounds = [len(items) * i // n for i in range(n + 1)]
+    first, *rest = (items[a:b] for a, b in zip(bounds, bounds[1:]))
+    workers = []
+    try:
+        for chunk in rest:
+            try:
+                workers.append(_Worker(fn, chunk))
+            except OSError:
+                workers.append(None)
+        out = [fn(x) for x in first]
+        payloads = [None if w is None else w.payload() for w in workers]
+    finally:
+        for w in workers:
+            if w is not None:
+                w.reap(kill=True)
+    for chunk, payload in zip(rest, payloads):
+        if payload is None:
+            out.extend(fn(x) for x in chunk)
+        elif payload[0]:
+            out.extend(payload[1])
+        else:
+            raise payload[1]
+    return out
+
+
+class _Worker:
+    """A forked child that computes fn over one chunk of _map_starts."""
+
+    def __init__(self, fn, chunk):
+        import pickle
+
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    payload = True, [fn(x) for x in chunk]
+                except BaseException as exc:
+                    payload = False, exc
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.fd = read
+
+    def payload(self):
+        """(True, results) or (False, exception) as the child sent it, or
+        None if it sent nothing readable; the child is reaped."""
+        import pickle
+
+        parts = []
+        while part := os.read(self.fd, 1 << 16):
+            parts.append(part)
+        self.reap()
+        try:
+            return pickle.loads(b"".join(parts))
+        except Exception:
+            return None
+
+    def reap(self, kill=False):
+        """Close the pipe and wait for the child (killed first if kill),
+        once."""
+        pid, self.pid = self.pid, 0
+        if pid:
+            if kill:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.close(self.fd)
+            os.waitpid(pid, 0)
+
+
+# ---------------------------------------------------------------------------
 # Verification harnesses
 
 
@@ -492,8 +608,8 @@ def _report_head(theorem: str, k: ParamVector, n_samples: int, seed: int) -> tup
 
 def _limit_pairs(k, starts, horizon, tol_rel, tol_abs) -> list:
     """(omega, alpha) LimitSetReport of the orbit through each start."""
-    return [(omega_limit(k, p, horizon, tol_rel, tol_abs),
-             alpha_limit(k, p, horizon, tol_rel, tol_abs)) for p in starts]
+    return _map_starts(lambda p: (omega_limit(k, p, horizon, tol_rel, tol_abs),
+                                  alpha_limit(k, p, horizon, tol_rel, tol_abs)), starts)
 
 
 def verify_theorem_a(k: ParamVector, n_samples: int, seed: int = 42,
@@ -517,12 +633,16 @@ def verify_theorem_a(k: ParamVector, n_samples: int, seed: int = 42,
             max(abs(c) for c in vector_field(k, p)) for p in interior_segment_R(k).sample(100)
         )
         names = certified_integral_names(k)
-        periodic = []  # (closure_error, drift) of each periodic sample
-        for p in starts:
+
+        def sample(p):
+            """(closure_error, drift) of a periodic start, else None."""
             orbit = detect_periodic(k, p, tol_rel, tol_abs, horizon)
-            if orbit is not None:
-                drift = orbit_integral_drift(k, p, orbit.period, names)
-                periodic.append((orbit.closure_error, _max_or_nan(drift.values())))
+            if orbit is None:
+                return None
+            drift = orbit_integral_drift(k, p, orbit.period, names)
+            return orbit.closure_error, _max_or_nan(drift.values())
+
+        periodic = [s for s in _map_starts(sample, starts) if s is not None]
         worst_closure = _max_or_nan(c for c, _ in periodic)
         worst_drift = _max_or_nan(d for _, d in periodic)
         matches = _face_matches(k)
@@ -613,17 +733,17 @@ def period_profile(k: ParamVector, points, tol_rel: float = DEFAULT_TOL_REL,
     outward).  The verdict reports whether the period grows strictly
     monotonically along the family.
     """
-    rows = []
-    for p in points:
+
+    def row(p):
         orbit = detect_periodic(k, p, tol_rel, tol_abs)
-        rows.append(
-            {
-                "point": list(_coords(p)),
-                "distance_to_boundary": boundary_margin(_coords(p)),
-                "period": None if orbit is None else orbit.period,
-                "closure_error": None if orbit is None else orbit.closure_error,
-            }
-        )
+        return {
+            "point": list(_coords(p)),
+            "distance_to_boundary": boundary_margin(_coords(p)),
+            "period": None if orbit is None else orbit.period,
+            "closure_error": None if orbit is None else orbit.closure_error,
+        }
+
+    rows = _map_starts(row, points)
     periods = [r["period"] for r in rows]
     conclusive = [p for p in periods if p is not None]
     strictly_increasing = len(conclusive) == len(periods) and all(
@@ -646,20 +766,21 @@ def bifurcation_scan(samples, probe_start=(0.2, 0.2, 0.2), horizon: float = DEFA
     regime classification and the outcome of a single omega probe from
     probe_start, enough to reproduce the bifurcation partition as data.
     """
-    rows = []
-    for vars_, k in samples:
+
+    def scan_row(sample):
+        vars_, k = sample
         row = dict(vars_)
         row["k"] = list(k)
         try:
             regime = classify(k)
         except ZeroParameter:
             row.update(regime="zero", discriminant=0.0, probe_kind=None)
-            rows.append(row)
-            continue
+            return row
         row["regime"] = regime.label()
         row["discriminant"] = discriminant(k)
         probe = omega_limit(k, probe_start, horizon, tol_rel, tol_abs)
         row["probe_kind"] = probe.kind
         row["probe_witness"] = list(probe.witness)
-        rows.append(row)
-    return rows
+        return row
+
+    return _map_starts(scan_row, samples)

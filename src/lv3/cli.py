@@ -464,9 +464,10 @@ def _cmd_portrait(cfg, stream):
     rng = SplitMix64(cfg.seed)
     starts = analysis.sample_interior(cfg.k, cfg.n, rng)
     header = ["traj", "t", "x", "y", "z"]
+    trajectories = analysis._map_starts(
+        lambda p0: flow.integrate(cfg.k, p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs), starts)
     rows = []
-    for idx, p0 in enumerate(starts):
-        traj = flow.integrate(cfg.k, p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
+    for idx, traj in enumerate(trajectories):
         for t, state in zip(traj.t, traj.states):
             rows.append((float(idx), t, *state))
     emit_csv(header, rows, stream)

@@ -53,15 +53,34 @@ def _cofactor_terms(k) -> dict:
     }
 
 
+class _Name(str):
+    """The name of a k component, negated by a leading minus sign: the
+    cofactor table read with names in place of numbers."""
+
+    def __neg__(self):
+        return _Name(self[1:] if self.startswith("-") else f"-{self}")
+
+
 def surface_cofactors(k: ParamVector) -> dict:
     """Surface name -> its cofactor as monomial -> coefficient, monomials
     sorted and zero coefficients left out.  Each coefficient is the fsum of
-    its terms: the exact sum rounded once, and OverflowError where that
-    overflows."""
+    its terms: the exact sum rounded once.  Where that overflows it raises
+    OverflowError naming the plane, the monomial and the sum, such as the y
+    coefficient k1 + k4 of the plane x."""
     out = {}
     for name, terms in _cofactor_terms(k).items():
-        sums = ((monomial, math.fsum(t)) for monomial, t in terms.items())
-        out[name] = {monomial: c for monomial, c in sums if c != 0.0}
+        out[name] = {}
+        for monomial, t in terms.items():
+            try:
+                c = math.fsum(t)
+            except OverflowError:
+                names = _cofactor_terms(map(_Name, ("k1", "k2", "k3", "k4")))[name][monomial]
+                raise OverflowError(
+                    f"the {'xyz'[monomial.index(1)]} coefficient "
+                    f"{' + '.join(names).replace('+ -', '- ')} of the cofactor of the plane "
+                    f"{name} overflows") from None
+            if c != 0.0:
+                out[name][monomial] = c
     return out
 
 

@@ -4,12 +4,14 @@ Regime membership is decided by sign tests without a tolerance: the sweep
 tooling deliberately places samples on and off the degenerate manifold, so
 a tolerance here would silently move samples across the bifurcation set.
 The component signs are exact.  The discriminant sign is that of the float
-k1*k3 - k2*k4, which classify documents.
+k1*k3 - k2*k4 without an exponent limit, which classify and s_sign
+document.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -110,17 +112,33 @@ def s_sign(k: ParamVector) -> str:
     """S+, S- or S by the sign of the float discriminant: the one decision
     of D = 0 that classify and the Darboux certificates share.
 
-    Where the discriminant is nan (both products overflow to one infinity)
-    the sign is read on k scaled by 2**(511 - e), e the largest frexp
-    exponent of its components.  Both products overflow, so every scaled
-    component lies in [2**-514, 2**511): the scaling is exact, the scaled
-    products are finite normal numbers, and their difference has the sign
-    the float discriminant would have without an exponent limit.  No
-    tolerance enters; the printed discriminant stays nan."""
+    Where the float discriminant cannot tell, the sign is read on k scaled
+    by 2**(511 - e): the sign the float discriminant would have without an
+    exponent limit.  A product with a zero factor is exactly 0, so its
+    factors are set to 0 first (two such products read S), and e is the
+    largest frexp exponent of the nonzero components left.  The float
+    discriminant cannot tell in two cases.
+    - It is nan: both products overflow to one infinity.  Every scaled
+      component then lies in [2**-514, 2**511), so the scaling is exact and
+      the scaled products are finite normal numbers.
+    - It is 0 and both products lie below the normal range (2**-1022), so
+      they may be equal only because they underflowed.  Every component
+      left then lies below 2**52, so the scaling multiplies by at least
+      2**459 and is exact.  The scaled product of the largest component is
+      at least 2**510 * 2**-615 = 2**-105, a normal number, so the other
+      one either is normal too or lies far below it.
+    No tolerance enters; the printed discriminant stays as it is."""
     d = discriminant(k)
-    if d != d:
-        shift = 511 - max(math.frexp(c)[1] for c in k)
-        k1, k2, k3, k4 = (math.ldexp(c, shift) for c in k)
+    if d != d or (d == 0.0 and abs(k.k1 * k.k3) < sys.float_info.min):
+        k1, k2, k3, k4 = k
+        if k1 == 0.0 or k3 == 0.0:
+            k1 = k3 = 0.0
+        if k2 == 0.0 or k4 == 0.0:
+            k2 = k4 = 0.0
+        if k1 == k2 == 0.0:
+            return S_ZERO
+        shift = 511 - max(math.frexp(c)[1] for c in (k1, k2, k3, k4) if c)
+        k1, k2, k3, k4 = (math.ldexp(c, shift) for c in (k1, k2, k3, k4))
         d = k1 * k3 - k2 * k4
     return S_PLUS if d > 0.0 else (S_MINUS if d < 0.0 else S_ZERO)
 
@@ -134,8 +152,8 @@ def classify(k: ParamVector) -> Regime:
     never contradicts the sign of the exact rational k1*k3 - k2*k4 of the
     given floats, and an exactly zero discriminant always reads S.  The
     converse fails: a nonzero exact discriminant reads S whenever the two
-    products round to the same double (both underflowing to zero
-    included).  With k1, k2, k4 drawn
+    products round to the same double, compared without an exponent limit
+    where both lie below the normal range (s_sign).  With k1, k2, k4 drawn
     uniformly from [0.3, 3] by random.Random(3) and k3 = k2*k4/k1 in
     floats, 17864 of 20000 draws read S with a nonzero exact discriminant,
     and none read the wrong sign.

@@ -100,6 +100,8 @@ INVOCATIONS = (
     ("darboux-h-vanishes", "darboux --k 0,0,1,1"),
     ("darboux-v-vanishes", "darboux --k 1,0,0,1"),
     ("darboux-zero", "darboux --k 0,0,0,0"),
+    # both products underflow to 0, the exact D is -1e-400 < 0: the sign is
+    # read on k scaled by a power of two, and nothing is certified
     ("darboux-underflow", "darboux --k 1e-200,1e-200,1e-200,2e-200"),
     # the exact D is 1e400 > 0: the sign is read on k scaled by a power of two
     ("darboux-overflow", "darboux --k 1e200,1e200,2e200,1e200"),

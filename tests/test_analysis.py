@@ -255,10 +255,13 @@ def test_drift_run_controls_the_relative_error_next_to_a_face():
 @pytest.mark.parametrize("second_v_drift, passed", [(2e-13, True), (math.nan, False)],
                          ids=["finite", "nan"])
 def test_a_nan_drift_never_passes_part_a(monkeypatch, second_v_drift, passed):
-    # the nan is in no sample's first place, where max would drop it
-    drifts = iter([{"H": 1e-13, "V": 1e-13}, {"H": 1e-13, "V": second_v_drift}])
-    monkeypatch.setattr(lv3.analysis, "orbit_integral_drift", lambda *args: next(drifts))
-    report = verify_theorem_a(ParamVector(2, 3, 3, 2), 2, seed=5)
+    # the nan is in no sample's first place, where max would drop it; the
+    # drifts are keyed by start, since the samples may run in forked workers
+    k = ParamVector(2, 3, 3, 2)
+    first, second = sample_interior(k, 2, SplitMix64(5))
+    drifts = {first: {"H": 1e-13, "V": 1e-13}, second: {"H": 1e-13, "V": second_v_drift}}
+    monkeypatch.setattr(lv3.analysis, "orbit_integral_drift", lambda k, p, *args: drifts[p])
+    report = verify_theorem_a(k, 2, seed=5)
     assert report["n_periodic"] == 2
     assert report["passed"] is passed and report["failed"] is not passed
     assert report["worst_drift"] == 2e-13 if passed else math.isnan(report["worst_drift"])

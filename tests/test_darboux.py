@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,15 @@ def test_zero_param_cofactors_vanish():
     cofactors = surface_cofactors(ParamVector(0, 0, 0, 0))
     assert list(cofactors) == ["x", "y", "z", "x+y+z-1"]
     assert all(c == {} for c in cofactors.values())
+
+
+@pytest.mark.parametrize("k, message", [
+    ((1e308, 1.0, 1.0, 1e308), "the y coefficient k1 + k4 of the cofactor of the plane x"),
+    ((1.0, -1e308, -1e308, 1.0), "the y coefficient -k2 - k3 of the cofactor of the plane z"),
+])
+def test_an_overflowing_cofactor_coefficient_is_named(k, message):
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)} overflows$"):
+        surface_cofactors(ParamVector(*k))
 
 
 # zero, signed-zero, mixed-sign and extreme components; test_acceptance's

@@ -3,7 +3,7 @@ discriminant of the given floats (fractions.Fraction).  classify reads the
 sign of the float k1*k3 - k2*k4: it never contradicts the exact sign, an
 exactly zero discriminant always reads S, and a nonzero one reads S exactly
 when the two products round to the same double (compared without an exponent
-limit where both overflow).  The Darboux certificates
+limit where both overflow or both fall below the normal range).  The Darboux certificates
 and kernel take that same decision.  Along every interior orbit
 the four named log integrals move with the sign of D = k1*k3 - k2*k4, by D
 times the time integral of w, -x, y or -z."""
@@ -59,14 +59,62 @@ def test_the_float_sign_never_contradicts_the_exact_sign(k):
         assert s_sign in (S_ZERO, S_PLUS if exact > 0 else S_MINUS)
 
 
+def _round53(q):
+    """The Fraction q rounded to 53 significant bits, ties to even, with no
+    exponent limit: the double it rounds to where that is normal."""
+    if q == 0:
+        return q
+    scale = Fraction(2) ** (52 - (q.numerator.bit_length() - q.denominator.bit_length()))
+    while abs(q * scale) >= 2**53:
+        scale /= 2
+    while abs(q * scale) < 2**52:
+        scale *= 2
+    return round(q * scale) / scale
+
+
+@st.composite
+def underflowing_k(draw):
+    """k whose products k1*k3 and k2*k4 both lie below the normal range
+    (2**-1022), some of them rounding to 0, some with a zero factor."""
+    exponents = []
+    for _ in range(2):
+        e = draw(st.integers(-1073, 51))
+        exponents += [e, draw(st.integers(-1073, -1022 - e))]
+    e1, e3, e2, e4 = exponents
+    components = [draw(st.sampled_from((1.0, -1.0))) * math.ldexp(draw(st.floats(0.5, 1.0)), e)
+                  for e in (e1, e2, e3, e4)]
+    if draw(st.integers(0, 9)) == 0:
+        components[draw(st.integers(0, 3))] = 0.0
+    return ParamVector(*components)
+
+
 @DERANDOMIZED
-@given(k=KS)
+@given(k=st.one_of(KS, underflowing_k()))
 def test_the_sign_reads_zero_exactly_when_the_products_round_together(k):
-    # where both overflow to one infinity they are compared without an
-    # exponent limit: every component is then above 1/2, so scaled by
-    # 2**-550 it stays normal, and neither scaled product overflows
-    k1, k2, k3, k4 = (math.ldexp(c, -550) for c in k) if math.isnan(discriminant(k)) else k
-    assert (classify(k).s_sign == S_ZERO) == (k1 * k3 == k2 * k4)
+    # compared without an exponent limit: the two exact products rounded to
+    # 53 bits where both overflow or both fall below the normal range
+    p1, p2 = Fraction(k.k1) * Fraction(k.k3), Fraction(k.k2) * Fraction(k.k4)
+    assert (classify(k).s_sign == S_ZERO) == (_round53(p1) == _round53(p2))
+    if _round53(p1) != _round53(p2):
+        assert classify(k).s_sign == _sign(p1 - p2)
+
+
+@pytest.mark.parametrize("k, exact_sign", [
+    ((1e-200, 1e-200, 1e-200, 2e-200), S_MINUS),  # D = -1e-400
+    ((0.0, 1e-200, 1e300, 1e-200), S_MINUS),  # k1*k3 is exactly 0
+    ((1e-200, 0.0, 1e-200, 5.0), S_PLUS),
+    ((2.0**51, 2.0**-1074, 2.0**-1074, 2.0**51), S_ZERO),  # D = 0 exactly
+    # both products round to the subnormal 2**-1040; D = 2**-1092
+    ((math.ldexp(1.0 + 2.0**-52, 20), 2.0**20, 2.0**-1060, 2.0**-1060), S_PLUS),
+    ((0.0, 0.0, 1.0, 1.0), S_ZERO),
+    # the zeros set no scale: 2**-1074 is scaled to 2**510, not to 2**-563
+    ((5e-324, 1.0, 5e-324, 0.0), S_PLUS),
+])
+def test_underflowing_products_read_the_sign_of_the_fraction_discriminant(k, exact_sign):
+    k = ParamVector(*k)
+    assert discriminant(k) == 0.0
+    assert _sign(_exact(k)) == exact_sign
+    assert classify(k).s_sign == exact_sign
 
 
 @st.composite
@@ -160,6 +208,16 @@ def test_darboux_certifies_and_finds_a_kernel_exactly_where_classify_reads_s(k):
         if _exact(k) == 0 and status.non_constant:
             assert status.certified
     assert bool(solve_darboux(k).kernel) == (classify(k).s_sign == S_ZERO)
+
+
+def test_an_underflowing_discriminant_reads_its_exact_sign_for_the_certificates_too():
+    # both products underflow to 0, the exact D is -1e-400: classify reads
+    # S-, and darboux certifies nothing; the printed D stays 0
+    k = ParamVector(1e-200, 1e-200, 1e-200, 2e-200)
+    assert classify(k).s_sign == S_MINUS and discriminant(k) == 0.0
+    report = solve_darboux(k)
+    assert report.kernel == () and report.subsystem_determinants == (0.0, 0.0)
+    assert not any(s.certified for s in report.named.values())
 
 
 def test_a_nan_discriminant_reads_its_exact_sign_for_the_certificates_too():

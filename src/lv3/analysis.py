@@ -14,7 +14,11 @@ Inconclusive is a first-class outcome, never silently coerced.
 The harnesses (verify_theorem_a, verify_theorem_b, period_profile,
 bifurcation_scan) and the portrait command run starts whose orbits share
 nothing, so one job map (_map_starts) splits them across the CPUs this
-process may use.  It takes no option: the output is the same, byte for
+process may use.  The integrate command streams its run's blocks of
+samples through a _Feed to a second CPU, which formats them while the
+orbit steps.  One forked worker (_Worker) serves both: the fork, the
+pickled results, the reaping on every path and the in-process fallback
+exist once.  Neither takes an option: the output is the same, byte for
 byte, on one CPU or many.
 """
 
@@ -22,8 +26,10 @@ from __future__ import annotations
 
 import math
 import os
+import select
 import threading
 from dataclasses import dataclass
+from itertools import chain
 
 from .params import (
     PS_MINUS,
@@ -58,6 +64,7 @@ from .flow import (
     DEFAULT_TOL_REL,
     DormandPrince45,
     SectionSpec,
+    Trajectory,
     _DOP853,
     _DP5,
     _ReturnMap,
@@ -480,31 +487,51 @@ def complement_edge_distance(k: ParamVector, point, which: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Job map: independent starts on every CPU the process may use
+# Job map: independent starts on every CPU the process may use, and one
+# run's blocks on a second CPU while the run goes on
+
+
+def _cpus() -> int:
+    """The CPUs of os.sched_getaffinity, or os.cpu_count where that is missing."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """Whether the maps may fork: os.fork exists and no second thread runs,
+    since a fork copies the locks other threads hold."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _other_cpus() -> set:
+    """The CPUs this process may use other than the one it runs on now
+    (read from Linux's /proc), or an empty set where that is unknown."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, ValueError, IndexError, AttributeError):
+        return set()
 
 
 def _map_starts(fn, items) -> list:
     """[fn(x) for x in items], the items split in contiguous chunks over the
     CPUs this process may use.
 
-    The worker count is min(len(items), the CPUs of os.sched_getaffinity,
-    or os.cpu_count where that is missing).  The map runs in-process when
-    that count is 1, when os.fork is missing, or when a second thread runs,
-    since a fork copies the locks other threads hold.  Otherwise this
-    process computes the first chunk and a forked child each other one.  A
-    child pickles its results, or its first exception, to a pipe and leaves
-    by os._exit, so it flushes none of the stdio it inherited.  Every child
-    is read and reaped before the map returns or raises, and on an exception
-    of the first chunk it is killed first.  Then the map raises the first
-    exception in item order, or returns the results in item order, as the
-    comprehension would.  A chunk whose child could not start or sent
-    nothing readable is computed in-process.
+    The worker count is min(len(items), _cpus()).  The map runs in-process
+    when that count is 1 or when it may not fork (_may_fork).  Otherwise
+    this process computes the first chunk and a forked _Worker each other
+    one.  Every child is killed and reaped before the map returns or
+    raises: one that has sent its results is leaving anyway, and one whose
+    results nobody reads (the first chunk raised) need not finish.  Then the
+    map raises the first exception in item order, or returns the results in
+    item order, as the comprehension would.  A chunk whose child could not
+    start or sent nothing readable is computed in-process.
     """
     items = list(items)
-    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-            else range(os.cpu_count() or 1))
-    n = min(len(items), len(cpus))
-    if n <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    n = min(len(items), _cpus())
+    if n <= 1 or not _may_fork():
         return [fn(x) for x in items]
     bounds = [len(items) * i // n for i in range(n + 1)]
     first, *rest = (items[a:b] for a, b in zip(bounds, bounds[1:]))
@@ -531,10 +558,142 @@ def _map_starts(fn, items) -> list:
     return out
 
 
-class _Worker:
-    """A forked child that computes fn over one chunk of _map_starts."""
+class _Feed:
+    """fn over the blocks of one run, on a second CPU while the run goes on.
 
-    def __init__(self, fn, chunk):
+    Use it as a context: hand each block of the run to put as soon as it is
+    complete (flow's blocks of ROWS samples, the last one fewer), then take
+    results(), fn of every block in order, and leave the context.  On two
+    CPUs or more, where _map_starts would fork (_cpus, _may_fork), the
+    first complete block forks one _Worker whose items are this feed: put
+    writes each block's packed doubles (its times, then its states) to a
+    pipe without blocking, and the child computes fn over them as they come.
+    A block is at most select.PIPE_BUF bytes, so a write takes all of it or
+    none; on Linux the pipe holds one page, so a child that falls behind
+    holds back at most about two blocks, and a block the pipe cannot take
+    at once stays here.  results() closes the pipe, computes fn over the
+    blocks kept here while the child finishes its own, and reads the
+    child's results, which the child sends only once its feed has ended, so
+    neither side ever waits on a full pipe.  Blocks whose child could not
+    start, sent nothing readable or raised are computed here, so the
+    results never depend on the CPU count.  Leaving the context kills the
+    child if it still runs (an exception left the context) and reaps it.
+    """
+
+    ROWS = select.PIPE_BUF // 32  # a sample is four doubles: t, x, y, z
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.blocks = []  # every block, kept until the child's results arrive
+        self.sent = []  # the indices of the blocks the child took
+        self.worker = None if _cpus() > 1 and _may_fork() else False  # False: in-process
+        self.fds = ()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def put(self, block):
+        self.blocks.append(block)
+        if self.worker is None and len(block.t) == self.ROWS:
+            self._start()
+        if self.worker:
+            data = self._array("d", chain(block.t, chain.from_iterable(block.states)))
+            try:
+                os.write(self.fds[1], data)
+            except OSError:  # full (or the child is gone): the block stays here
+                return
+            self.sent.append(len(self.blocks) - 1)
+
+    def _start(self):
+        """Fork the worker, or settle in-process if that fails."""
+        import fcntl
+        from array import array
+
+        self._array = array
+        self._child_cpus = _other_cpus()
+        try:
+            self.fds = os.pipe()
+            if hasattr(fcntl, "F_SETPIPE_SZ"):
+                fcntl.fcntl(self.fds[1], fcntl.F_SETPIPE_SZ, select.PIPE_BUF)
+            os.set_blocking(self.fds[1], False)
+            self.worker = _Worker(self.fn, self)
+        except OSError:
+            self.worker = False
+            self.close()
+            return
+        os.close(self.fds[0])
+        self.fds = (None, self.fds[1])
+
+    def __iter__(self):
+        """In the child: the blocks the parent wrote, until end of file.
+
+        The child first leaves the CPU the parent ran on at the fork, where
+        it may run on another: each write wakes it, and Linux may wake a
+        task on the CPU of the task that wakes it, where the two would
+        share one CPU."""
+        read, write = self.fds
+        os.close(write)
+        if self._child_cpus:
+            try:
+                os.sched_setaffinity(0, self._child_cpus)
+            except OSError:
+                pass
+        size = 32 * self.ROWS
+        pending = b""
+        while part := os.read(read, 1 << 16):
+            pending += part
+            while len(pending) >= size:
+                yield self._block(pending[:size])
+                pending = pending[size:]
+        if pending:
+            yield self._block(pending)
+
+    def _block(self, data):
+        values = self._array("d", data).tolist()
+        n = len(values) // 4
+        rest = values[n:]
+        return Trajectory(tuple(values[:n]), tuple(zip(rest[0::3], rest[1::3], rest[2::3])))
+
+    def results(self) -> list:
+        """fn of every block, in order: the child's results for the blocks
+        it took, the others computed here."""
+        if not self.worker:
+            return [self.fn(b) for b in self.blocks]
+        os.close(self.fds[1])  # end of file: the child finishes its blocks
+        self.fds = ()
+        taken = set(self.sent)
+        out = {i: self.fn(b) for i, b in enumerate(self.blocks) if i not in taken}
+        payload = self.worker.payload()
+        if payload is not None and payload[0] and len(payload[1]) == len(self.sent):
+            out.update(zip(self.sent, payload[1]))
+        else:
+            out.update((i, self.fn(self.blocks[i])) for i in self.sent)
+        return [out[i] for i in range(len(self.blocks))]
+
+    def close(self):
+        """Close the pipe and kill and reap the child, if not done yet."""
+        for fd in self.fds:
+            if fd is not None:
+                os.close(fd)
+        self.fds = ()
+        if self.worker:
+            self.worker.reap(kill=True)
+
+
+class _Worker:
+    """A forked child that computes fn over items: one chunk of _map_starts,
+    or a _Feed, which it reads as the parent writes it.
+
+    The child pickles its results, or its first exception, to a pipe once
+    its items are done, and leaves by os._exit, so it flushes none of the
+    stdio it inherited.  The parent reads them with payload() and must
+    reap() the child on every path.
+    """
+
+    def __init__(self, fn, items):
         import pickle
 
         read, write = os.pipe()
@@ -549,7 +708,7 @@ class _Worker:
             try:
                 os.close(read)
                 try:
-                    payload = True, [fn(x) for x in chunk]
+                    payload = True, [fn(x) for x in items]
                 except BaseException as exc:
                     payload = False, exc
                 with open(write, "wb") as pipe:
@@ -562,21 +721,20 @@ class _Worker:
 
     def payload(self):
         """(True, results) or (False, exception) as the child sent it, or
-        None if it sent nothing readable; the child is reaped."""
+        None if it sent nothing readable."""
         import pickle
 
         parts = []
         while part := os.read(self.fd, 1 << 16):
             parts.append(part)
-        self.reap()
         try:
             return pickle.loads(b"".join(parts))
         except Exception:
             return None
 
     def reap(self, kill=False):
-        """Close the pipe and wait for the child (killed first if kill),
-        once."""
+        """Close the pipe and wait for the child (killed first if kill,
+        which is harmless once it has sent its payload), once."""
         pid, self.pid = self.pid, 0
         if pid:
             if kill:

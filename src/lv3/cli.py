@@ -16,8 +16,8 @@ import json
 import math
 import os
 import sys
-from functools import cache
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, repeat
 
 from . import analysis, darboux, equilibria, flow
 from .params import ParamVector, ZeroParameter, classify, discriminant
@@ -212,32 +212,64 @@ def _jsonable(value):
     return value
 
 
+def _jsonl_lines(records) -> str:
+    """One JSON line per record, keys sorted."""
+    return "".join(json.dumps(_jsonable(record), sort_keys=True) + "\n" for record in records)
+
+
 def emit_jsonl(records, stream):
-    for record in records:
-        stream.write(json.dumps(_jsonable(record), sort_keys=True))
-        stream.write("\n")
+    stream.write(_jsonl_lines(records))
 
 
 CSV_CHUNK_ROWS = 4096
 
 
-def emit_csv(header, rows, stream):
-    """Write a header line and one CSV line per row of the sequence rows.
+def _csv_lines(rows) -> str:
+    """One CSV line per row of the sequence rows, all of one length.
 
     Every table the commands write is all floats, so one "%.17g,...\n"
-    format serves the whole table: each cell reads as _fmt gives it.  Rows
-    of more than one length raise ValueError before anything is written.
-    The text goes out in chunks of at most CSV_CHUNK_ROWS rows, one write
-    each, so a long table is never held twice in full.
+    format serves the whole table: each cell reads as _fmt gives it.
+    """
+    line = ",".join(["%.17g"] * len(rows[0])) + "\n" if rows else ""
+    return (line * len(rows)) % tuple(chain.from_iterable(rows))
+
+
+def emit_csv(header, rows, stream):
+    """Write a header line and the CSV lines of the sequence rows (_csv_lines).
+
+    Rows of more than one length raise ValueError before anything is
+    written.  The text goes out in chunks of at most CSV_CHUNK_ROWS rows, one
+    write each, so a long table is never held twice in full here.
+    integrate and portrait write only their header with it: their rows go
+    out as the texts of _rows_text, each held until the run is done.
     """
     widths = set(map(len, rows))
     if len(widths) > 1:
         raise ValueError(f"CSV rows of {len(widths)} lengths")
-    line = ",".join(["%.17g"] * len(rows[0])) + "\n" if rows else ""
     stream.write(",".join(header) + "\n")
     for start in range(0, len(rows), CSV_CHUNK_ROWS):
-        chunk = rows[start:start + CSV_CHUNK_ROWS]
-        stream.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
+        stream.write(_csv_lines(rows[start:start + CSV_CHUNK_ROWS]))
+
+
+def _rows_text(traj, fmt="csv", specs=(), index=None) -> str:
+    """The text of the rows of traj, a run or a block of one: t, x, y, z
+    and the log of each first integral of specs, as CSV lines, or as JSON
+    lines for fmt json.  index, if given, leads each CSV row (portrait's
+    traj column).  The one formatter of integrate and portrait, wherever it
+    runs: the bytes of a table do not depend on how it is split.  It calls
+    neither emitter, so the emitters' calls and rows, which perfbench's
+    tracer counts, do not depend on where the blocks were formatted."""
+    series = darboux.log_integral_series(specs, traj.states)
+    if fmt == "csv":
+        lead = () if index is None else (repeat(index),)
+        return _csv_lines(list(zip(*lead, traj.t, *zip(*traj.states), *series)))
+    columns = [f"log{spec.name}" for spec in specs]
+    records = []
+    for t, (x, y, z), *logs in zip(traj.t, traj.states, *series):
+        rec = {"t": t, "x": x, "y": y, "z": z}
+        rec.update(zip(columns, logs))
+        records.append(rec)
+    return _jsonl_lines(records)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +356,18 @@ def _cmd_darboux(cfg, stream):
 
 
 def _cmd_integrate(cfg, stream):
-    traj = flow.integrate(cfg.k, cfg.p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
     named = darboux.named_integral_specs(cfg.k)
-    series = darboux.log_integral_series([named[n] for n in cfg.monitor], traj.states)
-    columns = [f"log{n}" for n in cfg.monitor]
-    if cfg.fmt == "csv":
-        rows = list(zip(traj.t, *zip(*traj.states), *series))
-        emit_csv(["t", "x", "y", "z", *columns], rows, stream)
-    else:
-        records = []
-        for t, (x, y, z), *logs in zip(traj.t, traj.states, *series):
-            rec = {"t": t, "x": x, "y": y, "z": z}
-            rec.update(zip(columns, logs))
-            records.append(rec)
-        emit_jsonl(records, stream)
+    specs = [named[n] for n in cfg.monitor]
+    # the rows are formatted on a second CPU while the orbit steps, if there
+    # is one; the child exits while this process writes
+    with analysis._Feed(partial(_rows_text, fmt=cfg.fmt, specs=specs)) as feed:
+        flow.integrate(cfg.k, cfg.p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs,
+                       blocks=(feed.ROWS, feed.put))
+        texts = feed.results()
+        if cfg.fmt == "csv":
+            emit_csv(["t", "x", "y", "z", *(f"log{n}" for n in cfg.monitor)], [], stream)
+        for text in texts:
+            stream.write(text)
     return EXIT_OK
 
 
@@ -463,14 +493,13 @@ def _cmd_scan(cfg, stream):
 def _cmd_portrait(cfg, stream):
     rng = SplitMix64(cfg.seed)
     starts = analysis.sample_interior(cfg.k, cfg.n, rng)
-    header = ["traj", "t", "x", "y", "z"]
-    trajectories = analysis._map_starts(
-        lambda p0: flow.integrate(cfg.k, p0, cfg.t_end, cfg.tol_rel, cfg.tol_abs), starts)
-    rows = []
-    for idx, traj in enumerate(trajectories):
-        for t, state in zip(traj.t, traj.states):
-            rows.append((float(idx), t, *state))
-    emit_csv(header, rows, stream)
+    texts = analysis._map_starts(
+        lambda item: _rows_text(flow.integrate(cfg.k, item[1], cfg.t_end, cfg.tol_rel, cfg.tol_abs),
+                                index=float(item[0])),
+        enumerate(starts))
+    emit_csv(["traj", "t", "x", "y", "z"], [], stream)
+    for text in texts:
+        stream.write(text)
     return EXIT_OK
 
 

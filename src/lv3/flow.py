@@ -502,13 +502,16 @@ def _steps(stepper):
         yield
 
 
-def _drive(fun, p0, t_end, tol_rel, tol_abs, pair=_DP5) -> Trajectory:
+def _drive(fun, p0, t_end, tol_rel, tol_abs, pair=_DP5, blocks=None) -> Trajectory:
     """The run behind integrate and the drift run: samples every accepted
     step of _steps from the simplex point p0.
 
     t_end must be nonzero.  For negative t_end fun is the flow of -k and
     only the reported times carry the sign.  An exhausted step budget raises
     StepBudgetExhausted.  pair is the embedded pair the stepper runs.
+    blocks, if given, is (n, put): put gets each n consecutive samples as a
+    Trajectory as soon as the last of them is accepted, and the rest (fewer
+    than n, if any) once the run has ended at its span.
     """
     if t_end == 0.0:
         raise ValueError("t_end must be nonzero")
@@ -518,25 +521,35 @@ def _drive(fun, p0, t_end, tol_rel, tol_abs, pair=_DP5) -> Trajectory:
     times = [0.0]
     states = [stepper.y]
     add_time, add_state = times.append, states.append
+    n, put = blocks or (0, None)
+    due = n or -1  # the sample count at which the next block is complete
     for _ in _steps(stepper):
         add_time(sign * stepper.t)
         add_state(stepper.y)
+        if len(times) == due:
+            put(Trajectory(tuple(times[-n:]), tuple(states[-n:])))
+            due += n
     if not stepper.finished:
         raise StepBudgetExhausted(f"accepted-step budget {MAX_ACCEPTED_STEPS} exhausted")
+    if put is not None and len(times) > due - n:
+        put(Trajectory(tuple(times[due - n:]), tuple(states[due - n:])))
     return Trajectory(t=tuple(times), states=tuple(states))
 
 
 def integrate(k: ParamVector, p0, t_end: float, tol_rel: float = DEFAULT_TOL_REL,
-              tol_abs: float = DEFAULT_TOL_ABS) -> Trajectory:
+              tol_abs: float = DEFAULT_TOL_ABS, blocks=None) -> Trajectory:
     """Integrate the 3-D simplex flow from p0 for time t_end.
 
     Negative t_end integrates backward, as the flow of -k (the field is
     odd in k; steps stay positive internally).  The states are sampled at
     every accepted step; a caller that reads first integrals evaluates them
     over traj.states (darboux.log_integral_series).  A simplex violation
-    beyond VIOLATION_LIMIT (1e-9) raises SimplexViolation.
+    beyond VIOLATION_LIMIT (1e-9) raises SimplexViolation.  blocks = (n,
+    put) hands the samples out while the run goes on: put gets each n of
+    them in order, as a Trajectory, and the shorter rest at the end (the
+    CLI formats them on a second CPU meanwhile).
     """
-    return _drive(_field3(k if t_end > 0.0 else -k), p0, t_end, tol_rel, tol_abs)
+    return _drive(_field3(k if t_end > 0.0 else -k), p0, t_end, tol_rel, tol_abs, blocks=blocks)
 
 
 def _normal_component(section, v) -> float:

@@ -1,17 +1,22 @@
-"""The job map of the harnesses (lv3.analysis._map_starts): the same bytes,
-exit codes and errors from one CPU or several, and no child left behind.
+"""The job map of the harnesses (lv3.analysis._map_starts) and the feed of
+integrate's blocks (lv3.analysis._Feed): the same bytes, exit codes and
+errors from one CPU or several, and no child left behind.
 
-The CPUs the map may use are set by patching os.sched_getaffinity: one CPU
-maps in-process, two or three fork one or two children.
+The CPUs the maps may use are set by patching os.sched_getaffinity: one CPU
+maps in-process, two or three fork one or two children.  A feed forks
+one child at most, at its first complete block.
 """
 
+import math
 import os
 import threading
+import time
 
 import pytest
 
 import lv3.flow
 from lv3 import analysis, cli
+from lv3.flow import Trajectory
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the map forks only where os.fork exists")
 
@@ -22,6 +27,23 @@ MAPPED = {
     "period-profile": "period-profile --k 2,3,3,2 --n 5",
     "scan": "scan --slice 2,t,2,t --range 1.5,2.5 --steps 5",
     "portrait": "portrait --k 1,1,1,1 --n 5 --t 20",
+}
+
+
+ROWS = analysis._Feed.ROWS
+# integrate invocations and their sample counts: several blocks forward and
+# backward, with and without monitors, fewer samples than one block, and
+# one block plus one sample
+STREAMED = {
+    "csv-monitors": ("integrate --k 1,1,1,1 --p0 0.3,0.2,0.25 --t 30 --monitor H,V", 323),
+    "csv-backward": ("integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 30 --backward", 878),
+    "json-monitors": ("integrate --k 1,1,1,1 --p0 0.3,0.2,0.25 --t 30 --monitor H,V --format json", 323),
+    "json-backward": ("integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 30 --backward --format json "
+                      "--monitor H,V", 878),
+    "short": ("integrate --k 1,1,1,1 --p0 0.3,0.2,0.25 --t 2 --monitor H,V", 28),
+    "block-plus-one": ("integrate --k 1,1,1,1 --p0 0.3,0.2,0.25 --t 11.6 --monitor H,V", ROWS + 1),
+    "block-plus-one-backward-json": (
+        "integrate --k 2,3,3,2 --p0 0.2,0.2,0.2 --t 4.3 --backward --format json", ROWS + 1),
 }
 
 
@@ -162,3 +184,152 @@ def test_a_second_thread_keeps_the_map_in_process(cpus):
         stop.set()
         thread.join()
     assert forked == []
+
+
+def _rows(out, fmt):
+    return len(out.splitlines()) - (fmt == "csv")
+
+
+@pytest.mark.parametrize("argv, samples", STREAMED.values(), ids=STREAMED)
+def test_integrate_prints_the_same_on_every_cpu_count(capsys, cpus, monkeypatch, argv, samples):
+    cpus(1)
+    sequential = _run(capsys, argv)
+    assert sequential[0] == 0 and sequential[2] == ""
+    assert _rows(sequential[1], "json" if "json" in argv else "csv") == samples
+    for n in (2, 3):
+        forked = cpus(n)
+        assert _run(capsys, argv) == sequential
+        assert len(forked) == (samples >= ROWS)  # one child, from the first complete block
+
+    def no_fork():
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _run(capsys, argv) == sequential
+
+
+def test_a_run_that_fails_after_blocks_went_to_the_child_fails_as_in_process(
+        capsys, cpus, monkeypatch, tmp_path):
+    monkeypatch.setattr(lv3.flow, "MAX_ACCEPTED_STEPS", 300)  # two blocks, then the budget
+    out = tmp_path / "orbit.csv"
+    argv = f"integrate --k 1,1,1,1 --p0 0.3,0.2,0.25 --t 250 --monitor H,V --out {out}"
+    for n in (1, 2, 3):
+        forked = cpus(n)
+        assert _run(capsys, argv) == (1, "", "lv3: accepted-step budget 300 exhausted\n")
+        assert len(forked) == (n > 1)
+        assert not out.exists()
+
+
+def test_a_stalled_child_leaves_its_blocks_with_the_parent(capsys, cpus, monkeypatch):
+    # 21 blocks: more than a pipe of any size holds while the child sleeps
+    argv = "integrate --k 1,1,1,1 --p0 0.3,0.2,0.25 --t 250 --monitor H,V"
+    cpus(1)
+    sequential = _run(capsys, argv)
+    parent, formatter = os.getpid(), cli._rows_text
+    in_parent = []
+
+    def stalling(traj, **kwargs):
+        if os.getpid() == parent:
+            in_parent.append(len(traj.t))
+        elif not stalling.slept:  # the child's first block: the pipe fills meanwhile
+            stalling.slept = True
+            time.sleep(0.5)
+        return formatter(traj, **kwargs)
+
+    stalling.slept = False
+    monkeypatch.setattr(cli, "_rows_text", stalling)
+    forked = cpus(2)
+    assert _run(capsys, argv) == sequential
+    assert len(forked) == 1
+    # the parent formats the blocks the child could not take, and only them
+    assert 1 <= len(in_parent) < -(-2639 // ROWS)
+
+
+@pytest.mark.parametrize("argv", [STREAMED["csv-monitors"][0], STREAMED["json-backward"][0],
+                                  MAPPED["portrait"]], ids=["csv", "json", "portrait"])
+def test_the_emitters_see_the_same_calls_on_every_cpu_count(capsys, cpus, monkeypatch, argv):
+    # perfbench's tracer counts the emitters' calls and rows, and its
+    # counters must repeat however the blocks were split between processes
+    seen = []
+    for name in ("emit_csv", "emit_jsonl"):
+        def counted(*args, _name=name, _emit=getattr(cli, name)):
+            seen.append((_name, len(args[-2])))
+            return _emit(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    calls = []
+    for n in (1, 2, 3):
+        cpus(n)
+        seen.clear()
+        assert _run(capsys, argv)[0] == 0
+        calls.append(list(seen))
+    assert calls[0] == calls[1] == calls[2]
+
+
+def _blocks(samples):
+    """A run of samples as flow hands it out (complete blocks, then the
+    rest), and the (times, states) of each block."""
+    t = [float(i) for i in range(samples)]
+    specials = (-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1)
+    states = [(specials[i % 7], -t[i] / 3.0, 1.0 / (t[i] + 1.0)) for i in range(samples)]
+    blocks = [Trajectory(tuple(t[a:a + ROWS]), tuple(states[a:a + ROWS]))
+              for a in range(0, samples, ROWS)]
+    return blocks, [(t[a:a + ROWS], states[a:a + ROWS]) for a in range(0, samples, ROWS)]
+
+
+def _feed(fn, blocks, fail=None):
+    with analysis._Feed(fn) as feed:
+        for block in blocks:
+            feed.put(block)
+        if fail is not None:
+            raise fail
+        return feed.results()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("samples", [1, ROWS - 1, ROWS, 3 * ROWS + 5])
+def test_the_feed_returns_every_block_in_order_bit_for_bit(cpus, n, samples):
+    forked = cpus(n)
+    blocks, expected = _blocks(samples)
+    out = _feed(lambda b: repr((list(b.t), list(b.states))), blocks)
+    assert out == [repr((t, s)) for t, s in expected]
+    assert len(forked) == (n > 1 and samples >= ROWS)
+    _no_child_left()
+
+
+def test_a_feed_whose_child_sends_nothing_readable_runs_in_process(cpus):
+    forked = cpus(2)
+    blocks, expected = _blocks(2 * ROWS + 1)
+    # a closure does not pickle: the child sends nothing readable
+    out = _feed(lambda b: lambda: b.t, blocks)
+    assert [f() for f in out] == [tuple(t) for t, _ in expected]
+    assert len(forked) == 1
+    _no_child_left()
+
+
+def test_a_run_that_raises_kills_and_reaps_the_feed_child(cpus):
+    forked = cpus(2)
+    blocks, _ = _blocks(2 * ROWS)
+
+    def slow(block):
+        threading.Event().wait(60.0)  # the child would sit here for a minute
+        return block
+
+    with pytest.raises(KeyError, match="late"):
+        _feed(slow, blocks, fail=KeyError("late"))
+    assert len(forked) == 1
+    _no_child_left()
+
+
+def test_a_second_thread_keeps_the_feed_in_process(cpus):
+    forked = cpus(2)
+    blocks, expected = _blocks(2 * ROWS)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        out = _feed(lambda b: list(b.t), blocks)
+    finally:
+        stop.set()
+        thread.join()
+    assert out == [t for t, _ in expected] and forked == []

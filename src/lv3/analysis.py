@@ -564,8 +564,9 @@ class _Feed:
     Use it as a context: hand each block of the run to put as soon as it is
     complete (flow's blocks of ROWS samples, the last one fewer), then take
     results(), fn of every block in order, and leave the context.  On two
-    CPUs or more, where _map_starts would fork (_cpus, _may_fork), the
-    first complete block forks one _Worker whose items are this feed: put
+    CPUs or more, where _map_starts would fork (_cpus, _may_fork) and pipes
+    have a select.PIPE_BUF, the first complete block forks one _Worker
+    whose items are this feed: put
     writes each block's packed doubles (its times, then its states) to a
     pipe without blocking, and the child computes fn over them as they come.
     A block is at most select.PIPE_BUF bytes, so a write takes all of it or
@@ -580,13 +581,17 @@ class _Feed:
     child if it still runs (an exception left the context) and reaps it.
     """
 
-    ROWS = select.PIPE_BUF // 32  # a sample is four doubles: t, x, y, z
+    # a sample is four doubles: t, x, y, z; where select has no PIPE_BUF
+    # (Windows, which cannot fork either) the feed stays in-process, and
+    # ROWS only sets how the run is split
+    ROWS = getattr(select, "PIPE_BUF", 4096) // 32
 
     def __init__(self, fn):
         self.fn = fn
         self.blocks = []  # every block, kept until the child's results arrive
         self.sent = []  # the indices of the blocks the child took
-        self.worker = None if _cpus() > 1 and _may_fork() else False  # False: in-process
+        forks = hasattr(select, "PIPE_BUF") and _cpus() > 1 and _may_fork()
+        self.worker = None if forks else False  # False: in-process
         self.fds = ()
 
     def __enter__(self):

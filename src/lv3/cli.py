@@ -221,34 +221,26 @@ def emit_jsonl(records, stream):
     stream.write(_jsonl_lines(records))
 
 
-CSV_CHUNK_ROWS = 4096
-
-
 def _csv_lines(rows) -> str:
-    """One CSV line per row of the sequence rows, all of one length.
+    """One CSV line per row of the sequence rows.
 
     Every table the commands write is all floats, so one "%.17g,...\n"
-    format serves the whole table: each cell reads as _fmt gives it.
+    format serves the whole table: each cell reads as _fmt gives it.  Rows
+    of more than one length raise ValueError.
     """
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueError(f"CSV rows of {len(widths)} lengths")
     line = ",".join(["%.17g"] * len(rows[0])) + "\n" if rows else ""
     return (line * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def emit_csv(header, rows, stream):
-    """Write a header line and the CSV lines of the sequence rows (_csv_lines).
-
-    Rows of more than one length raise ValueError before anything is
-    written.  The text goes out in chunks of at most CSV_CHUNK_ROWS rows, one
-    write each, so a long table is never held twice in full here.
-    integrate and portrait write only their header with it: their rows go
-    out as the texts of _rows_text, each held until the run is done.
-    """
-    widths = set(map(len, rows))
-    if len(widths) > 1:
-        raise ValueError(f"CSV rows of {len(widths)} lengths")
-    stream.write(",".join(header) + "\n")
-    for start in range(0, len(rows), CSV_CHUNK_ROWS):
-        stream.write(_csv_lines(rows[start:start + CSV_CHUNK_ROWS]))
+    """Write a header line and the CSV lines of the sequence rows
+    (_csv_lines), or nothing if they raise.  integrate and portrait write
+    only their header with it: their rows go out as the texts of
+    _rows_text."""
+    stream.write(",".join(header) + "\n" + _csv_lines(rows))
 
 
 def _rows_text(traj, fmt="csv", specs=(), index=None) -> str:

@@ -10,14 +10,15 @@ import pytest
 
 from lv3 import analysis, cli, flow
 from lv3.cli import (
-    CSV_CHUNK_ROWS,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     _build_parser,
+    _csv_lines,
     _fmt,
+    _rows_text,
     emit_csv,
     main,
     parse_args,
@@ -589,10 +590,10 @@ def test_a_missing_out_directory_fails_before_the_run(tmp_path, capsys, monkeypa
 
 
 def test_integrate_out_file_has_the_stdout_bytes(tmp_path, capsys):
-    # T=400 gives more rows than one CSV chunk holds
+    # T=400 gives the rows of many of the run's blocks
     argv = "integrate --k 1,1,1,1 --p0 0.2,0.25,0.22 --t 400 --monitor H,V".split()
     code, out = run_cli(capsys, *argv)
-    assert code == EXIT_OK and out.count("\n") > 1 + CSV_CHUNK_ROWS
+    assert code == EXIT_OK and out.count("\n") > 1 + 10 * analysis._Feed.ROWS
     target = tmp_path / "out.csv"
     assert main([*argv, "--out", str(target)]) == EXIT_OK
     assert target.read_bytes() == out.encode()
@@ -642,28 +643,27 @@ def test_csv_cells_read_as_fmt_gives_them():
         [3.0, 1.0 / 3.0, -0.0, 1.7976931348623157e308],
         [-2.5e-300, math.inf, -math.inf, 2.0**60],
     ]
+    assert _csv_lines(rows) == "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
     buffer = io.StringIO()
     emit_csv(["a"], rows, buffer)
-    assert buffer.getvalue() == "a\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
+    assert buffer.getvalue() == "a\n" + _csv_lines(rows)
 
 
-class _CountingStream(io.StringIO):
-    def __init__(self):
-        super().__init__()
-        self.lines_per_write = []
-
-    def write(self, text):
-        self.lines_per_write.append(text.count("\n"))
-        return super().write(text)
-
-
-@pytest.mark.parametrize("first", [0.5, 7.0], ids=["all-float", "index-first"])
-def test_csv_rows_are_written_one_chunk_per_write(first):
-    rows = [(first, i / 3.0, -0.0) for i in range(2 * CSV_CHUNK_ROWS + 1)]
-    buffer = _CountingStream()
-    emit_csv(["a", "b", "c"], rows, buffer)
-    assert buffer.lines_per_write == [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS, 1]
-    assert buffer.getvalue() == "a,b,c\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
+@pytest.mark.parametrize("fmt, index, monitors", [
+    ("csv", None, ()), ("csv", 7.0, ()), ("csv", None, ("H", "V")), ("json", None, ("H", "V")),
+], ids=["csv", "csv-index-first", "csv-monitors", "json-monitors"])
+def test_a_run_formats_to_the_same_text_whole_or_in_blocks(fmt, index, monitors):
+    # integrate formats its run block by block and portrait each orbit whole
+    k = ParamVector(1.0, 1.0, 1.0, 1.0)
+    traj = flow.integrate(k, (0.3, 0.2, 0.25), 12.0)
+    named = named_integral_specs(k)
+    specs = [named[n] for n in monitors]
+    whole = _rows_text(traj, fmt, specs, index)
+    for n in (1, 7, analysis._Feed.ROWS):
+        blocks = [flow.Trajectory(traj.t[a:a + n], traj.states[a:a + n])
+                  for a in range(0, len(traj.t), n)]
+        assert "".join(_rows_text(b, fmt, specs, index) for b in blocks) == whole
+    assert whole.count("\n") == len(traj.t) > analysis._Feed.ROWS
 
 
 # sha256 of stdout and the exit code of fast invocations, read from the

@@ -1,6 +1,8 @@
-"""emit_csv against the per-cell reference: every line of an all-float table
-of one width is the row's cells as _fmt gives them, joined by commas; a
-table whose rows differ in length raises ValueError and writes nothing."""
+"""The CSV lines of the commands (cli._csv_lines, behind emit_csv and every
+block _rows_text formats) against the per-cell reference: every line of an
+all-float table of one width is the row's cells as _fmt gives them, joined
+by commas; a table whose rows differ in length raises ValueError, and
+emit_csv then writes nothing."""
 
 import io
 import math
@@ -10,7 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from lv3.cli import _fmt, emit_csv
+from lv3.cli import _csv_lines, _fmt, emit_csv
 
 EDGE_FLOATS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                                1.7976931348623157e308, -1.7976931348623157e308,
@@ -37,14 +39,14 @@ RAGGED = _rows(st.lists(FLOATS, max_size=7), min_size=2).filter(
 @DERANDOMIZED
 @given(rows=TABLES)
 def test_csv_lines_are_the_cells_as_fmt_gives_them(rows):
-    buffer = io.StringIO()
-    emit_csv(["h1", "h2"], rows, buffer)
-    assert buffer.getvalue() == "h1,h2\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
+    assert _csv_lines(rows) == "".join(",".join(map(_fmt, r)) + "\n" for r in rows)
 
 
 @DERANDOMIZED
 @given(rows=RAGGED)
 def test_a_ragged_table_raises_and_writes_nothing(rows):
+    with pytest.raises(ValueError):
+        _csv_lines(rows)
     buffer = io.StringIO()
     with pytest.raises(ValueError):
         emit_csv(["h1", "h2"], rows, buffer)

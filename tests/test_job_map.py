@@ -9,6 +9,8 @@ one child at most, at its first complete block.
 
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -206,6 +208,23 @@ def test_integrate_prints_the_same_on_every_cpu_count(capsys, cpus, monkeypatch,
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert _run(capsys, argv) == sequential
+
+
+@pytest.mark.parametrize("fork", ["raises", "missing"], ids=["no-pipe-buf", "windows-like"])
+def test_without_pipe_buf_lv3_imports_and_integrates_in_process(capsys, cpus, fork):
+    # select has no PIPE_BUF on Windows, which has no os.fork either; the
+    # probe runs on every CPU of this machine
+    argv = STREAMED["csv-monitors"][0]
+    cpus(1)
+    sequential = _run(capsys, argv)
+    no_fork = ("del os.fork\n" if fork == "missing" else
+               "def fork():\n    raise AssertionError('forked')\nos.fork = fork\n")
+    probe = ("import os, select, sys\ndel select.PIPE_BUF\n" + no_fork
+             + f"from lv3 import cli\nsys.exit(cli.main({argv.split()!r}))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout, done.stderr) == sequential
 
 
 def test_a_run_that_fails_after_blocks_went_to_the_child_fails_as_in_process(
